@@ -1,0 +1,61 @@
+"""Golden digests of the artifacts each built-in writes at its default seed.
+
+Every artifact is a pure function of ``(scenario, seed)``, so a refactor that
+keeps behaviour must keep these bytes. A digest changes only in a change that
+alters artifacts on purpose and says why.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
+from orchestrion.scenario import run_scenario
+
+GOLDEN = {
+    "exp1_mem": "ebe1663f14393f0d638516a80ca2328fec003fbe1f17a1d87ab69a68989cadf6",
+    "exp1_cpu": "89903a64ad8186eda3c6ab7628f81cc58f06bbce096e4a2b18553cae7724ffbb",
+    "exp2_mem": "67c931332c4d61e150cc67a43d7d5eb3cf7ce69183e66597fcefaed758c646c2",
+    "exp2_cpu": "330bba47b5b601c0017c02b6ad0ebb438f54689ab16d0f8d5eaf24a9df9b66d8",
+    "exp3_mem": "7551728ec245326134dc33d9315b36ef9a548c0c374ace3b6bfcf57f3952f7ac",
+    "exp3_cpu": "2cb5169789ab71157bdc6dbb6214ffb07c3df5338af1fa7b9a9a4c265ddb3751",
+    "exp4_mem_400": "c27eb993cb3ca0b05ac482d3ec306dec8e211fcc5d2598a419fcbf6d9e8c5f10",
+    "exp4_mem_200": "286c3cee128195b7c12058dad0e007544beb981075c202aafe9383bd7f24d101",
+    "exp4_cpu_350": "cce19e520de0c6ffa779792d8dfe9fe08e15ba1a173f09a9190366462b0a786e",
+    "exp4_cpu_100": "8b09d74f7cf57f1124f998d31311dcc70a98b67f0dd01e0c481c585cde6ec6f8",
+    "cluster_3dev": "f72df688dc57811f8032237ce25dd88a49f83049008b4d1a27b9f98cc71031ed",
+}
+
+# No built-in outlives its 7200 s retention window; this run expires and
+# archives rows, so it pins the metrics_archived events and their hashes.
+EXPIRING_SCENARIO = "exp1_mem"
+EXPIRING_RETENTION_S = 600
+EXPIRING_GOLDEN = "516bfc8526f6e35f86f8ea63ddfbd00bc475a2255e8a01c9713d8f603cf4df2e"
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over every file under ``root``: relative path, then content."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def test_golden_covers_every_builtin():
+    assert set(GOLDEN) == set(BUILTIN_SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_builtin_artifacts_unchanged(name, tmp_path):
+    run_scenario(builtin_scenario(name)).write(tmp_path)
+    assert tree_digest(tmp_path) == GOLDEN[name]
+
+
+def test_expiring_run_artifacts_unchanged(tmp_path):
+    scenario = builtin_scenario(EXPIRING_SCENARIO)
+    scenario["monitor"] = {**scenario.get("monitor", {}), "retention_s": EXPIRING_RETENTION_S}
+    report = run_scenario(scenario)
+    assert report.events_of("metrics_archived"), "the run must expire rows to pin them"
+    report.write(tmp_path)
+    assert tree_digest(tmp_path) == EXPIRING_GOLDEN
