@@ -15,7 +15,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -71,11 +71,8 @@ def base_topic(topic: str) -> str:
     return topic
 
 
-def known_topics(bridged: bool = True) -> tuple[str, ...]:
-    topics = list(BASE_TOPICS)
-    if bridged:
-        topics += [CLUSTER_PREFIX + t for t in BRIDGED_TOPICS]
-    return tuple(topics)
+def known_topics() -> tuple[str, ...]:
+    return BASE_TOPICS + tuple(CLUSTER_PREFIX + t for t in BRIDGED_TOPICS)
 
 
 @dataclass
@@ -115,7 +112,7 @@ class Subscription:
     """A single subscriber on one topic.
 
     With a handler, deliveries are dispatched by the spine drain loop.
-    Without one, deliveries buffer in ``inbox`` and can be iterated.
+    Without one, deliveries buffer in ``inbox`` until :meth:`pop_all`.
     """
 
     topic: str
@@ -126,10 +123,6 @@ class Subscription:
         out = list(self.inbox)
         self.inbox.clear()
         return out
-
-    def __iter__(self) -> Iterator[Message]:
-        while self.inbox:
-            yield self.inbox.popleft()
 
 
 class EventSpine:
@@ -192,7 +185,6 @@ class MessageBus:
         self.spine = spine if spine is not None else EventSpine()
         self._subs: dict[str, list[Subscription]] = {t: [] for t in known_topics()}
         self._peers: dict[str, "MessageBus"] = {}
-        self._bridged_topics: tuple[str, ...] = ()
 
     def subscribe(self, topic: str, handler: Optional[Callable[[str, Message], None]] = None) -> Subscription:
         if topic not in self._subs:
@@ -216,9 +208,10 @@ class MessageBus:
         self.spine.record(self.device, topic, msg)
         for sub in self._subs[topic]:
             self.spine.enqueue(sub, topic, msg)
-        # Re-broadcast on peers under the cluster/ prefix; never re-bridge a
-        # message that already carries the prefix (loop prevention).
-        if self._peers and topic in self._bridged_topics and not topic.startswith(CLUSTER_PREFIX):
+        # Re-broadcast on peers under the cluster/ prefix; no prefixed topic is
+        # in BRIDGED_TOPICS, so a bridged copy is never re-bridged (loop
+        # prevention).
+        if self._peers and topic in BRIDGED_TOPICS:
             for _, peer in sorted(self._peers.items()):
                 peer._deliver_bridged(CLUSTER_PREFIX + topic, msg, bridged_from=self.device)
 
@@ -227,17 +220,17 @@ class MessageBus:
         for sub in self._subs.get(topic, []):
             self.spine.enqueue(sub, topic, msg)
 
-    def bridge(self, peers: dict[str, "MessageBus"], shared_topics: tuple[str, ...] = BRIDGED_TOPICS) -> None:
-        """Register peer buses; duplicate registration is an idempotent no-op."""
+    def bridge(self, peers: dict[str, "MessageBus"]) -> None:
+        """Register peer buses that :data:`BRIDGED_TOPICS` are re-broadcast to;
+        duplicate registration is an idempotent no-op."""
         for name, peer in peers.items():
             if peer is self:
                 raise ProtocolError("cannot bridge a bus to itself")
             self._peers[name] = peer
-        self._bridged_topics = tuple(shared_topics)
 
 
-def bridge_all(buses: dict[str, MessageBus], shared_topics: tuple[str, ...] = BRIDGED_TOPICS) -> None:
+def bridge_all(buses: dict[str, MessageBus]) -> None:
     """Fully mesh a set of device buses (each device knows every other)."""
     for name, bus in buses.items():
         peers = {n: b for n, b in buses.items() if n != name}
-        bus.bridge(peers, shared_topics)
+        bus.bridge(peers)

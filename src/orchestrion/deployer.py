@@ -34,15 +34,15 @@ def dominant_resource(request_cpu: int, request_mem: int, host_cpu: int, host_me
     return "mem" if mem_share >= cpu_share else "cpu"
 
 
-def select_executor(table: dict[str, dict], dominant: str, self_device: str) -> str:
+def select_executor(table: dict[str, dict], dominant: str, fallback: str) -> str:
     """Deterministic executor election over the availability table.
 
     Highest availability of the dominant resource wins; ties fall to the
     other resource, then to the numerically smallest device address. An empty
-    table elects the local device.
+    table elects ``fallback``, which must be the same on every device.
     """
     if not table:
-        return self_device
+        return fallback
     other = "mem" if dominant == "cpu" else "cpu"
     ranked = sorted(
         table.items(),
@@ -182,7 +182,9 @@ class Deployer:
                     self.host.config.cpu_total,
                     self.host.config.mem_total,
                 )
-            winner = select_executor(self.table, dominant, self.bus.device)
+            # before the first scrape the table is empty; every peer then
+            # elects the device the request came from
+            winner = select_executor(self.table, dominant, msg.origin)
             self.emit(
                 {
                     "type": "cluster_select",

@@ -146,9 +146,10 @@ class ForecastResult:
 class Forecaster:
     """Answers forecast requests on the forecast topic.
 
-    Stateless per request: series are pulled from the monitor's local store,
-    aggregated into buckets and forecast per metric. Unknown containers get
-    per-container error entries; the response is still sent.
+    Stateless per request: each metric's points are pulled from the monitor's
+    local store, aggregated into buckets and forecast. Containers with no
+    stored samples get per-container error entries; the response is still
+    sent.
     """
 
     def __init__(self, bus: MessageBus, metrics_store, config: ForecastConfig) -> None:
@@ -174,15 +175,11 @@ class Forecaster:
         )
 
     def forecast_container(self, cid: str, horizon: int) -> ForecastResult:
-        series = self.store.series(cid) if self.store.knows(cid) else None
-        if series is None:
+        if self.store.last(cid) is None:
             return ForecastResult(error="unknown container")
-        if not series:
-            return ForecastResult(error="no samples")
         result = ForecastResult()
         for metric, (lo, hi) in (("cpu_util", (0.0, None)), ("mem_util", (0.0, None)), ("throttle_pct", (0.0, 100.0))):
-            points = [(t, row[metric]) for t, row in series]
-            buckets = aggregate_buckets(points, self.config.bucket_s)
+            buckets = aggregate_buckets(self.store.points(cid, metric), self.config.bucket_s)
             forecast, fell_back = ar_forecast(buckets, horizon, self.config)
             result.fallback = result.fallback or fell_back
             setattr(result, metric, clip_series(forecast, lo, hi))

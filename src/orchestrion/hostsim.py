@@ -181,7 +181,7 @@ class ContainerState:
 
 @dataclass(frozen=True)
 class SimEvent:
-    kind: str  # "oom_kill" | "stopped"
+    kind: str
     container_id: str
     t: int
     detail: dict = field(default_factory=dict)

@@ -31,7 +31,6 @@ class DeploymentRecord:
     requester: str = ""
     state: str = "pending"  # pending|analyzing|running|rejected|failed|delegated
     attempts: int = 0
-    max_attempts_hit: bool = False
     decisions: list = field(default_factory=list)
     containers: list = field(default_factory=list)
     executor: str = ""
@@ -69,6 +68,3 @@ class Knowledge:
         rec = self.containers.get(cid)
         if rec is not None:
             rec.limits = limits
-
-    def deployment(self, deployment_id: str) -> DeploymentRecord:
-        return self.deployments[deployment_id]

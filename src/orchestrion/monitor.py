@@ -6,6 +6,7 @@ optimization cycles for active containers.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .bus import Action, Message, MessageBus, TOPIC_DEPLOY, TOPIC_ANALYZE
@@ -15,6 +16,9 @@ from .model import OptimizationPolicy
 from .registry import Registry, RegistryError
 
 logger = logging.getLogger(__name__)
+
+# The metrics the store keeps per sample, as named in the host's sample rows.
+METRICS = ("cpu_util", "mem_util", "throttle_pct")
 
 
 @dataclass(frozen=True)
@@ -29,45 +33,68 @@ class MonitorConfig:
 
 
 class MetricsStore:
-    """Short-term per-container series, bounded by the retention window."""
+    """Short-term per-container series, bounded by the retention window.
+
+    Each container's series is held as columns: one list of timestamps and one
+    list per metric in :data:`METRICS`. No other code knows this layout. A
+    container's entry is dropped once all of its samples have expired, so the
+    series of dead containers are gone one retention window after their last
+    sample.
+    """
 
     def __init__(self, retention_s: int) -> None:
         self.retention_s = retention_s
-        self._series: dict[str, list[tuple[int, dict]]] = {}
-        self._known: set[str] = set()
+        self._series: dict[str, dict[str, list]] = {}
 
     def append(self, cid: str, t: int, row: dict) -> None:
-        self._known.add(cid)
-        self._series.setdefault(cid, []).append((t, row))
+        """Store one sample; ``row`` is a host sample row carrying every metric."""
+        columns = self._series.get(cid)
+        if columns is None:
+            columns = self._series[cid] = {"t": [], **{metric: [] for metric in METRICS}}
+        columns["t"].append(t)
+        for metric in METRICS:
+            columns[metric].append(row[metric])
 
-    def knows(self, cid: str) -> bool:
-        return cid in self._known
-
-    def series(self, cid: str) -> list[tuple[int, dict]]:
-        return self._series.get(cid, [])
+    def points(self, cid: str, metric: str) -> list[tuple[int, float]]:
+        """``(t, value)`` pairs of one metric, oldest first; empty if none are stored."""
+        columns = self._series.get(cid)
+        return list(zip(columns["t"], columns[metric])) if columns else []
 
     def observed_max(self, cid: str, metric: str) -> float:
-        rows = self._series.get(cid)
-        if not rows:
-            return 0.0
-        return max(float(row[metric]) for _, row in rows)
+        columns = self._series.get(cid)
+        return float(max(columns[metric])) if columns else 0.0
 
     def last(self, cid: str) -> dict | None:
-        rows = self._series.get(cid)
-        return rows[-1][1] if rows else None
+        columns = self._series.get(cid)
+        return {metric: columns[metric][-1] for metric in METRICS} if columns else None
 
     def expire(self, now: int) -> dict[str, list]:
-        """Drop points older than the retention window; returns what was dropped."""
+        """Drop points older than the retention window; returns what was
+        dropped as ``{cid: [[t, {metric: value}], ...]}``."""
         cutoff = now - self.retention_s
         expired: dict[str, list] = {}
-        for cid, rows in self._series.items():
-            split = 0
-            while split < len(rows) and rows[split][0] < cutoff:
-                split += 1
-            if split:
-                expired[cid] = [[t, row] for t, row in rows[:split]]
-                self._series[cid] = rows[split:]
-        return {cid: rows for cid, rows in expired.items() if rows}
+        for cid, columns in list(self._series.items()):
+            times = columns["t"]
+            split = bisect_left(times, cutoff)
+            if not split:
+                continue
+            expired[cid] = [
+                [t, {metric: columns[metric][i] for metric in METRICS}] for i, t in enumerate(times[:split])
+            ]
+            if split == len(times):
+                del self._series[cid]
+            else:
+                for column in columns.values():
+                    del column[:split]
+        return expired
+
+    def restore(self, expired: dict[str, list]) -> None:
+        """Put rows returned by :meth:`expire` back in front of the stored ones."""
+        for cid, rows in expired.items():
+            columns = {"t": [t for t, _ in rows], **{metric: [row[metric] for _, row in rows] for metric in METRICS}}
+            for key, column in self._series.get(cid, {}).items():
+                columns[key] += column
+            self._series[cid] = columns
 
 
 class Monitor:
@@ -92,7 +119,6 @@ class Monitor:
         self.emit = emit
         self.metrics = MetricsStore(config.retention_s)
         self._cycle_seq = 0
-        self.scrape_count = 0
 
     # -- per-tick driving --------------------------------------------------------
 
@@ -108,9 +134,6 @@ class Monitor:
 
     def _handle_event(self, event: SimEvent) -> None:
         record = self.knowledge.containers.get(event.container_id)
-        if event.kind == "stopped":
-            self.knowledge.mark_dead(event.container_id, "stopped")
-            return
         if event.kind != "oom_kill":
             return
         self.knowledge.mark_dead(event.container_id, STATUS_KILLED_OOM)
@@ -132,7 +155,6 @@ class Monitor:
         next_attempt = record.attempt + 1
         if next_attempt > self.config.max_attempts:
             deployment.state = "failed"
-            deployment.max_attempts_hit = True
             self.emit(
                 {
                     "type": "retry_exhausted",
@@ -161,20 +183,9 @@ class Monitor:
 
     def scrape_and_publish(self) -> None:
         sample = self.host.sample_metrics()
-        self.scrape_count += 1
-        containers_payload: dict[str, dict] = {}
         for cid, row in sample.containers.items():
             if row["status"] == "running":
-                self.metrics.append(
-                    cid,
-                    sample.t,
-                    {
-                        "cpu_util": row["cpu_util"],
-                        "mem_util": row["mem_util"],
-                        "throttle_pct": row["throttle_pct"],
-                    },
-                )
-            containers_payload[cid] = dict(row)
+                self.metrics.append(cid, sample.t, row)
         self.bus.publish(
             "monitor",
             Message(
@@ -182,7 +193,7 @@ class Monitor:
                 payload={
                     "device": self.bus.device,
                     "t": sample.t,
-                    "containers": containers_payload,
+                    "containers": sample.containers,
                     "avail": {"cpu": sample.avail_cpu, "mem": sample.avail_mem},
                 },
             ),
@@ -199,10 +210,7 @@ class Monitor:
             digest = self.registry.archive_metrics(self.bus.device, expired)
         except RegistryError:
             logger.warning("metrics archive failed; will retry next cycle")
-            # put the points back so nothing is lost
-            for cid, rows in expired.items():
-                existing = self.metrics._series.get(cid, [])
-                self.metrics._series[cid] = [(t, row) for t, row in rows] + existing
+            self.metrics.restore(expired)  # nothing is lost
             return None
         self.emit({"type": "metrics_archived", "hash": digest, "containers": sorted(expired)})
         return digest

@@ -58,12 +58,6 @@ class RunReport:
     def events_of(self, kind: str) -> list[dict]:
         return [e for e in self.events if e["type"] == kind]
 
-    def container_image(self, cid: str) -> str | None:
-        for event in self.events_of("deployed"):
-            if event["container"] == cid:
-                return event["image"]
-        return None
-
     def containers_of_image(self, image: str) -> list[str]:
         return [e["container"] for e in self.events_of("deployed") if e["image"] == image]
 

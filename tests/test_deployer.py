@@ -1,6 +1,7 @@
 import json
 
 from orchestrion.analyzer import Analyzer
+from orchestrion.builtins import builtin_scenario
 from orchestrion.bus import Action, EventSpine, Message, MessageBus
 from orchestrion.deployer import Deployer, dominant_resource, select_executor
 from orchestrion.forecaster import ForecastConfig, Forecaster
@@ -9,6 +10,7 @@ from orchestrion.knowledge import Knowledge
 from orchestrion.model import Limits, OptimizationPolicy
 from orchestrion.monitor import Monitor, MonitorConfig
 from orchestrion.registry import ImageBlob, Registry
+from orchestrion.scenario import run_scenario
 
 
 class TestSelectExecutor:
@@ -290,3 +292,18 @@ class TestAvailabilityTable:
         bus.publish("monitor", self.monitoring("10.0.0.1", 10, 100, 100))
         spine.drain()
         assert deployer.table["10.0.0.1"]["mem"] == 800
+
+
+class TestElectionBeforeFirstScrape:
+    def test_submission_before_first_scrape_deploys_once(self):
+        # every availability table is still empty at t=2: all peers must
+        # elect the same device, the one the request came from
+        scenario = builtin_scenario("cluster_3dev")
+        scenario["schedule"] = [{**scenario["schedule"][0], "at_s": 2}]
+        report = run_scenario(scenario)
+        selects = report.events_of("cluster_select")
+        assert len(selects) == 3
+        assert all(e["table"] == {} for e in selects)
+        assert {e["winner"] for e in selects} == {"10.0.0.1"}
+        deployed = report.events_of("deployed")
+        assert [(e["device"], e["deployment"]) for e in deployed] == [("10.0.0.1", "d001@10.0.0.1")]

@@ -1,9 +1,11 @@
+import json
+
 from orchestrion.bus import Action, EventSpine, MessageBus
 from orchestrion.hostsim import HostConfig, HostSimulator, WorkloadSpec
 from orchestrion.knowledge import ContainerRecord, DeploymentRecord, Knowledge
 from orchestrion.model import Limits, OptimizationPolicy
 from orchestrion.monitor import Monitor, MonitorConfig
-from orchestrion.registry import Registry
+from orchestrion.registry import Registry, RegistryError
 
 
 def build_stack(policy=None, config=None):
@@ -54,7 +56,7 @@ class TestScraping:
             events = host.tick()
             monitor.on_tick(t, events)
         spine.drain()
-        assert len(monitor.metrics.series(cid)) == 5
+        assert [t for t, _ in monitor.metrics.points(cid, "mem_util")] == [10, 20, 30, 40, 50]
 
     def test_empty_host_result_carries_full_availability(self):
         spine, bus, host, knowledge, registry, monitor, _ = build_stack()
@@ -98,6 +100,56 @@ class TestRetention:
         host.now = 160
         assert monitor.enforce_retention() is not None
         assert monitor.enforce_retention() is None
+
+    def test_failed_archive_keeps_rows_for_the_next_enforcement(self, monkeypatch):
+        spine, bus, host, knowledge, registry, monitor, events = build_stack(
+            config=MonitorConfig(scrape_interval_s=10, retention_s=100, max_attempts=3)
+        )
+        rows = [(t, {"cpu_util": t, "mem_util": t + 1, "throttle_pct": t / 4}) for t in range(0, 200, 10)]
+        for t, row in rows:
+            monitor.metrics.append("c1", t, row)
+            if t < 60:  # a container whose samples all expire
+                monitor.metrics.append("c2", t, row)
+        attempted = []
+
+        def failing_archive(device, series):
+            attempted.append(json.loads(json.dumps(series)))
+            raise RegistryError("store unavailable")
+
+        monkeypatch.setattr(registry, "archive_metrics", failing_archive)
+        host.now = 160
+        assert monitor.enforce_retention() is None
+        for metric in ("cpu_util", "mem_util", "throttle_pct"):
+            assert monitor.metrics.points("c1", metric) == [(t, row[metric]) for t, row in rows]
+            assert monitor.metrics.points("c2", metric) == [(t, row[metric]) for t, row in rows[:6]]
+        assert events == []
+
+        monkeypatch.undo()
+        digest = monitor.enforce_retention()
+        assert digest is not None
+        assert [registry.fetch_metrics(digest)] == attempted
+        assert [t for t, _ in monitor.metrics.points("c1", "cpu_util")] == list(range(60, 200, 10))
+        assert monitor.metrics.points("c2", "cpu_util") == []
+
+    def test_killed_container_entry_dropped_after_retention(self):
+        spine, bus, host, knowledge, registry, monitor, _ = build_stack(
+            config=MonitorConfig(scrape_interval_s=10, retention_s=100, max_attempts=3)
+        )
+        spec = WorkloadSpec(pattern=1, workload_class="mem", period_s=600, peak=95)
+        killed = host.run_container(spec, Limits(cpu=100, mem=30))  # OOM-killed at t=97
+        kept = host.run_container(spec, Limits(cpu=100, mem=150))
+        for t in range(1, 101):
+            monitor.on_tick(t, host.tick())
+        spine.drain()
+        assert host.container(killed).status == "killed_oom"
+        assert [t for t, _ in monitor.metrics.points(killed, "mem_util")] == list(range(10, 100, 10))
+        for t in range(101, 201):
+            monitor.on_tick(t, host.tick())
+        spine.drain()
+        assert killed not in monitor.metrics._series
+        assert monitor.metrics.last(killed) is None
+        assert monitor.metrics.points(killed, "mem_util") == []
+        assert kept in monitor.metrics._series
 
 
 class TestPrematureExitRetries:

@@ -1,0 +1,40 @@
+"""The benchmark harness under ``perfbench/`` keeps working against the program.
+
+Its own check tests run as they do from the command line, and its tracer is
+installed over a short run that expires rows, so that a change to the store or
+the forecaster cannot silently leave ``--trace 1`` counting nothing.
+"""
+import subprocess
+import sys
+from pathlib import Path
+
+from orchestrion.builtins import builtin_scenario
+from orchestrion.scenario import run_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def test_selftest_suite_passes():
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+
+
+def test_tracer_counts_store_and_forecaster_work(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    scenario = builtin_scenario("exp1_mem")
+    scenario["monitor"] = {**scenario.get("monitor", {}), "retention_s": 600}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_scenario(scenario)
+    finally:
+        tracer.uninstall()
+    times, counts = tracer.take_round()
+    for name in ("monitor.rows_stored", "monitor.rows_expired", "forecaster.points_bucketed", "forecaster.forecasts"):
+        assert counts[name] > 0, name
+    assert times["forecaster.bucket_s"] > 0
+    assert tracer.forecast_failures == []
