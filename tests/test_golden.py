@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
+from orchestrion.builtins import BUILTIN_SCENARIOS, CPU_PEAKS, MEM_PEAKS, builtin_scenario
 from orchestrion.scenario import run_scenario
 
 GOLDEN = {
@@ -31,6 +31,47 @@ GOLDEN = {
 EXPIRING_SCENARIO = "exp1_mem"
 EXPIRING_RETENTION_S = 600
 EXPIRING_GOLDEN = "516bfc8526f6e35f86f8ea63ddfbd00bc475a2255e8a01c9713d8f603cf4df2e"
+
+# Twenty containers on one device, run two 600 s retention windows long with
+# 60 s buckets: every forecast past the first window fits AR(5) on a full
+# window of eleven buckets, and rows expire on every scrape.
+FULL_WINDOW_GOLDEN = "7546cc9ba15b97382af8a1df9b808d56973db8169cfdcd4cfcd0fd1bf1ed37b3"
+
+
+def full_window_scenario() -> dict:
+    images = []
+    for index in range(20):
+        workload_class = "mem" if index % 2 else "cpu"
+        pattern = index % 5 + 1
+        if workload_class == "mem":
+            peak, request, base = MEM_PEAKS[pattern - 1], {"cpu": 100, "mem": 150}, {"cpu": 50, "mem": 100}
+        else:
+            peak, request, base = CPU_PEAKS[pattern - 1], {"cpu": 300, "mem": 64}, {"cpu": 100, "mem": 32}
+        period_s = (600, 900, 1200, 1800)[index % 4]
+        images.append(
+            {
+                "owner": "golden",
+                "name": f"{workload_class}-{pattern}-{index:02d}",
+                "workload": {"pattern": pattern, "workload_class": workload_class, "period_s": period_s, "peak": peak},
+                "request": request,
+                "base": base,
+            }
+        )
+    device = "10.0.0.1"
+    return {
+        "name": "full_window",
+        "seed": 3,
+        "duration_s": 1200,
+        "cluster": False,
+        "devices": [{"address": device, "cpu_total": 4000, "mem_total": 4000}],
+        "images": images,
+        "schedule": [
+            {"at_s": 2 + 29 * index, "owner": "golden", "image": image["name"], "device": device}
+            for index, image in enumerate(images)
+        ],
+        "monitor": {"scrape_interval_s": 10, "retention_s": 600},
+        "forecast": {"bucket_s": 60, "min_points": 7},
+    }
 
 
 def tree_digest(root: Path) -> str:
@@ -59,3 +100,10 @@ def test_expiring_run_artifacts_unchanged(tmp_path):
     assert report.events_of("metrics_archived"), "the run must expire rows to pin them"
     report.write(tmp_path)
     assert tree_digest(tmp_path) == EXPIRING_GOLDEN
+
+
+def test_full_window_run_artifacts_unchanged(tmp_path):
+    report = run_scenario(full_window_scenario())
+    assert len(report.events_of("metrics_archived")) > 50, "rows must expire on every scrape of the second window"
+    report.write(tmp_path)
+    assert tree_digest(tmp_path) == FULL_WINDOW_GOLDEN
