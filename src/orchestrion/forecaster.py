@@ -41,24 +41,29 @@ class ForecastConfig:
 
 def aggregate_buckets(points: list[tuple[int, float]], bucket_s: int) -> list[float]:
     """Mean per bucket of ``bucket_s`` seconds; a partial trailing bucket is
-    included as its own point. Timestamps must be non-decreasing."""
+    included as its own point and empty buckets yield none. Buckets are
+    anchored at the first timestamp; timestamps must be non-decreasing."""
     if not points:
         raise ValueError("cannot aggregate an empty series")
-    t0 = points[0][0]
-    last_t = t0
-    sums: list[float] = []
-    counts: list[int] = []
+    t0 = last_t = points[0][0]
+    means: list[float] = []
+    bucket = 0
+    total = 0.0
+    count = 0
     for t, value in points:
         if t < last_t:
             raise ValueError("series timestamps must be monotone")
         last_t = t
         idx = (t - t0) // bucket_s
-        while len(sums) <= idx:
-            sums.append(0.0)
-            counts.append(0)
-        sums[idx] += float(value)
-        counts[idx] += 1
-    return [s / c for s, c in zip(sums, counts) if c > 0]
+        if idx != bucket:
+            means.append(total / count)
+            bucket = idx
+            total = 0.0
+            count = 0
+        total += float(value)
+        count += 1
+    means.append(total / count)
+    return means
 
 
 def ar_forecast(values: list[float], horizon: int, config: ForecastConfig | None = None) -> tuple[list[float], bool]:
@@ -72,27 +77,30 @@ def ar_forecast(values: list[float], horizon: int, config: ForecastConfig | None
         raise ValueError("horizon must be >= 1")
     if not values:
         raise ValueError("cannot forecast from an empty series")
-    y = np.asarray(values, dtype=float)
-    if y.size < config.min_points:
-        return [float(y[-1])] * horizon, True
+    last = float(values[-1])
+    if len(values) < config.min_points:
+        return [last] * horizon, True
 
-    z = np.diff(y, n=config.diff_order)
-    if np.ptp(z) == 0.0:
-        step = float(z.mean()) if z.size else 0.0
-        return [float(y[-1] + step * (k + 1)) for k in range(horizon)], False
+    z = [float(v) for v in values]
+    for _ in range(config.diff_order):
+        z = [b - a for a, b in zip(z, z[1:])]
+    if max(z) == min(z):
+        if z[0] == 0.0:
+            # no two consecutive differences are both -0.0, so the drift is +0.0
+            return [last + 0.0] * horizon, False
+        step = float(np.mean(z))
+        return [last + step * (k + 1) for k in range(horizon)], False
 
     p = config.ar_order
-    rows = z.size - p
-    design = np.empty((rows, p), dtype=float)
-    for lag in range(1, p + 1):
-        design[:, lag - 1] = z[p - lag:z.size - lag]
-    target = z[p:]
+    # row i holds the p differences before z[i + p], most recent first
+    design = np.array([z[i:i + p][::-1] for i in range(len(z) - p)])
+    target = np.array(z[p:])
     # modest rcond keeps near-singular fits (short or low-variance histories)
     # from amplifying float noise into the iterated forecast
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=1e-8)
 
-    history = list(z[-p:][::-1])  # most recent difference first
-    level = float(y[-1])
+    history = z[-p:][::-1]  # most recent difference first
+    level = last
     out: list[float] = []
     for _ in range(horizon):
         step = float(np.dot(coeffs, history))
@@ -146,16 +154,22 @@ class ForecastResult:
 class Forecaster:
     """Answers forecast requests on the forecast topic.
 
-    Stateless per request: each metric's points are pulled from the monitor's
-    local store, aggregated into buckets and forecast. Containers with no
-    stored samples get per-container error entries; the response is still
-    sent.
+    Each metric's points are pulled from the monitor's local store, aggregated
+    into buckets and forecast. A forecast depends only on the stored series,
+    so results are kept per ``(container, horizon)`` for the store's current
+    :attr:`~orchestrion.monitor.MetricsStore.version` and reused until the
+    next write to the store (the next scrape or expiry); repeated requests
+    get the same :class:`ForecastResult`, which callers must not modify.
+    Containers with no stored samples get per-container error entries; the
+    response is still sent.
     """
 
     def __init__(self, bus: MessageBus, metrics_store, config: ForecastConfig) -> None:
         self.bus = bus
         self.store = metrics_store
         self.config = config
+        self._memo: dict[tuple[str, int], ForecastResult] = {}
+        self._memo_version = metrics_store.version
         bus.subscribe(TOPIC_FORECAST, self._on_message)
 
     def _on_message(self, topic: str, msg: Message) -> None:
@@ -175,6 +189,16 @@ class Forecaster:
         )
 
     def forecast_container(self, cid: str, horizon: int) -> ForecastResult:
+        if self._memo_version != self.store.version:
+            self._memo.clear()
+            self._memo_version = self.store.version
+        key = (cid, horizon)
+        result = self._memo.get(key)
+        if result is None:
+            result = self._memo[key] = self._forecast(cid, horizon)
+        return result
+
+    def _forecast(self, cid: str, horizon: int) -> ForecastResult:
         if self.store.last(cid) is None:
             return ForecastResult(error="unknown container")
         result = ForecastResult()

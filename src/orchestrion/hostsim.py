@@ -181,7 +181,7 @@ class ContainerState:
 
 @dataclass(frozen=True)
 class SimEvent:
-    kind: str
+    kind: str  # "oom_kill" | "stopped"
     container_id: str
     t: int
     detail: dict = field(default_factory=dict)
@@ -208,6 +208,7 @@ class HostSimulator:
         self._containers: dict[str, ContainerState] = {}
         self._counter = 0
         self._pending_final: dict[str, dict] = {}  # dead containers awaiting one last sample row
+        self._pending_events: list[SimEvent] = []  # raised between ticks, returned by the next one
 
     # -- container lifecycle ---------------------------------------------------
 
@@ -231,9 +232,11 @@ class HostSimulator:
         state.limits = limits
 
     def stop_container(self, cid: str) -> None:
+        """Stop a running container; the next :meth:`tick` reports it as a
+        ``stopped`` event."""
         state = self._running(cid)
-        state.status = STATUS_STOPPED
         self._retire(state, STATUS_STOPPED)
+        self._pending_events.append(SimEvent(kind="stopped", container_id=cid, t=self.now))
 
     def container(self, cid: str) -> ContainerState:
         try:
@@ -267,7 +270,7 @@ class HostSimulator:
     def tick(self) -> list[SimEvent]:
         """Advance one tick; returns lifecycle events raised during it."""
         self.now += self.config.tick_s
-        events: list[SimEvent] = []
+        events, self._pending_events = self._pending_events, []
         mem_budget = self.config.usable_mem
         cpu_budget = self.config.usable_cpu
         for state in list(self._containers.values()):

@@ -10,7 +10,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .bus import Action, Message, MessageBus, TOPIC_DEPLOY, TOPIC_ANALYZE
-from .hostsim import HostSimulator, SimEvent, STATUS_KILLED_OOM
+from .hostsim import HostSimulator, SimEvent, STATUS_KILLED_OOM, STATUS_STOPPED
 from .knowledge import Knowledge
 from .model import OptimizationPolicy
 from .registry import Registry, RegistryError
@@ -40,10 +40,16 @@ class MetricsStore:
     container's entry is dropped once all of its samples have expired, so the
     series of dead containers are gone one retention window after their last
     sample.
+
+    ``version`` counts the writes that change what is stored: every
+    :meth:`append`, every :meth:`expire` that cuts a sample and every
+    :meth:`restore`. Readers that derive results from the series (the
+    forecaster) reuse them while the version stays the same.
     """
 
     def __init__(self, retention_s: int) -> None:
         self.retention_s = retention_s
+        self.version = 0
         self._series: dict[str, dict[str, list]] = {}
 
     def append(self, cid: str, t: int, row: dict) -> None:
@@ -54,6 +60,7 @@ class MetricsStore:
         columns["t"].append(t)
         for metric in METRICS:
             columns[metric].append(row[metric])
+        self.version += 1
 
     def points(self, cid: str, metric: str) -> list[tuple[int, float]]:
         """``(t, value)`` pairs of one metric, oldest first; empty if none are stored."""
@@ -86,6 +93,8 @@ class MetricsStore:
             else:
                 for column in columns.values():
                     del column[:split]
+        if expired:
+            self.version += 1
         return expired
 
     def restore(self, expired: dict[str, list]) -> None:
@@ -95,6 +104,7 @@ class MetricsStore:
             for key, column in self._series.get(cid, {}).items():
                 columns[key] += column
             self._series[cid] = columns
+        self.version += 1
 
 
 class Monitor:
@@ -133,9 +143,10 @@ class Monitor:
     # -- premature exits -----------------------------------------------------------
 
     def _handle_event(self, event: SimEvent) -> None:
-        record = self.knowledge.containers.get(event.container_id)
-        if event.kind != "oom_kill":
+        if event.kind == "stopped":  # an orchestrated stop is never retried
+            self.knowledge.mark_dead(event.container_id, STATUS_STOPPED)
             return
+        record = self.knowledge.containers.get(event.container_id)
         self.knowledge.mark_dead(event.container_id, STATUS_KILLED_OOM)
         if record is None:
             return

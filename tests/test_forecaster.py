@@ -1,5 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
+from orchestrion import forecaster
 from orchestrion.bus import Action, EventSpine, Message, MessageBus
 from orchestrion.forecaster import (
     ForecastConfig,
@@ -142,3 +146,248 @@ class TestForecastService:
         self.fill(store, "c1", [10.0, 20.0])
         result = service.forecast_container("c1", 2)
         assert result.fallback
+
+
+# -- equivalence with the numpy-first implementation ------------------------------
+
+# Frozen copies of the earlier aggregate_buckets and ar_forecast. The current
+# ones must give the same floats bit for bit, because every artifact hangs on
+# them.
+
+
+def reference_aggregate_buckets(points, bucket_s):
+    if not points:
+        raise ValueError("cannot aggregate an empty series")
+    t0 = points[0][0]
+    last_t = t0
+    sums = []
+    counts = []
+    for t, value in points:
+        if t < last_t:
+            raise ValueError("series timestamps must be monotone")
+        last_t = t
+        idx = (t - t0) // bucket_s
+        while len(sums) <= idx:
+            sums.append(0.0)
+            counts.append(0)
+        sums[idx] += float(value)
+        counts[idx] += 1
+    return [s / c for s, c in zip(sums, counts) if c > 0]
+
+
+def reference_ar_forecast(values, horizon, config=None):
+    config = config or ForecastConfig()
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if not values:
+        raise ValueError("cannot forecast from an empty series")
+    y = np.asarray(values, dtype=float)
+    if y.size < config.min_points:
+        return [float(y[-1])] * horizon, True
+    z = np.diff(y, n=config.diff_order)
+    if np.ptp(z) == 0.0:
+        step = float(z.mean()) if z.size else 0.0
+        return [float(y[-1] + step * (k + 1)) for k in range(horizon)], False
+    p = config.ar_order
+    rows = z.size - p
+    design = np.empty((rows, p), dtype=float)
+    for lag in range(1, p + 1):
+        design[:, lag - 1] = z[p - lag:z.size - lag]
+    target = z[p:]
+    coeffs, *_ = np.linalg.lstsq(design, target, rcond=1e-8)
+    history = list(z[-p:][::-1])
+    level = float(y[-1])
+    out = []
+    for _ in range(horizon):
+        step = float(np.dot(coeffs, history))
+        level += step
+        out.append(level)
+        history = [step] + history[:-1]
+    return out, False
+
+
+SERIES_KINDS = (
+    "int", "float", "constant", "constant_int", "signed_zero", "drift", "drift_int", "accumulated", "ramp", "noisy"
+)
+
+
+def random_series(rng, kind, n):
+    if kind == "int":
+        return [rng.randint(0, 200) for _ in range(n)]
+    if kind == "float":
+        return [rng.uniform(0.0, 150.0) for _ in range(n)]
+    if kind == "constant":
+        return [rng.uniform(0.0, 150.0)] * n
+    if kind == "constant_int":
+        return [rng.randint(0, 200)] * n
+    if kind == "drift":  # exactly representable steps: a flat nonzero difference
+        start, step = rng.randint(0, 100) + 0.5, rng.choice((-1.25, 0.5, 2.0, 3.75))
+        return [start + step * i for i in range(n)]
+    if kind == "signed_zero":
+        return [rng.choice((0.0, -0.0)) for _ in range(n)]
+    if kind == "accumulated":  # equal steps added in float: differences equal or off by rounding
+        values = [rng.uniform(-1.0, 50.0)]
+        step = rng.uniform(-5.0, 5.0)
+        while len(values) < n:
+            values.append(values[-1] + step)
+        return values
+    if kind == "drift_int":
+        start, step = rng.randint(0, 100), rng.randint(-5, 5)
+        return [start + step * i for i in range(n)]
+    if kind == "ramp":  # up then down, with float rounding in the steps
+        slope = rng.uniform(0.1, 7.0)
+        top = rng.randint(1, max(1, n))
+        return [slope * (i if i < top else 2 * top - i) for i in range(n)]
+    base = rng.uniform(20.0, 100.0)
+    return [base + rng.gauss(0.0, 5.0) + 10.0 * (i % 3) for i in range(n)]
+
+
+def gapped_points(rng, n, as_int):
+    t = rng.randint(0, 1000)
+    points = []
+    for _ in range(n):
+        value = rng.randint(0, 150) if as_int else rng.uniform(0.0, 100.0)
+        points.append((t, value))
+        # repeats, scrape-sized steps and gaps that skip whole buckets
+        t += rng.choice((0, 10, 10, 10, 10, 30, 60, 90, 250))
+    return points
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_aggregate_buckets_matches_reference(seed):
+    rng = random.Random(f"aggregate:{seed}")
+    for n in range(1, 41):
+        for bucket_s in (1, 10, 60, 61, 3600):
+            points = gapped_points(rng, n, as_int=rng.random() < 0.5)
+            assert repr(aggregate_buckets(points, bucket_s)) == repr(reference_aggregate_buckets(points, bucket_s))
+
+
+def test_aggregate_buckets_errors_match_reference():
+    for points in ([], [(10, 1.0), (5, 2.0)], [(0, 1.0), (60, 2.0), (59, 3.0)]):
+        with pytest.raises(ValueError) as new:
+            aggregate_buckets(points, 60)
+        with pytest.raises(ValueError) as old:
+            reference_aggregate_buckets(points, 60)
+        assert str(new.value) == str(old.value)
+
+
+CONFIGS = (
+    ForecastConfig(),
+    ForecastConfig(min_points=7, bucket_s=60),
+    ForecastConfig(ar_order=3, min_points=5),
+    ForecastConfig(diff_order=2, min_points=8),
+)
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+def test_ar_forecast_matches_reference(kind):
+    rng = random.Random(f"ar:{kind}")
+    for n in range(1, 41):
+        for horizon in range(1, 7):
+            values = random_series(rng, kind, n)
+            for config in CONFIGS:
+                got, got_fallback = ar_forecast(values, horizon, config)
+                want, want_fallback = reference_ar_forecast(values, horizon, config)
+                assert repr(got) == repr(want), (kind, n, horizon, config, values)
+                assert got_fallback == want_fallback
+
+
+@pytest.mark.parametrize(
+    "n, start, step", [(18, -0.28030943936944164, 0.03959803165400405), (28, 0.06491876922868171, -0.0030677248893516487)]
+)
+def test_flat_drift_is_the_numpy_mean(n, start, step):
+    # every difference is the same float, yet summing them one by one and
+    # dividing by the count differs from np.mean in the last bit
+    values = [start]
+    while len(values) < n:
+        values.append(values[-1] + step)
+    differences = [b - a for a, b in zip(values, values[1:])]
+    assert len(set(differences)) == 1
+    assert sum(differences) / len(differences) != float(np.mean(differences))
+    for horizon in (1, 4):
+        assert repr(ar_forecast(values, horizon)) == repr(reference_ar_forecast(values, horizon))
+
+
+def test_ar_forecast_errors_match_reference():
+    for values, horizon in (([], 1), ([1.0, 2.0], 0)):
+        with pytest.raises(ValueError) as new:
+            ar_forecast(values, horizon)
+        with pytest.raises(ValueError) as old:
+            reference_ar_forecast(values, horizon)
+        assert str(new.value) == str(old.value)
+
+
+# -- forecasts reused within one store version ------------------------------------
+
+
+class TestForecastMemo:
+    def setup_method(self):
+        self.spine, self.bus, self.store, self.service = build_service(bucket_s=30)
+        for i in range(40):
+            self.store.append("c1", i * 10, {"cpu_util": 50 + (i * 7) % 13, "mem_util": 80 + i % 5, "throttle_pct": 0.0})
+
+    def count_bucketing(self, monkeypatch):
+        calls = []
+        original = forecaster.aggregate_buckets
+
+        def counting(points, bucket_s):
+            calls.append(len(points))
+            return original(points, bucket_s)
+
+        monkeypatch.setattr(forecaster, "aggregate_buckets", counting)
+        return calls
+
+    def request(self):
+        self.bus.publish(
+            "forecast",
+            Message(action=Action.FORECAST_REQUEST, payload={"containers": ["c1"], "horizon": 3}, correlation_id="fc"),
+        )
+        self.spine.drain()
+
+    def test_second_request_without_scrape_reuses_forecast(self, monkeypatch):
+        calls = self.count_bucketing(monkeypatch)
+        self.request()
+        assert len(calls) == 3  # one per metric
+        self.request()
+        assert len(calls) == 3
+        responses = [e for e in self.spine.log if e["action"] == "forecast_response"]
+        assert len(responses) == 2
+
+    def test_each_store_write_recomputes(self, monkeypatch):
+        calls = self.count_bucketing(monkeypatch)
+        self.service.forecast_container("c1", 3)
+        self.store.append("c1", 400, {"cpu_util": 70, "mem_util": 81, "throttle_pct": 0.0})
+        self.service.forecast_container("c1", 3)
+        assert len(calls) == 6
+        expired = self.store.expire(now=self.store.retention_s + 35)
+        assert [t for t, _ in expired["c1"]] == [0, 10, 20, 30]
+        self.service.forecast_container("c1", 3)
+        assert len(calls) == 9
+        self.store.restore(expired)
+        self.service.forecast_container("c1", 3)
+        assert len(calls) == 12
+
+    def test_expiry_that_cuts_nothing_keeps_the_forecast(self, monkeypatch):
+        calls = self.count_bucketing(monkeypatch)
+        self.service.forecast_container("c1", 3)
+        assert self.store.expire(now=100) == {}
+        self.service.forecast_container("c1", 3)
+        assert len(calls) == 3
+
+    def test_horizon_is_part_of_the_key(self, monkeypatch):
+        calls = self.count_bucketing(monkeypatch)
+        short = self.service.forecast_container("c1", 1)
+        long = self.service.forecast_container("c1", 3)
+        assert len(calls) == 6
+        assert (len(short.cpu_util), len(long.cpu_util)) == (1, 3)
+
+    def test_memoized_result_equals_a_fresh_forecast(self):
+        self.service.forecast_container("c1", 3)
+        memoized = self.service.forecast_container("c1", 3)
+        fresh = Forecaster(MessageBus("10.0.0.2", EventSpine()), self.store, self.service.config)
+        assert memoized.as_dict() == fresh.forecast_container("c1", 3).as_dict()
+        self.store.append("c1", 400, {"cpu_util": 90, "mem_util": 99, "throttle_pct": 10.0})
+        updated = self.service.forecast_container("c1", 3)
+        fresh = Forecaster(MessageBus("10.0.0.2", EventSpine()), self.store, self.service.config)
+        assert updated.as_dict() == fresh.forecast_container("c1", 3).as_dict()
+        assert updated.as_dict() != memoized.as_dict()

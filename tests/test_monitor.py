@@ -187,14 +187,26 @@ class TestPrematureExitRetries:
     def test_orchestrated_stop_not_retried(self):
         spine, bus, host, knowledge, registry, monitor, events = build_stack()
         requests = bus.subscribe("deploy")
+        optimizations = bus.subscribe("analyze")
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
         cid = host.run_container(spec, Limits(cpu=100, mem=150))
         register(knowledge, host, cid)
         monitor.on_tick(1, host.tick())
         host.stop_container(cid)
-        monitor.on_tick(2, [])
-        spine.drain()
+        monitor.on_tick(2, host.tick())
+        assert knowledge.active() == []
+        for t in range(3, 121):  # past warm-up and three optimization intervals
+            monitor.on_tick(t, host.tick())
+            spine.drain()
+        assert knowledge.containers[cid].status == "stopped"
         assert [m for m in requests.pop_all() if m.action is Action.DEPLOYMENT_REQUEST] == []
+        assert [
+            m
+            for m in optimizations.pop_all()
+            if m.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST and m.payload["container"] == cid
+        ] == []
+        assert host.container(cid).status == "stopped"
+        assert events == []
 
 
 class TestOptimizationCadence:
