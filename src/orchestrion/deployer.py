@@ -29,9 +29,7 @@ ROLE_ESCALATED = "escalated"
 
 def dominant_resource(request_cpu: int, request_mem: int, host_cpu: int, host_mem: int) -> str:
     """The resource a request leans on hardest, relative to host capacity."""
-    cpu_share = request_cpu / host_cpu if host_cpu else 0.0
-    mem_share = request_mem / host_mem if host_mem else 0.0
-    return "mem" if mem_share >= cpu_share else "cpu"
+    return "mem" if request_mem / host_mem >= request_cpu / host_cpu else "cpu"
 
 
 def select_executor(table: dict[str, dict], dominant: str, fallback: str) -> str:
@@ -84,7 +82,6 @@ class Deployer:
         self.table: dict[str, dict] = {}
         self._queue: deque[dict] = deque()
         self._active: _Admission | None = None
-        self._resolved_analysis: set[str] = set()
         self._request_seq = 0
         self._analysis_seq = 0
         bus.subscribe(TOPIC_DEPLOY, self._on_deploy)
@@ -272,13 +269,9 @@ class Deployer:
     # -- verdicts --------------------------------------------------------------------------
 
     def _on_verdict(self, topic: str, msg: Message) -> None:
-        analysis_id = msg.payload.get("analysis_id", "")
-        if analysis_id in self._resolved_analysis:
-            return  # idempotence: verdict for an already settled analysis
         admission = self._active
-        if admission is None or admission.analysis_id != analysis_id:
-            return
-        self._resolved_analysis.add(analysis_id)
+        if admission is None or admission.analysis_id != msg.payload.get("analysis_id", ""):
+            return  # stale or duplicate verdict: analysis ids are never reused
         record = self.knowledge.deployments[admission.deployment_id]
         record.decisions.append(
             {
@@ -316,7 +309,7 @@ class Deployer:
 
     def _execute(self, admission: _Admission, record: DeploymentRecord) -> None:
         try:
-            cid = self.host.run_container(admission.spec, admission.target, restart_count=admission.attempt - 1)
+            cid = self.host.run_container(admission.spec, admission.target)
         except ValueError as exc:
             logger.warning("execution failed for %s: %s", admission.deployment_id, exc)
             self.bus.publish(
@@ -345,7 +338,6 @@ class Deployer:
                 limits=admission.target,
                 start_t=self.host.now,
                 attempt=admission.attempt,
-                order=self.knowledge.next_order(),
             )
         )
         record.state = "running"

@@ -157,7 +157,7 @@ def _initial_throttle_full(report, scenario, params):
         start_t = event["t"]
         # independent oracle: evaluate the demand function over the first window
         always_above = all(
-            workload_demand(spec, phase, seed, cid).cpu > limit for phase in range(1, scrape + 1)
+            workload_demand(spec, phase, seed, cid)[0] > limit for phase in range(1, scrape + 1)
         )
         if not always_above:
             continue

@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation of a resource-constrained container host.
 
-The host advances in fixed ticks (default one simulated second). Per tick,
+The host advances in ticks of one simulated second. Per tick,
 every running container demands memory and CPU according to its workload
 pattern; CPU demand above the enforced limit is throttled and deferred into a
 work backlog, memory demand above the limit kills the container (no swap).
@@ -110,8 +110,8 @@ def pattern_level(pattern: int, u: float, noise: float) -> float:
     return _DIURNAL_POINTS[-1][1]
 
 
-def workload_demand(spec: WorkloadSpec, phase_s: int, seed: int = 0, key: str = "") -> Limits:
-    """Demanded resources at ``phase_s`` seconds into the workload's life.
+def workload_demand(spec: WorkloadSpec, phase_s: int, seed: int = 0, key: str = "") -> tuple[int, int]:
+    """Demanded ``(cpu, mem)`` at ``phase_s`` seconds into the workload's life.
 
     Deterministic and periodic: the same (spec, seed, key, phase mod period)
     always yields the same demand. The dominant resource follows the pattern
@@ -125,8 +125,8 @@ def workload_demand(spec: WorkloadSpec, phase_s: int, seed: int = 0, key: str = 
     amount = int(round(spec.peak * pattern_level(spec.pattern, u, noise)))
     amount = min(amount, spec.peak)
     if spec.workload_class == "cpu":
-        return Limits(cpu=amount, mem=FLAT_MEM_MB)
-    return Limits(cpu=FLAT_CPU_MCPU, mem=amount)
+        return amount, FLAT_MEM_MB
+    return FLAT_CPU_MCPU, amount
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,10 @@ class HostConfig:
     mem_total: int = 1000
     reserved_cpu: int = 0
     reserved_mem: int = 0
-    tick_s: int = 1
 
     def __post_init__(self) -> None:
-        if self.cpu_total <= 0 or self.mem_total <= 0 or self.tick_s <= 0:
-            raise ValueError("host totals and tick must be positive")
+        if self.cpu_total <= 0 or self.mem_total <= 0:
+            raise ValueError("host totals must be positive")
         if not 0 <= self.reserved_cpu <= self.cpu_total:
             raise ValueError("reserved_cpu out of range")
         if not 0 <= self.reserved_mem <= self.mem_total:
@@ -166,7 +165,6 @@ class ContainerState:
     start_t: int
     status: str = STATUS_RUNNING
     backlog: int = 0  # deferred CPU work in mCPU-ticks
-    restart_count: int = 0
     mem_usage: int = 0
     # window accumulators, reset on each metrics sample
     window_ticks: int = 0
@@ -212,7 +210,7 @@ class HostSimulator:
 
     # -- container lifecycle ---------------------------------------------------
 
-    def run_container(self, spec: WorkloadSpec, limits: Limits, restart_count: int = 0) -> str:
+    def run_container(self, spec: WorkloadSpec, limits: Limits) -> str:
         if limits.cpu <= 0 or limits.mem <= 0:
             raise ValueError("containers need non-zero cpu and mem limits")
         self._counter += 1
@@ -222,7 +220,6 @@ class HostSimulator:
             spec=spec,
             limits=limits,
             start_t=self.now,
-            restart_count=restart_count,
         )
         logger.debug("run %s limits=%s", cid, limits.as_dict())
         return cid
@@ -268,21 +265,20 @@ class HostSimulator:
     # -- simulation clock --------------------------------------------------------
 
     def tick(self) -> list[SimEvent]:
-        """Advance one tick; returns lifecycle events raised during it."""
-        self.now += self.config.tick_s
+        """Advance one simulated second; returns lifecycle events raised during it."""
+        self.now += 1
         events, self._pending_events = self._pending_events, []
         mem_budget = self.config.usable_mem
         cpu_budget = self.config.usable_cpu
-        for state in list(self._containers.values()):
+        for state in self._containers.values():
             if state.status != STATUS_RUNNING:
                 continue
-            phase = self.now - state.start_t
-            demand = workload_demand(state.spec, phase, self.seed, state.container_id)
+            cpu, mem = workload_demand(state.spec, self.now - state.start_t, self.seed, state.container_id)
 
             # Memory first: exceeding the enforced limit (or the host slice)
             # kills the container, it is never silently oversubscribed.
-            if demand.mem > state.limits.mem or demand.mem > mem_budget:
-                reason = "limit" if demand.mem > state.limits.mem else "host_capacity"
+            if mem > state.limits.mem or mem > mem_budget:
+                reason = "limit" if mem > state.limits.mem else "host_capacity"
                 state.mem_usage = 0
                 self._retire(state, STATUS_KILLED_OOM)
                 events.append(
@@ -290,19 +286,19 @@ class HostSimulator:
                         kind="oom_kill",
                         container_id=state.container_id,
                         t=self.now,
-                        detail={"demand_mem": demand.mem, "mem_limit": state.limits.mem, "reason": reason},
+                        detail={"demand_mem": mem, "mem_limit": state.limits.mem, "reason": reason},
                     )
                 )
                 continue
-            state.mem_usage = demand.mem
-            mem_budget -= demand.mem
+            state.mem_usage = mem
+            mem_budget -= mem
 
             # CPU: deferred work from earlier throttled ticks is demanded again.
-            want = demand.cpu + state.backlog
+            want = cpu + state.backlog
             granted = min(want, state.limits.cpu, cpu_budget)
             cpu_budget -= granted
             state.backlog = want - granted
-            state.total_demanded += demand.cpu
+            state.total_demanded += cpu
             state.total_granted += granted
             state.window_ticks += 1
             state.window_granted += granted

@@ -19,7 +19,6 @@ class ContainerRecord:
     limits: Limits
     start_t: int
     attempt: int
-    order: int
     status: str = "running"
 
 
@@ -43,21 +42,13 @@ class Knowledge:
     def __init__(self) -> None:
         self.containers: dict[str, ContainerRecord] = {}
         self.deployments: dict[str, DeploymentRecord] = {}
-        self._order = 0
 
     def register_container(self, record: ContainerRecord) -> None:
         self.containers[record.container_id] = record
 
-    def next_order(self) -> int:
-        self._order += 1
-        return self._order
-
     def active(self) -> list[ContainerRecord]:
-        """Running containers in deployment order (oldest first)."""
-        return sorted(
-            (c for c in self.containers.values() if c.status == "running"),
-            key=lambda c: c.order,
-        )
+        """Running containers in registration order (oldest first)."""
+        return [c for c in self.containers.values() if c.status == "running"]
 
     def mark_dead(self, cid: str, status: str) -> None:
         rec = self.containers.get(cid)

@@ -49,11 +49,8 @@ class RunReport:
     def passed(self) -> bool:
         return all(r["passed"] for r in self.expectation_results)
 
-    def admissions(self, device: str | None = None) -> list[dict]:
-        out = [e for e in self.events if e["type"] == "admission"]
-        if device is not None:
-            out = [e for e in out if e["device"] == device]
-        return out
+    def admissions(self) -> list[dict]:
+        return self.events_of("admission")
 
     def events_of(self, kind: str) -> list[dict]:
         return [e for e in self.events if e["type"] == kind]
@@ -142,14 +139,19 @@ class SimulationRunner:
 
     def _build(self) -> None:
         scn = self.scenario
-        policy = OptimizationPolicy.from_dict(scn.get("policy", {}))
-        monitor_cfg = MonitorConfig(**scn.get("monitor", {}))
-        forecast_raw = dict(scn.get("forecast", {}))
-        forecast_raw.setdefault("bucket_s", 60)
-        horizon = forecast_raw.pop("horizon", None)
-        if horizon is None:
-            horizon = max(1, math.ceil(policy.optimization_interval_s / forecast_raw["bucket_s"]))
-        forecast_cfg = ForecastConfig(horizon=int(horizon), **forecast_raw)
+        try:
+            policy = OptimizationPolicy.from_dict(scn.get("policy", {}))
+            monitor_cfg = MonitorConfig(**scn.get("monitor", {}))
+            forecast_raw = dict(scn.get("forecast", {}))
+            forecast_raw.setdefault("bucket_s", 60)
+            horizon = forecast_raw.pop("horizon", None)
+            if horizon is None:
+                horizon = max(1, math.ceil(policy.optimization_interval_s / forecast_raw["bucket_s"]))
+            forecast_cfg = ForecastConfig(horizon=int(horizon), **forecast_raw)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            # unknown keys, wrong types and out-of-range values in the scenario's
+            # policy/monitor/forecast blocks are errors in the scenario
+            raise ScenarioError(str(exc)) from exc
 
         for image in scn["images"]:
             spec = WorkloadSpec.from_dict(image["workload"])
@@ -213,9 +215,8 @@ class SimulationRunner:
         self.spine.drain()
         for t in range(1, self.duration + 1):
             self.now = t
-            per_device_events = {addr: stack.host.tick() for addr, stack in self.devices.items()}
-            for addr, stack in self.devices.items():
-                stack.monitor.on_tick(t, per_device_events[addr])
+            for stack in self.devices.values():
+                stack.monitor.on_tick(t, stack.host.tick())
             self._inject_due_schedule(t)
             self.spine.drain()
             self._collect_traces()

@@ -209,6 +209,39 @@ class TestVerdictHandling:
         spine.drain()
         assert len(host.running_containers()) == 1  # idempotent
 
+    def test_stale_cancel_during_base_analysis_ignored(self):
+        # no analyzer: the test delivers every verdict itself
+        spine = EventSpine()
+        bus = MessageBus("10.0.0.1", spine)
+        host = HostSimulator(HostConfig(), device="10.0.0.1")
+        registry = Registry()
+        blob = ImageBlob(
+            [json.dumps({"workload": {"pattern": 3, "workload_class": "mem", "period_s": 1800, "peak": 95}}).encode()]
+        )
+        registry.publish_image("vendor", "app", blob, {"cpu": 100, "mem": 150}, {"cpu": 50, "mem": 100})
+        deployer = Deployer(bus, registry, host, Knowledge(), OptimizationPolicy(), lambda event: None)
+        analyses = bus.subscribe("analyze")
+
+        def verdict(action, analysis_id):
+            payload = {"deployment_id": deployment_id, "analysis_id": analysis_id}
+            bus.publish("deploy", Message(action=action, payload=payload, correlation_id=analysis_id))
+            spine.drain()
+
+        deployment_id = deployer.submit({"owner": "vendor", "image": "app"})["request_id"]
+        spine.drain()
+        (request,) = analyses.pop_all()
+        verdict(Action.DEPLOYMENT_CANCEL, request.payload["analysis_id"])
+        (base,) = analyses.pop_all()
+        assert base.payload["role"] == "base"
+        verdict(Action.DEPLOYMENT_CANCEL, request.payload["analysis_id"])  # stale duplicate
+        assert analyses.pop_all() == []
+        verdict(Action.DEPLOYMENT_ACCEPT, base.payload["analysis_id"])
+        status = deployer.deployment_status(deployment_id)
+        assert status["state"] == "running"
+        assert [(d["verdict"], d["role"]) for d in status["decisions"]] == [("reject", "request"), ("accept", "base")]
+        assert analyses.pop_all() == []
+        assert len(host.running_containers()) == 1
+
     def test_update_applies_without_restart(self):
         spine, bus, host, knowledge, registry, deployer, events = build_device()
         deployer.submit({"owner": "vendor", "image": "app"})

@@ -28,7 +28,7 @@ class TestWorkloadPatterns:
     @pytest.mark.parametrize("pattern", [1, 2, 3, 4, 5])
     def test_peak_never_exceeded_and_reached_nearby(self, pattern):
         spec = mem_spec(pattern)
-        demands = [workload_demand(spec, t, seed=3, key="k").mem for t in range(spec.period_s)]
+        demands = [workload_demand(spec, t, seed=3, key="k")[1] for t in range(spec.period_s)]
         assert max(demands) <= spec.peak
         # every pattern gets within 5% of its declared peak
         assert max(demands) >= math.floor(spec.peak * 0.95)
@@ -43,29 +43,41 @@ class TestWorkloadPatterns:
 
     def test_on_off_on_phase_hits_peak(self):
         spec = mem_spec(3)
-        assert workload_demand(spec, 10).mem == 95
-        assert workload_demand(spec, spec.period_s // 2 + 10).mem == round(95 * 0.1)
+        _, mem_on = workload_demand(spec, 10)
+        _, mem_off = workload_demand(spec, spec.period_s // 2 + 10)
+        assert mem_on == 95
+        assert mem_off == round(95 * 0.1)
 
     def test_gently_shaking_cpu_within_ten_percent_band(self):
         spec = cpu_spec(4, peak=120)
         for t in range(0, spec.period_s, 7):
-            demand = workload_demand(spec, t, seed=5, key="c").cpu
-            assert 108 <= demand <= 132
+            cpu, _ = workload_demand(spec, t, seed=5, key="c")
+            assert 108 <= cpu <= 132
 
     def test_secondary_resource_is_flat(self):
-        assert workload_demand(mem_spec(1), 555).cpu == FLAT_CPU_MCPU
-        assert workload_demand(cpu_spec(1), 555).mem == FLAT_MEM_MB
+        cpu, _ = workload_demand(mem_spec(1), 555)
+        _, mem = workload_demand(cpu_spec(1), 555)
+        assert cpu == FLAT_CPU_MCPU
+        assert mem == FLAT_MEM_MB
 
     def test_triangular_rises_to_peak_at_half_period(self):
         spec = mem_spec(1)
-        assert workload_demand(spec, spec.period_s // 2).mem == 95
-        assert workload_demand(spec, 0).mem == 0
+        _, mem_half = workload_demand(spec, spec.period_s // 2)
+        _, mem_start = workload_demand(spec, 0)
+        assert mem_half == 95
+        assert mem_start == 0
 
     def test_demand_deterministic_per_seed(self):
         spec = cpu_spec(4)
-        a = [workload_demand(spec, t, seed=1, key="x").cpu for t in range(100)]
-        b = [workload_demand(spec, t, seed=1, key="x").cpu for t in range(100)]
+        a = [workload_demand(spec, t, seed=1, key="x")[0] for t in range(100)]
+        b = [workload_demand(spec, t, seed=1, key="x")[0] for t in range(100)]
         assert a == b
+
+    @pytest.mark.parametrize("spec", [mem_spec(4), cpu_spec(5)])
+    def test_demand_is_a_pair_of_ints(self, spec):
+        for t in (0, 1, 450, 1799):
+            cpu, mem = workload_demand(spec, t, seed=2, key="c")
+            assert type(cpu) is int and type(mem) is int
 
     def test_negative_phase_rejected(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,6 @@ def register(knowledge, host, cid, deployment="d1", attempt=1, image="memory-3")
             limits=Limits(cpu=100, mem=150),
             start_t=host.now,
             attempt=attempt,
-            order=knowledge.next_order(),
         )
     )
     if deployment not in knowledge.deployments:
@@ -257,3 +256,14 @@ class TestOptimizationCadence:
         spine.drain()
         batch = [m.payload for m in inbox.pop_all() if m.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST]
         assert [(p["index"], p["count"]) for p in batch] == [(0, 2), (1, 2)]
+
+
+class TestKnowledge:
+    def test_active_in_registration_order_after_a_death(self):
+        knowledge = Knowledge()
+        host = HostSimulator(HostConfig())
+        for cid in ("c003", "c001", "c002"):
+            register(knowledge, host, cid)
+        knowledge.mark_dead("c003", "killed_oom")
+        register(knowledge, host, "c000")
+        assert [c.container_id for c in knowledge.active()] == ["c001", "c002", "c000"]

@@ -1,8 +1,8 @@
 """The benchmark harness under ``perfbench/`` keeps working against the program.
 
 Its own check tests run as they do from the command line, and its tracer is
-installed over a short run that expires rows, so that a change to the store or
-the forecaster cannot silently leave ``--trace 1`` counting nothing.
+installed over a short run that expires rows, so that a change to the host, the
+store or the forecaster cannot silently leave ``--trace 1`` counting nothing.
 """
 import subprocess
 import sys
@@ -34,7 +34,14 @@ def test_tracer_counts_store_and_forecaster_work(monkeypatch):
     finally:
         tracer.uninstall()
     times, counts = tracer.take_round()
-    for name in ("monitor.rows_stored", "monitor.rows_expired", "forecaster.points_bucketed", "forecaster.forecasts"):
+    for name in (
+        "hostsim.container_ticks",
+        "monitor.rows_stored",
+        "monitor.rows_expired",
+        "forecaster.points_bucketed",
+        "forecaster.forecasts",
+    ):
         assert counts[name] > 0, name
-    assert times["forecaster.bucket_s"] > 0
+    for name in ("hostsim.tick_s", "hostsim.sample_s", "forecaster.bucket_s"):
+        assert times[name] > 0, name
     assert tracer.forecast_failures == []

@@ -163,3 +163,19 @@ class TestCli:
 
     def test_unknown_builtin_reports_error(self, capsys):
         assert main(["run", "--builtin", "exp99"]) == 2
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"monitor": {"retention_s": 0}},
+            {"forecast": {"min_point": 7}},
+            {"forecast": {"bucket_s": 0}},
+            {"policy": {"cpu_buffer": 1.0}},
+        ],
+    )
+    def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
+        scenario_path = tmp_path / "bad.json"
+        scenario_path.write_text(json.dumps({**builtin_scenario("exp1_mem"), **block}))
+        assert main(["run", str(scenario_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
