@@ -37,6 +37,55 @@ EXPIRING_GOLDEN = "516bfc8526f6e35f86f8ea63ddfbd00bc475a2255e8a01c9713d8f603cf4d
 # window of eleven buckets, and rows expire on every scrape.
 FULL_WINDOW_GOLDEN = "7546cc9ba15b97382af8a1df9b808d56973db8169cfdcd4cfcd0fd1bf1ed37b3"
 
+# One device off the built-ins' 10 s / 300 s cadence: 7 s scrapes and cycles
+# every 60 s after a 45 s warm-up, so the cycles of the three start times fall
+# on every residue mod 7. It pins when the runner must wake between scrapes:
+# optimization cycles, OOM kills between scrapes (an on-off image killed on its
+# first tick and retried to exhaustion, a ramp killed after a downscale), and a
+# one-stable-cycle request injected the second after the cycle that allows it.
+OFF_CADENCE_GOLDEN = "1fc8618b2bf050ea0563b1cfb0cf29140ef03a1219f416a9f9cc858238b87bef"
+
+
+def off_cadence_scenario() -> dict:
+    device = "10.0.0.1"
+
+    def image(name, pattern, workload_class, period_s, peak, request, base):
+        workload = {"pattern": pattern, "workload_class": workload_class, "period_s": period_s, "peak": peak}
+        return {"owner": "golden", "name": name, "workload": workload, "request": request, "base": base}
+
+    return {
+        "name": "off_cadence",
+        "seed": 4,
+        "duration_s": 900,
+        "cluster": False,
+        "devices": [{"address": device, "cpu_total": 1000, "mem_total": 1000}],
+        "images": [
+            image("shaky-cpu", 4, "cpu", 300, 120, {"cpu": 300, "mem": 64}, {"cpu": 100, "mem": 32}),
+            image("onoff-mem", 3, "mem", 240, 95, {"cpu": 100, "mem": 15}, {"cpu": 50, "mem": 10}),
+            image("ramp-mem", 1, "mem", 420, 95, {"cpu": 100, "mem": 150}, {"cpu": 50, "mem": 100}),
+            image("step-cpu", 2, "cpu", 360, 150, {"cpu": 300, "mem": 64}, {"cpu": 100, "mem": 32}),
+        ],
+        "schedule": [
+            {"at_s": 3, "owner": "golden", "image": "shaky-cpu", "device": device},
+            {"at_s": 17, "owner": "golden", "image": "onoff-mem", "device": device},
+            {"at_s": 53, "owner": "golden", "image": "ramp-mem", "device": device},
+            {"after_stable_cycles": 1, "owner": "golden", "image": "step-cpu", "device": device},
+        ],
+        "policy": {
+            "scale_up": {"cpu": 50, "mem": 20},
+            "scale_down": {"cpu": 100, "mem": 20},
+            "cpu_buffer": 1.10,
+            "mem_margin": 1.10,
+            "throttle_limit_pct": 25.0,
+            "mem_min": 32,
+            "mem_max": 500,
+            "optimization_interval_s": 60,
+            "warmup_delay_s": 45,
+        },
+        "monitor": {"scrape_interval_s": 7, "retention_s": 300, "max_attempts": 3},
+        "forecast": {"bucket_s": 30, "min_points": 7},
+    }
+
 
 def full_window_scenario() -> dict:
     images = []
@@ -107,3 +156,16 @@ def test_full_window_run_artifacts_unchanged(tmp_path):
     assert len(report.events_of("metrics_archived")) > 50, "rows must expire on every scrape of the second window"
     report.write(tmp_path)
     assert tree_digest(tmp_path) == FULL_WINDOW_GOLDEN
+
+
+def test_off_cadence_run_artifacts_unchanged(tmp_path):
+    report = run_scenario(off_cadence_scenario())
+    cycles = [e["t"] for e in report.events_of("optimization_cycle")]
+    assert {t % 7 for t in cycles} == set(range(7)), "cycles must fall on every residue of the scrape interval"
+    kills = [e["t"] for e in report.events_of("oom_kill")]
+    assert kills and all(t % 7 for t in kills), "every OOM kill must fall between scrapes"
+    assert report.events_of("retry_exhausted")
+    (late,) = [e for e in report.events_of("request_submitted") if e["image"] == "step-cpu"]
+    assert late["t"] - 1 in cycles and late["t"] % 7, "the stable-cycle request lands the second after a cycle"
+    report.write(tmp_path)
+    assert tree_digest(tmp_path) == OFF_CADENCE_GOLDEN
