@@ -6,12 +6,21 @@ pattern; CPU demand above the enforced limit is throttled and deferred into a
 work backlog, memory demand above the limit kills the container (no swap).
 Ten synthetic workloads are available: five patterns, each in a CPU-dominant
 and a memory-dominant flavor.
+
+A tick reads each container's dominant demand from a table indexed by phase,
+at most one period long. The host fills an entry from :func:`workload_demand`
+the first time a container reaches that phase, so a container that dies early
+pays only for the phases it lived. Containers of one :class:`WorkloadSpec`
+share a table, except for pattern 4, whose noise is keyed by container; the
+tables belong to the host and die with it. A table is a list of chunks of
+``1 << CHUNK_BITS`` phases, added as phases are reached.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 from .model import Limits
@@ -26,6 +35,14 @@ STATUS_STOPPED = "stopped"
 # never contend on CPU and vice versa.
 FLAT_CPU_MCPU = 20
 FLAT_MEM_MB = 20
+
+# Demand-table entry of a phase no container has reached yet.
+UNFILLED = -1
+# A demand-table chunk holds 64 phases: its 512-byte buffer stays in Python's
+# small-object allocator. Whole-period arrays lived on the C heap, and the
+# fragmentation they left raised the peak RSS of some 16-device runs by 10 MB.
+CHUNK_BITS = 6
+CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
 PATTERN_NAMES = {
     1: "slowly rising/falling",
@@ -155,7 +172,7 @@ class HostConfig:
         return self.mem_total - self.reserved_mem
 
 
-@dataclass
+@dataclass(slots=True)
 class ContainerState:
     """Runtime state of one container on the simulated host."""
 
@@ -163,6 +180,7 @@ class ContainerState:
     spec: WorkloadSpec
     limits: Limits
     start_t: int
+    demand: list[array] = field(repr=False)  # dominant-resource demand by phase, in chunks
     status: str = STATUS_RUNNING
     backlog: int = 0  # deferred CPU work in mCPU-ticks
     mem_usage: int = 0
@@ -207,6 +225,7 @@ class HostSimulator:
         self._counter = 0
         self._pending_final: dict[str, dict] = {}  # dead containers awaiting one last sample row
         self._pending_events: list[SimEvent] = []  # raised between ticks, returned by the next one
+        self._tables: dict[WorkloadSpec, list[array]] = {}  # demand tables shared per spec
 
     # -- container lifecycle ---------------------------------------------------
 
@@ -215,11 +234,14 @@ class HostSimulator:
             raise ValueError("containers need non-zero cpu and mem limits")
         self._counter += 1
         cid = f"c{self._counter:03d}@{self.device}"
+        # pattern 4's noise is keyed by container, so it gets a table of its own
+        table = [] if spec.pattern == 4 else self._tables.setdefault(spec, [])
         self._containers[cid] = ContainerState(
             container_id=cid,
             spec=spec,
             limits=limits,
             start_t=self.now,
+            demand=table,
         )
         logger.debug("run %s limits=%s", cid, limits.as_dict())
         return cid
@@ -268,25 +290,38 @@ class HostSimulator:
         """Advance one simulated second; returns lifecycle events raised during it."""
         self.now += 1
         events, self._pending_events = self._pending_events, []
+        now = self.now
         mem_budget = self.config.usable_mem
         cpu_budget = self.config.usable_cpu
         for state in self._containers.values():
             if state.status != STATUS_RUNNING:
                 continue
-            cpu, mem = workload_demand(state.spec, self.now - state.start_t, self.seed, state.container_id)
+            spec = state.spec
+            phase = (now - state.start_t) % spec.period_s
+            try:
+                amount = state.demand[phase >> CHUNK_BITS][phase & CHUNK_MASK]
+            except IndexError:
+                amount = UNFILLED
+            if amount == UNFILLED:
+                amount = self._fill_demand(state, phase)
+            if spec.workload_class == "cpu":
+                cpu, mem = amount, FLAT_MEM_MB
+            else:
+                cpu, mem = FLAT_CPU_MCPU, amount
+            limits = state.limits
 
             # Memory first: exceeding the enforced limit (or the host slice)
             # kills the container, it is never silently oversubscribed.
-            if mem > state.limits.mem or mem > mem_budget:
-                reason = "limit" if mem > state.limits.mem else "host_capacity"
+            if mem > limits.mem or mem > mem_budget:
+                reason = "limit" if mem > limits.mem else "host_capacity"
                 state.mem_usage = 0
                 self._retire(state, STATUS_KILLED_OOM)
                 events.append(
                     SimEvent(
                         kind="oom_kill",
                         container_id=state.container_id,
-                        t=self.now,
-                        detail={"demand_mem": mem, "mem_limit": state.limits.mem, "reason": reason},
+                        t=now,
+                        detail={"demand_mem": mem, "mem_limit": limits.mem, "reason": reason},
                     )
                 )
                 continue
@@ -295,7 +330,10 @@ class HostSimulator:
 
             # CPU: deferred work from earlier throttled ticks is demanded again.
             want = cpu + state.backlog
-            granted = min(want, state.limits.cpu, cpu_budget)
+            # min() of three costs a hit tick about a fifth of its time
+            granted = want if want < limits.cpu else limits.cpu
+            if granted > cpu_budget:
+                granted = cpu_budget
             cpu_budget -= granted
             state.backlog = want - granted
             state.total_demanded += cpu
@@ -305,6 +343,16 @@ class HostSimulator:
             if want > granted:
                 state.window_throttled += 1
         return events
+
+    def _fill_demand(self, state: ContainerState, phase: int) -> int:
+        """Fill the table entry of a phase no container has reached yet."""
+        cpu, mem = workload_demand(state.spec, phase, self.seed, state.container_id)
+        amount = cpu if state.spec.workload_class == "cpu" else mem
+        table = state.demand
+        while len(table) <= phase >> CHUNK_BITS:  # phases are reached in order: one chunk at a time
+            table.append(array("q", [UNFILLED]) * (CHUNK_MASK + 1))
+        table[phase >> CHUNK_BITS][phase & CHUNK_MASK] = amount
+        return amount
 
     # -- metrics -----------------------------------------------------------------
 

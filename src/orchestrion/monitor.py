@@ -2,6 +2,10 @@
 the short-term series store, archives expired series to the registry, restarts
 prematurely stopped containers with escalated targets, and paces the
 optimization cycles for active containers.
+
+The monitor acts only on a scrape, on an optimization cycle falling due or on
+a host event; :meth:`Monitor.next_wake_up` tells the runner when the next of
+the first two falls, so that it can skip the seconds in between.
 """
 from __future__ import annotations
 
@@ -30,6 +34,21 @@ class MonitorConfig:
     def __post_init__(self) -> None:
         if self.scrape_interval_s <= 0 or self.retention_s <= 0 or self.max_attempts < 1:
             raise ValueError("monitor config values must be positive")
+
+
+def optimization_due(age: int, warmup: int, interval: int) -> bool:
+    """Whether a container ``age`` seconds old is due for an optimization
+    cycle: once the warm-up has passed, then every ``interval`` seconds."""
+    return age >= warmup and (age - warmup) % interval == 0
+
+
+def next_optimization_due(start_t: int, t: int, warmup: int, interval: int) -> int:
+    """The first second after ``t`` at which a container started at
+    ``start_t`` is :func:`optimization_due`."""
+    first = start_t + warmup
+    if t < first:
+        return first
+    return first + ((t - first) // interval + 1) * interval
 
 
 class MetricsStore:
@@ -140,6 +159,18 @@ class Monitor:
             self.enforce_retention()
         self.schedule_optimization(t)
 
+    def next_wake_up(self, t: int) -> int:
+        """The first second after ``t`` at which :meth:`on_tick` scrapes or
+        starts an optimization cycle, given the containers active now. Until
+        then it has nothing to do unless the host raises an event."""
+        scrape = self.config.scrape_interval_s
+        wake = (t // scrape + 1) * scrape
+        warmup = self.policy.warmup_delay_s
+        interval = self.policy.optimization_interval_s
+        for record in self.knowledge.active():
+            wake = min(wake, next_optimization_due(record.start_t, t, warmup, interval))
+        return wake
+
     # -- premature exits -----------------------------------------------------------
 
     def _handle_event(self, event: SimEvent) -> None:
@@ -229,12 +260,9 @@ class Monitor:
     # -- optimization cadence ----------------------------------------------------------
 
     def schedule_optimization(self, t: int) -> None:
-        due = []
-        for record in self.knowledge.active():
-            age = t - record.start_t
-            warmup = self.policy.warmup_delay_s
-            if age >= warmup and (age - warmup) % self.policy.optimization_interval_s == 0:
-                due.append(record)
+        warmup = self.policy.warmup_delay_s
+        interval = self.policy.optimization_interval_s
+        due = [rec for rec in self.knowledge.active() if optimization_due(t - rec.start_t, warmup, interval)]
         if not due:
             return
         self._cycle_seq += 1

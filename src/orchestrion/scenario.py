@@ -2,8 +2,13 @@
 
 A scenario is a declarative JSON document (devices, images, schedule, policy,
 expectations). The runner builds one full orchestration stack per device over
-a shared event spine, publishes the images to the registry, injects scheduled
-deployment requests, and drains messages deterministically between ticks.
+a shared event spine, publishes the images to the registry, and then advances
+the clock from one wake-up to the next. A wake-up is a second at which some
+device scrapes or starts an optimization cycle, a scheduled deployment request
+falls due, or a host raises an event (an OOM kill, a stop). At a wake-up every
+monitor acts, due requests are injected and the spine drains until quiescent.
+Between wake-ups nothing is published, so limits and the container set stay
+put and the runner only ticks the hosts.
 """
 from __future__ import annotations
 
@@ -15,14 +20,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analyzer import Analyzer
-from .bus import EventSpine, MessageBus, TOPIC_MONITOR, bridge_all
+from .bus import EventSpine, Message, MessageBus, TOPIC_MONITOR, bridge_all
 from .deployer import Deployer
 from .forecaster import ForecastConfig, Forecaster
 from .hostsim import HostConfig, HostSimulator, WorkloadSpec
 from .knowledge import Knowledge
 from .model import Limits, OptimizationPolicy
 from .monitor import Monitor, MonitorConfig
-from .registry import ImageBlob, Registry
+from .registry import ImageBlob, Registry, RegistryError
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +119,6 @@ class _DeviceStack:
     forecaster: Forecaster
     analyzer: Analyzer
     deployer: Deployer
-    trace_sub: object
 
 
 class SimulationRunner:
@@ -132,7 +136,6 @@ class SimulationRunner:
         self.devices: dict[str, _DeviceStack] = {}
         self._pending_schedule = [dict(entry) for entry in scenario.get("schedule", [])]
         self._stable_cycles: dict[str, int] = {}
-        self._events_scanned = 0
         self._build()
 
     # -- construction --------------------------------------------------------
@@ -148,35 +151,39 @@ class SimulationRunner:
             if horizon is None:
                 horizon = max(1, math.ceil(policy.optimization_interval_s / forecast_raw["bucket_s"]))
             forecast_cfg = ForecastConfig(horizon=int(horizon), **forecast_raw)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            # unknown keys, wrong types and out-of-range values in the scenario's
-            # policy/monitor/forecast blocks are errors in the scenario
-            raise ScenarioError(str(exc)) from exc
-
-        for image in scn["images"]:
-            spec = WorkloadSpec.from_dict(image["workload"])
-            blob = ImageBlob([json.dumps({"workload": spec.as_dict()}, sort_keys=True).encode("utf-8")])
-            self.registry.publish_image(
-                owner=image["owner"],
-                name=image["name"],
-                blob=blob,
-                request_limits=image["request"],
-                base_limits=image["base"],
-            )
-
-        cluster = bool(scn.get("cluster", False)) and len(scn["devices"]) > 1
-        for dev in scn["devices"]:
-            address = dev["address"]
-            host = HostSimulator(
+            specs = [WorkloadSpec.from_dict(image["workload"]) for image in scn["images"]]
+            host_configs = [
                 HostConfig(
                     cpu_total=int(dev.get("cpu_total", 1000)),
                     mem_total=int(dev.get("mem_total", 1000)),
                     reserved_cpu=int(dev.get("reserved_cpu", 0)),
                     reserved_mem=int(dev.get("reserved_mem", 0)),
-                ),
-                seed=self.seed,
-                device=address,
-            )
+                )
+                for dev in scn["devices"]
+            ]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            # unknown keys, wrong types and out-of-range values in the scenario's
+            # policy/monitor/forecast blocks and in its device and image entries
+            # are errors in the scenario
+            raise ScenarioError(str(exc)) from exc
+
+        for image, spec in zip(scn["images"], specs):
+            blob = ImageBlob([json.dumps({"workload": spec.as_dict()}, sort_keys=True).encode("utf-8")])
+            try:
+                self.registry.publish_image(
+                    owner=image["owner"],
+                    name=image["name"],
+                    blob=blob,
+                    request_limits=image["request"],
+                    base_limits=image["base"],
+                )
+            except RegistryError as exc:
+                raise ScenarioError(str(exc)) from exc
+
+        cluster = bool(scn.get("cluster", False)) and len(scn["devices"]) > 1
+        for dev, host_config in zip(scn["devices"], host_configs):
+            address = dev["address"]
+            host = HostSimulator(host_config, seed=self.seed, device=address)
             bus = MessageBus(address, self.spine)
             knowledge = Knowledge()
             emit = self._emitter(address)
@@ -193,10 +200,8 @@ class SimulationRunner:
                 emit=emit,
             )
             deployer = Deployer(bus, self.registry, host, knowledge, policy, emit, cluster_mode=cluster)
-            trace_sub = bus.subscribe(TOPIC_MONITOR)
-            self.devices[address] = _DeviceStack(
-                address, host, bus, knowledge, monitor, forecaster, analyzer, deployer, trace_sub
-            )
+            bus.subscribe(TOPIC_MONITOR, self._record_trace)
+            self.devices[address] = _DeviceStack(address, host, bus, knowledge, monitor, forecaster, analyzer, deployer)
             self._stable_cycles[address] = 0
         if cluster:
             bridge_all({addr: stack.bus for addr, stack in self.devices.items()})
@@ -204,6 +209,8 @@ class SimulationRunner:
     def _emitter(self, device: str):
         def emit(event: dict) -> None:
             self.report.events.append({"t": self.now, "device": device, **event})
+            if event["type"] == "optimization_cycle":
+                self._stable_cycles[device] = self._stable_cycles[device] + 1 if event["changes"] == 0 else 0
 
         return emit
 
@@ -212,31 +219,54 @@ class SimulationRunner:
     def run(self) -> RunReport:
         from .expectations import evaluate_expectations
 
+        monitors = [stack.monitor for stack in self.devices.values()]
+        ticks = [stack.host.tick for stack in self.devices.values()]
         self.spine.drain()
-        for t in range(1, self.duration + 1):
+        t = 0
+        while t < self.duration:
+            # Until the wake-up only the hosts move; a host event makes its
+            # second a wake-up too. Every host ticks before any monitor acts,
+            # as a monitor reads its own host alone.
+            for t in range(t + 1, min(self._next_wake_up(t), self.duration) + 1):
+                events = [tick() for tick in ticks]
+                if any(events):
+                    break
             self.now = t
-            for stack in self.devices.values():
-                stack.monitor.on_tick(t, stack.host.tick())
+            for monitor, tick_events in zip(monitors, events):
+                monitor.on_tick(t, tick_events)
             self._inject_due_schedule(t)
             self.spine.drain()
-            self._collect_traces()
-            self._scan_cycle_events()
         self.report.messages = list(self.spine.log)
         self._capture_final_state()
         self.report.expectation_results = evaluate_expectations(self.report, self.scenario)
         return self.report
 
+    def _next_wake_up(self, t: int) -> int:
+        """The first second after ``t`` at which a monitor acts or a schedule
+        entry can be injected. An entry that is due already waits for
+        ``t + 1``: a stable-cycle count moves in the drain at ``t``, after
+        that second's injection."""
+        wake = min(stack.monitor.next_wake_up(t) for stack in self.devices.values())
+        for entry in self._pending_schedule:
+            if self._is_due(entry, t):
+                return t + 1
+            if "at_s" in entry:
+                wake = min(wake, int(entry["at_s"]))
+        return wake
+
+    def _is_due(self, entry: dict, t: int) -> bool:
+        if "at_s" in entry:
+            return t >= int(entry["at_s"])
+        return self._stable_cycles[self._entry_device(entry)] >= int(entry["after_stable_cycles"])
+
+    def _entry_device(self, entry: dict) -> str:
+        return entry.get("device") or next(iter(self.devices))
+
     def _inject_due_schedule(self, t: int) -> None:
         remaining = []
         for entry in self._pending_schedule:
-            due = False
-            if "at_s" in entry:
-                due = t >= int(entry["at_s"])
-            elif "after_stable_cycles" in entry:
-                device = entry.get("device") or next(iter(self.devices))
-                due = self._stable_cycles[device] >= int(entry["after_stable_cycles"])
-            if due:
-                device = entry.get("device") or next(iter(self.devices))
+            if self._is_due(entry, t):
+                device = self._entry_device(entry)
                 stack = self.devices[device]
                 result = stack.deployer.submit({"owner": entry["owner"], "image": entry["image"]})
                 self.report.events.append(
@@ -252,33 +282,23 @@ class SimulationRunner:
                 remaining.append(entry)
         self._pending_schedule = remaining
 
-    def _scan_cycle_events(self) -> None:
-        for event in self.report.events[self._events_scanned:]:
-            if event["type"] == "optimization_cycle":
-                device = event["device"]
-                if event["changes"] == 0:
-                    self._stable_cycles[device] += 1
-                else:
-                    self._stable_cycles[device] = 0
-        self._events_scanned = len(self.report.events)
-
-    def _collect_traces(self) -> None:
-        for addr, stack in self.devices.items():
-            for msg in stack.trace_sub.pop_all():
-                payload = msg.payload
-                for cid, row in payload["containers"].items():
-                    self.report.traces.setdefault((addr, cid), []).append(
-                        {
-                            "t": payload["t"],
-                            "container": cid,
-                            "cpu_util": row["cpu_util"],
-                            "cpu_limit": row["cpu_limit"],
-                            "cpu_throttle": round(row["throttle_pct"], 6),
-                            "mem_util": row["mem_util"],
-                            "mem_limit": row["mem_limit"],
-                            "status": row["status"],
-                        }
-                    )
+    def _record_trace(self, topic: str, msg: Message) -> None:
+        """One trace row per container of a device's monitoring result."""
+        payload = msg.payload
+        device = payload["device"]
+        for cid, row in payload["containers"].items():
+            self.report.traces.setdefault((device, cid), []).append(
+                {
+                    "t": payload["t"],
+                    "container": cid,
+                    "cpu_util": row["cpu_util"],
+                    "cpu_limit": row["cpu_limit"],
+                    "cpu_throttle": round(row["throttle_pct"], 6),
+                    "mem_util": row["mem_util"],
+                    "mem_limit": row["mem_limit"],
+                    "status": row["status"],
+                }
+            )
 
     def _capture_final_state(self) -> None:
         state: dict = {}

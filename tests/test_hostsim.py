@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from orchestrion.hostsim import (
     HostSimulator,
     STATUS_KILLED_OOM,
     STATUS_RUNNING,
+    UNFILLED,
     WorkloadSpec,
     workload_demand,
 )
@@ -156,6 +158,69 @@ class TestOomSemantics:
         host.tick()
         sample = host.sample_metrics()
         assert sample.avail_mem == 1000
+
+
+def entries(table):
+    """A chunked demand table's entries, indexed by phase."""
+    return list(chain.from_iterable(table))
+
+
+def filled(table):
+    return [phase for phase, amount in enumerate(entries(table)) if amount != UNFILLED]
+
+
+class TestDemandTables:
+    @pytest.mark.parametrize("workload_class", ["cpu", "mem"])
+    @pytest.mark.parametrize("pattern", [1, 2, 3, 4, 5])
+    def test_entries_equal_workload_demand(self, pattern, workload_class):
+        host = HostSimulator(HostConfig(cpu_total=4000, mem_total=4000), seed=7)
+        spec = WorkloadSpec(pattern=pattern, workload_class=workload_class, period_s=90, peak=150)
+        cid = host.run_container(spec, Limits(cpu=1000, mem=1000))
+        for _ in range(200):
+            host.tick()
+        table = host.container(cid).demand
+        dominant = 0 if workload_class == "cpu" else 1
+        assert filled(table) == list(range(spec.period_s))
+        for phase in filled(table):
+            assert entries(table)[phase] == workload_demand(spec, phase, 7, cid)[dominant]
+
+    def test_noisy_pattern_has_a_table_per_container(self):
+        host = HostSimulator(HostConfig(cpu_total=4000, mem_total=4000), seed=7)
+        spec = cpu_spec(4, peak=120, period=60)
+        cids = [host.run_container(spec, Limits(cpu=1000, mem=100)) for _ in range(2)]
+        for _ in range(45):
+            host.tick()
+        tables = [host.container(cid).demand for cid in cids]
+        assert tables[0] != tables[1]
+        for cid, table in zip(cids, tables):
+            assert filled(table) == list(range(1, 46))
+            for phase in filled(table):
+                assert entries(table)[phase] == workload_demand(spec, phase, 7, cid)[0]
+
+    def test_other_patterns_share_a_table_per_spec(self):
+        host = HostSimulator(HostConfig(cpu_total=4000, mem_total=4000))
+        first = host.run_container(mem_spec(1), Limits(cpu=100, mem=150))
+        host.tick()
+        second = host.run_container(mem_spec(1), Limits(cpu=100, mem=150))
+        other = host.run_container(mem_spec(1, period=600), Limits(cpu=100, mem=150))
+        assert host.container(first).demand is host.container(second).demand
+        assert host.container(first).demand is not host.container(other).demand
+
+    def test_container_killed_on_first_tick_fills_only_that_phase(self):
+        host = HostSimulator(HostConfig())
+        cid = host.run_container(mem_spec(3), Limits(cpu=50, mem=10))
+        assert [e.kind for e in host.tick()] == ["oom_kill"]
+        for _ in range(20):
+            host.tick()
+        assert filled(host.container(cid).demand) == [1]
+
+    def test_table_grows_with_the_phases_reached(self):
+        host = HostSimulator(HostConfig())
+        cid = host.run_container(mem_spec(1, period=10**9), Limits(cpu=100, mem=150))
+        for _ in range(5):
+            host.tick()
+        assert filled(host.container(cid).demand) == [1, 2, 3, 4, 5]
+        assert len(host.container(cid).demand) == 1  # one chunk of phases
 
 
 class TestThrottling:

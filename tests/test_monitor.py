@@ -1,10 +1,12 @@
 import json
 
+from hypothesis import given, settings, strategies as st
+
 from orchestrion.bus import Action, EventSpine, MessageBus
 from orchestrion.hostsim import HostConfig, HostSimulator, WorkloadSpec
 from orchestrion.knowledge import ContainerRecord, DeploymentRecord, Knowledge
 from orchestrion.model import Limits, OptimizationPolicy
-from orchestrion.monitor import Monitor, MonitorConfig
+from orchestrion.monitor import Monitor, MonitorConfig, next_optimization_due, optimization_due
 from orchestrion.registry import Registry, RegistryError
 
 
@@ -256,6 +258,53 @@ class TestOptimizationCadence:
         spine.drain()
         batch = [m.payload for m in inbox.pop_all() if m.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST]
         assert [(p["index"], p["count"]) for p in batch] == [(0, 2), (1, 2)]
+
+
+class TestWakeUps:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start_t=st.integers(0, 400),
+        warmup=st.integers(0, 300),
+        interval=st.integers(1, 300),
+        t=st.integers(0, 1000),
+    )
+    def test_next_due_is_the_first_due_second_after_t(self, start_t, warmup, interval, t):
+        due = next_optimization_due(start_t, t, warmup, interval)
+        later = range(t + 1, start_t + warmup + t + interval + 1)
+        first = next(s for s in later if optimization_due(s - start_t, warmup, interval))
+        assert due == first
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scrape=st.integers(1, 40),
+        warmup=st.integers(0, 90),
+        interval=st.integers(1, 90),
+        starts=st.lists(st.integers(0, 150), min_size=0, max_size=3),
+    )
+    def test_monitor_acts_only_at_its_wake_ups(self, scrape, warmup, interval, starts):
+        """Run second by second; the monitor publishes at exactly the chain
+        of seconds that next_wake_up names, starting from zero."""
+        spine, bus, host, knowledge, registry, monitor, _ = build_stack(
+            policy=OptimizationPolicy(warmup_delay_s=warmup, optimization_interval_s=interval),
+            config=MonitorConfig(scrape_interval_s=scrape, retention_s=7200, max_attempts=3),
+        )
+        spec = WorkloadSpec(pattern=1, workload_class="mem", period_s=1800, peak=95)
+        acted, wake_ups, wake = [], [], monitor.next_wake_up(0)
+        for t in range(1, 301):
+            for index, start in enumerate(starts):
+                if start == t - 1:  # deployed in the drain of the second before
+                    cid = host.run_container(spec, Limits(cpu=100, mem=150))
+                    register(knowledge, host, cid, deployment=f"d{index}")
+                    wake = min(wake, monitor.next_wake_up(t - 1))
+            published = len(spine.log)
+            monitor.on_tick(t, host.tick())
+            spine.drain()
+            if len(spine.log) > published:
+                acted.append(t)
+            if t == wake:
+                wake_ups.append(t)
+                wake = monitor.next_wake_up(t)
+        assert acted == wake_ups
 
 
 class TestKnowledge:

@@ -8,6 +8,14 @@ from orchestrion.cli import main
 from orchestrion.scenario import ScenarioError, run_scenario, validate_scenario
 
 
+def exp1_mem_images_with_first(**fields):
+    """exp1_mem's images, with ``fields`` merged into the first one's entries."""
+    images = builtin_scenario("exp1_mem")["images"]
+    for key, value in fields.items():
+        images[0][key] = {**images[0][key], **value}
+    return images
+
+
 class TestBuiltinCatalog:
     def test_all_eleven_present(self):
         assert set(BUILTIN_SCENARIOS) == {
@@ -171,6 +179,9 @@ class TestCli:
             {"forecast": {"min_point": 7}},
             {"forecast": {"bucket_s": 0}},
             {"policy": {"cpu_buffer": 1.0}},
+            {"devices": [{"address": "10.0.0.1", "cpu_total": 0}]},
+            {"images": exp1_mem_images_with_first(workload={"pattern": 9})},
+            {"images": exp1_mem_images_with_first(base={"cpu": 50, "mem": 151})},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
