@@ -45,6 +45,11 @@ FULL_WINDOW_GOLDEN = "7546cc9ba15b97382af8a1df9b808d56973db8169cfdcd4cfcd0fd1bf1
 # one-stable-cycle request injected the second after the cycle that allows it.
 OFF_CADENCE_GOLDEN = "1fc8618b2bf050ea0563b1cfb0cf29140ef03a1219f416a9f9cc858238b87bef"
 
+# Twelve bridged devices, so that address-string order (10.0.0.10 before
+# 10.0.0.2) differs from numeric order: it pins the order in which bridged
+# copies reach the peers, which messages.jsonl records.
+CLUSTER_12_GOLDEN = "1d90ed1fcca89c8451eb4c4c35b1ba64ca73d28f5fe9197e2da2b9e28ae1c45f"
+
 
 def off_cadence_scenario() -> dict:
     device = "10.0.0.1"
@@ -84,6 +89,46 @@ def off_cadence_scenario() -> dict:
         },
         "monitor": {"scrape_interval_s": 7, "retention_s": 300, "max_attempts": 3},
         "forecast": {"bucket_s": 30, "min_points": 7},
+    }
+
+
+def cluster_12_scenario() -> dict:
+    addresses = [f"10.0.0.{index}" for index in range(1, 13)]
+    images = [
+        {
+            "owner": "golden",
+            "name": f"memory-{pattern}",
+            "workload": {"pattern": pattern, "workload_class": "mem", "period_s": 600, "peak": MEM_PEAKS[pattern - 1]},
+            "request": {"cpu": 100, "mem": 150},
+            "base": {"cpu": 50, "mem": 100},
+        }
+        for pattern in (1, 2, 3)
+    ]
+    submitters = ("10.0.0.12", "10.0.0.2", "10.0.0.10")
+    return {
+        "name": "cluster_12",
+        "seed": 7,
+        "duration_s": 600,
+        "cluster": True,
+        "devices": [{"address": address, "cpu_total": 1000, "mem_total": 1000} for address in addresses],
+        "images": images,
+        "schedule": [
+            {"at_s": 15 + 10 * index, "owner": "golden", "image": image["name"], "device": device}
+            for index, (image, device) in enumerate(zip(images, submitters))
+        ],
+        "policy": {
+            "scale_up": {"cpu": 50, "mem": 20},
+            "scale_down": {"cpu": 100, "mem": 20},
+            "cpu_buffer": 1.10,
+            "mem_margin": 1.10,
+            "throttle_limit_pct": 25.0,
+            "mem_min": 32,
+            "mem_max": 500,
+            "optimization_interval_s": 120,
+            "warmup_delay_s": 120,
+        },
+        "monitor": {"scrape_interval_s": 10, "retention_s": 600},
+        "forecast": {"bucket_s": 60, "min_points": 7},
     }
 
 
@@ -169,3 +214,11 @@ def test_off_cadence_run_artifacts_unchanged(tmp_path):
     assert late["t"] - 1 in cycles and late["t"] % 7, "the stable-cycle request lands the second after a cycle"
     report.write(tmp_path)
     assert tree_digest(tmp_path) == OFF_CADENCE_GOLDEN
+
+
+def test_cluster_12_run_artifacts_unchanged(tmp_path):
+    report = run_scenario(cluster_12_scenario())
+    assert len(report.events_of("deployed")) == 3, "each request runs on exactly one device"
+    assert any(m["bridged_from"] == "10.0.0.10" for m in report.messages)
+    report.write(tmp_path)
+    assert tree_digest(tmp_path) == CLUSTER_12_GOLDEN
