@@ -46,7 +46,6 @@ class PredictionSet:
 @dataclass(frozen=True)
 class AdmissionVerdict:
     decision: str  # "accept" | "reject"
-    evaluated_target: Limits
     reason: str = ""
 
     @property
@@ -99,10 +98,9 @@ def admit(target: Limits, pred: PredictionSet) -> AdmissionVerdict:
         if not float(target.get(res)) < pred.avail[res]:
             return AdmissionVerdict(
                 decision="reject",
-                evaluated_target=target,
                 reason=f"insufficient {res.value}: target {target.get(res)} vs predicted {pred.avail[res]:g}",
             )
-    return AdmissionVerdict(decision="accept", evaluated_target=target)
+    return AdmissionVerdict(decision="accept")
 
 
 def account_optimization(pred: PredictionSet, deltas: dict[Resource, int]) -> PredictionSet:

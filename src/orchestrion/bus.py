@@ -2,10 +2,14 @@
 
 Each device runs its own bus; buses in one simulation share an
 :class:`EventSpine`, a single FIFO that makes delivery order deterministic
-across the whole cluster. Bridging re-publishes configured topics on peer
-buses under a ``cluster/`` prefix so components can tell local traffic from
-remote traffic. Payloads are JSON-serializable dicts carrying an ``action``
-field, so the same envelope maps 1:1 onto an MQTT 3.1.1 binding
+across the whole cluster. A subscriber is a handler: every copy of a message
+goes through :meth:`EventSpine.deliver`, which logs it and queues it for the
+handlers of its topic, and :meth:`EventSpine.drain` runs the queued handlers
+in FIFO order. Bridging re-publishes configured topics on peer buses under a
+``cluster/`` prefix, so components can tell local traffic from remote
+traffic; the bridged copies reach peers in address-string order, fixed when
+the peers are registered. Payloads are JSON-serializable dicts carrying an
+``action`` field, so the same envelope maps 1:1 onto an MQTT 3.1.1 binding
 (topic names as below, payload = the JSON document).
 """
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +54,8 @@ BASE_TOPICS = (TOPIC_DEPLOY, TOPIC_ANALYZE, TOPIC_FORECAST, TOPIC_MONITOR)
 # Topics re-broadcast to peers when bridging is enabled.
 BRIDGED_TOPICS = (TOPIC_MONITOR, TOPIC_DEPLOY)
 
+KNOWN_TOPICS = BASE_TOPICS + tuple(CLUSTER_PREFIX + t for t in BRIDGED_TOPICS)
+
 # Which topic each action is allowed on.
 ACTION_TOPIC: dict[Action, str] = {
     Action.DEPLOYMENT_REQUEST: TOPIC_DEPLOY,
@@ -69,10 +75,6 @@ def base_topic(topic: str) -> str:
     if topic.startswith(CLUSTER_PREFIX):
         return topic[len(CLUSTER_PREFIX):]
     return topic
-
-
-def known_topics() -> tuple[str, ...]:
-    return BASE_TOPICS + tuple(CLUSTER_PREFIX + t for t in BRIDGED_TOPICS)
 
 
 @dataclass
@@ -107,48 +109,35 @@ class Message:
         )
 
 
-@dataclass
-class Subscription:
-    """A single subscriber on one topic.
-
-    With a handler, deliveries are dispatched by the spine drain loop.
-    Without one, deliveries buffer in ``inbox`` until :meth:`pop_all`.
-    """
-
-    topic: str
-    handler: Optional[Callable[[str, Message], None]] = None
-    inbox: deque = field(default_factory=deque)
-
-    def pop_all(self) -> list[Message]:
-        out = list(self.inbox)
-        self.inbox.clear()
-        return out
+Handler = Callable[[str, Message], None]
 
 
 class EventSpine:
     """Shared FIFO of pending deliveries plus a structured message log.
 
-    One spine per simulation; publish appends, :meth:`drain` pops in FIFO
-    order and invokes handlers (which may publish more). The log records one
-    entry per publish event (bridged re-publishes keep the original msg_id,
-    so "one broadcast" counts as one logical message).
+    One spine per simulation; :meth:`deliver` logs a copy and queues it,
+    :meth:`drain` pops in FIFO order and invokes handlers (which may publish
+    more). The log records one entry per copy at the simulated second
+    ``now``, which the runner sets; bridged copies keep the original msg_id,
+    so "one broadcast" counts as one logical message.
     """
 
     def __init__(self) -> None:
-        self._pending: deque[tuple[Subscription, str, Message]] = deque()
+        self._pending: deque[tuple[Handler, str, Message]] = deque()
         self.log: list[dict] = []
         self._seq = 0
-        self.now_fn: Callable[[], int] = lambda: 0
+        self.now = 0
 
     def next_msg_id(self, origin: str) -> str:
         self._seq += 1
         return f"m{self._seq:06d}@{origin}"
 
-    def record(self, device: str, topic: str, msg: Message, bridged_from: str | None = None) -> None:
+    def deliver(self, device: str, topic: str, msg: Message, handlers: list[Handler], bridged_from: str | None) -> None:
+        """Log ``msg`` on ``device``'s ``topic`` and queue it for each handler."""
         self.log.append(
             {
                 "seq": len(self.log),
-                "t": self.now_fn(),
+                "t": self.now,
                 "device": device,
                 "topic": topic,
                 "action": msg.action.value,
@@ -158,40 +147,34 @@ class EventSpine:
                 "bridged_from": bridged_from,
             }
         )
-
-    def enqueue(self, sub: Subscription, topic: str, msg: Message) -> None:
-        self._pending.append((sub, topic, msg))
+        for handler in handlers:
+            self._pending.append((handler, topic, msg))
 
     def drain(self, max_steps: int = 1_000_000) -> int:
         """Dispatch pending deliveries until quiescent; returns step count."""
         steps = 0
         while self._pending:
-            sub, topic, msg = self._pending.popleft()
+            handler, topic, msg = self._pending.popleft()
             steps += 1
             if steps > max_steps:
                 raise RuntimeError("message storm: drain did not quiesce")
-            if sub.handler is None:
-                sub.inbox.append(msg)
-            else:
-                sub.handler(topic, msg)
+            handler(topic, msg)
         return steps
 
 
 class MessageBus:
     """Per-device topic bus. Delivery order is per-topic FIFO via the spine."""
 
-    def __init__(self, device: str, spine: EventSpine | None = None) -> None:
+    def __init__(self, device: str, spine: EventSpine) -> None:
         self.device = device
-        self.spine = spine if spine is not None else EventSpine()
-        self._subs: dict[str, list[Subscription]] = {t: [] for t in known_topics()}
+        self.spine = spine
+        self._subs: dict[str, list[Handler]] = {t: [] for t in KNOWN_TOPICS}
         self._peers: dict[str, "MessageBus"] = {}
 
-    def subscribe(self, topic: str, handler: Optional[Callable[[str, Message], None]] = None) -> Subscription:
+    def subscribe(self, topic: str, handler: Handler) -> None:
         if topic not in self._subs:
             raise ProtocolError(f"unknown topic: {topic!r}")
-        sub = Subscription(topic=topic, handler=handler)
-        self._subs[topic].append(sub)
-        return sub
+        self._subs[topic].append(handler)
 
     def publish(self, topic: str, msg: Message) -> None:
         if topic not in self._subs:
@@ -205,28 +188,25 @@ class MessageBus:
             msg.msg_id = self.spine.next_msg_id(self.device)
         if not msg.origin:
             msg.origin = self.device
-        self.spine.record(self.device, topic, msg)
-        for sub in self._subs[topic]:
-            self.spine.enqueue(sub, topic, msg)
+        deliver = self.spine.deliver
+        deliver(self.device, topic, msg, self._subs[topic], None)
         # Re-broadcast on peers under the cluster/ prefix; no prefixed topic is
         # in BRIDGED_TOPICS, so a bridged copy is never re-bridged (loop
         # prevention).
         if self._peers and topic in BRIDGED_TOPICS:
-            for _, peer in sorted(self._peers.items()):
-                peer._deliver_bridged(CLUSTER_PREFIX + topic, msg, bridged_from=self.device)
-
-    def _deliver_bridged(self, topic: str, msg: Message, bridged_from: str) -> None:
-        self.spine.record(self.device, topic, msg, bridged_from=bridged_from)
-        for sub in self._subs.get(topic, []):
-            self.spine.enqueue(sub, topic, msg)
+            bridged = CLUSTER_PREFIX + topic
+            for peer in self._peers.values():
+                deliver(peer.device, bridged, msg, peer._subs[bridged], self.device)
 
     def bridge(self, peers: dict[str, "MessageBus"]) -> None:
-        """Register peer buses that :data:`BRIDGED_TOPICS` are re-broadcast to;
-        duplicate registration is an idempotent no-op."""
+        """Register peer buses that :data:`BRIDGED_TOPICS` are re-broadcast to,
+        kept in name-string order; duplicate registration is an idempotent
+        no-op."""
         for name, peer in peers.items():
             if peer is self:
                 raise ProtocolError("cannot bridge a bus to itself")
             self._peers[name] = peer
+        self._peers = dict(sorted(self._peers.items()))
 
 
 def bridge_all(buses: dict[str, MessageBus]) -> None:

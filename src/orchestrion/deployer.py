@@ -334,7 +334,6 @@ class Deployer:
                 deployment_id=admission.deployment_id,
                 owner=record.owner,
                 image=record.image,
-                spec=admission.spec,
                 limits=admission.target,
                 start_t=self.host.now,
                 attempt=admission.attempt,

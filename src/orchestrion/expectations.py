@@ -4,9 +4,15 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .hostsim import WorkloadSpec, workload_demand
+from .model import OptimizationPolicy
+from .monitor import MonitorConfig
 
 
-def evaluate_expectations(report, scenario: dict) -> list[dict]:
+def evaluate_expectations(
+    report, scenario: dict, policy: OptimizationPolicy, monitor: MonitorConfig
+) -> list[dict]:
+    """Evaluate the scenario's expectations against ``report``; ``policy`` and
+    ``monitor`` are the configurations the run was built with."""
     results = []
     for expectation in scenario.get("expectations", []):
         kind = expectation["type"]
@@ -14,7 +20,7 @@ def evaluate_expectations(report, scenario: dict) -> list[dict]:
         if evaluator is None:
             results.append({"name": kind, "passed": False, "detail": f"unknown expectation type {kind!r}"})
             continue
-        passed, detail = evaluator(report, scenario, expectation)
+        passed, detail = evaluator(report, scenario, expectation, policy, monitor)
         results.append({"name": kind, "passed": bool(passed), "detail": detail})
     return results
 
@@ -28,7 +34,7 @@ def _image_rows(report, image: str) -> list[dict]:
     return sorted(rows, key=lambda r: r["t"])
 
 
-def _decision_sequence(report, scenario, params):
+def _decision_sequence(report, scenario, params, policy, monitor):
     resource = params["resource"]
     got = [[e["verdict"], e["target"][resource]] for e in report.admissions()]
     expected = [list(item) for item in params["expect"]]
@@ -37,12 +43,12 @@ def _decision_sequence(report, scenario, params):
     return False, f"expected {expected}, got {got}"
 
 
-def _zero_oom(report, scenario, params):
+def _zero_oom(report, scenario, params, policy, monitor):
     kills = report.events_of("oom_kill")
     return not kills, f"{len(kills)} OOM kills"
 
 
-def _min_oom_per_deployment(report, scenario, params):
+def _min_oom_per_deployment(report, scenario, params, policy, monitor):
     minimum = int(params["min"])
     kills_by_deployment: dict[str, int] = defaultdict(int)
     for event in report.events_of("oom_kill"):
@@ -54,7 +60,7 @@ def _min_oom_per_deployment(report, scenario, params):
     return True, f"kills per deployment: {dict(sorted(kills_by_deployment.items()))}"
 
 
-def _all_deployments_running(report, scenario, params):
+def _all_deployments_running(report, scenario, params, policy, monitor):
     pending = {}
     for device_state in report.final_state.values():
         for dep_id, dep in device_state["deployments"].items():
@@ -63,7 +69,7 @@ def _all_deployments_running(report, scenario, params):
     return not pending, f"non-running deployments: {pending}" if pending else "all deployments running"
 
 
-def _mem_limits_in_band(report, scenario, params):
+def _mem_limits_in_band(report, scenario, params, policy, monitor):
     bands = params["bands"]
     mode = params.get("mode", "from_t")
     failures = []
@@ -87,10 +93,9 @@ def _mem_limits_in_band(report, scenario, params):
     return True, f"limits within bands {bands}"
 
 
-def _newcomer_mem_band(report, scenario, params):
-    policy = scenario.get("policy", {})
-    warmup = int(policy.get("warmup_delay_s", 300))
-    interval = int(policy.get("optimization_interval_s", 300))
+def _newcomer_mem_band(report, scenario, params, policy, monitor):
+    warmup = policy.warmup_delay_s
+    interval = policy.optimization_interval_s
     failures = []
     for image, (lo, hi) in params["bands"].items():
         deployed = [e for e in report.events_of("deployed") if e["image"] == image]
@@ -110,10 +115,9 @@ def _newcomer_mem_band(report, scenario, params):
     return True, "newcomer limits converged into their bands"
 
 
-def _escalation_exact(report, scenario, params):
-    policy = scenario.get("policy", {})
-    step = int(policy.get("scale_up", {}).get("mem", 20))
-    mem_max = int(policy.get("mem_max", 500))
+def _escalation_exact(report, scenario, params, policy, monitor):
+    step = policy.scale_up.mem
+    mem_max = policy.mem_max
     images = {(i["owner"], i["name"]): i for i in scenario["images"]}
     admissions_by_deployment: dict[str, list[dict]] = defaultdict(list)
     for event in report.admissions():
@@ -141,10 +145,10 @@ def _escalation_exact(report, scenario, params):
     return True, f"escalation sequences {sample}"
 
 
-def _initial_throttle_full(report, scenario, params):
+def _initial_throttle_full(report, scenario, params, policy, monitor):
     """Containers whose demand exceeded their CPU limit in every tick of the
     first sampling window must report 100% throttling in their first sample."""
-    scrape = int(scenario.get("monitor", {}).get("scrape_interval_s", 10))
+    scrape = monitor.scrape_interval_s
     seed = int(scenario.get("seed", 0))
     images = {i["name"]: i for i in scenario["images"]}
     failures = []
@@ -175,7 +179,7 @@ def _initial_throttle_full(report, scenario, params):
     return True, f"fully throttled first windows for {checked}"
 
 
-def _throttle_recovered(report, scenario, params):
+def _throttle_recovered(report, scenario, params, policy, monitor):
     from_s = int(params["from_s"])
     max_pct = float(params["max_pct"])
     bad = []
@@ -188,7 +192,7 @@ def _throttle_recovered(report, scenario, params):
     return True, f"all throttling below {max_pct}% after t={from_s}"
 
 
-def _backlog_drained(report, scenario, params):
+def _backlog_drained(report, scenario, params, policy, monitor):
     remaining = {}
     for device_state in report.final_state.values():
         for cid, container in device_state["containers"].items():
@@ -197,7 +201,7 @@ def _backlog_drained(report, scenario, params):
     return not remaining, f"final backlogs: {remaining}" if remaining else "all backlogs drained"
 
 
-def _no_cpu_upscale(report, scenario, params):
+def _no_cpu_upscale(report, scenario, params, policy, monitor):
     image = params["image"]
     cids = set(report.containers_of_image(image))
     if not cids:
@@ -223,7 +227,7 @@ def _no_cpu_upscale(report, scenario, params):
     return True, f"{len(denials)} upscales denied, {len(full_throttle)} fully-throttled samples, no increase"
 
 
-def _executor_sequence(report, scenario, params):
+def _executor_sequence(report, scenario, params, policy, monitor):
     got = [e["device"] for e in report.events_of("deployed")]
     expected = list(params["expect"])
     if got == expected:
@@ -231,7 +235,7 @@ def _executor_sequence(report, scenario, params):
     return False, f"expected {expected}, got {got}"
 
 
-def _cluster_message_overhead(report, scenario, params):
+def _cluster_message_overhead(report, scenario, params, policy, monitor):
     """Per deployment: exactly one bridged cluster/deploy broadcast and exactly
     one analysis request cluster-wide."""
     deployments = [e["deployment"] for e in report.events_of("request_submitted")]
@@ -268,13 +272,12 @@ def _analysis_belongs(report, analysis_id: str, deployment: str) -> bool:
     return False
 
 
-def _existing_first(report, scenario, params):
+def _existing_first(report, scenario, params, policy, monitor):
     """Existing containers' limits move by at most one scale step (per resource
     and direction) during the newcomers' warmup window."""
-    policy = scenario.get("policy", {})
-    warmup = int(policy.get("warmup_delay_s", 300))
-    up = policy.get("scale_up", {"cpu": 50, "mem": 20})
-    down = policy.get("scale_down", {"cpu": 100, "mem": 20})
+    warmup = policy.warmup_delay_s
+    up = policy.scale_up.as_dict()
+    down = policy.scale_down.as_dict()
     newcomer_starts = [
         e["t"] for e in report.events_of("deployed") if e["image"] in params["newcomer_images"]
     ]
@@ -304,7 +307,7 @@ def _existing_first(report, scenario, params):
     return True, f"existing limits held within one step during window {window}"
 
 
-def _final_throttle_below(report, scenario, params):
+def _final_throttle_below(report, scenario, params, policy, monitor):
     max_pct = float(params["max_pct"])
     bad = {}
     for (_, cid), rows in report.traces.items():

@@ -19,21 +19,21 @@ from .bus import Action, Message, MessageBus, TOPIC_FORECAST
 logger = logging.getLogger(__name__)
 
 AR_ORDER = 5
-DIFF_ORDER = 1
+# differencing takes one value and the lags AR_ORDER more; one regression row
+# must remain
+MODEL_MIN_POINTS = AR_ORDER + 2
 
 
 @dataclass(frozen=True)
 class ForecastConfig:
-    ar_order: int = AR_ORDER
-    diff_order: int = DIFF_ORDER
     horizon: int = 1
-    min_points: int = AR_ORDER + DIFF_ORDER + 1
-    bucket_s: int = 3600
+    min_points: int = MODEL_MIN_POINTS
+    bucket_s: int = 60
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.min_points < self.ar_order + self.diff_order + 1:
+        if self.min_points < MODEL_MIN_POINTS:
             raise ValueError("min_points too small for the model order")
         if self.bucket_s <= 0:
             raise ValueError("bucket_s must be positive")
@@ -82,8 +82,7 @@ def ar_forecast(values: list[float], horizon: int, config: ForecastConfig | None
         return [last] * horizon, True
 
     z = [float(v) for v in values]
-    for _ in range(config.diff_order):
-        z = [b - a for a, b in zip(z, z[1:])]
+    z = [b - a for a, b in zip(z, z[1:])]
     if max(z) == min(z):
         if z[0] == 0.0:
             # no two consecutive differences are both -0.0, so the drift is +0.0
@@ -91,7 +90,7 @@ def ar_forecast(values: list[float], horizon: int, config: ForecastConfig | None
         step = float(np.mean(z))
         return [last + step * (k + 1) for k in range(horizon)], False
 
-    p = config.ar_order
+    p = AR_ORDER
     # row i holds the p differences before z[i + p], most recent first
     design = np.array([z[i:i + p][::-1] for i in range(len(z) - p)])
     target = np.array(z[p:])

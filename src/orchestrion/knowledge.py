@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hostsim import WorkloadSpec
 from .model import Limits
 
 
@@ -15,7 +14,6 @@ class ContainerRecord:
     deployment_id: str
     owner: str
     image: str
-    spec: WorkloadSpec
     limits: Limits
     start_t: int
     attempt: int

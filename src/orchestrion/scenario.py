@@ -111,13 +111,10 @@ class RunReport:
 
 @dataclass
 class _DeviceStack:
-    address: str
     host: HostSimulator
     bus: MessageBus
     knowledge: Knowledge
     monitor: Monitor
-    forecaster: Forecaster
-    analyzer: Analyzer
     deployer: Deployer
 
 
@@ -128,10 +125,8 @@ class SimulationRunner:
         self.scenario = validate_scenario(scenario)
         self.seed = int(scenario.get("seed", 0))
         self.duration = int(scenario["duration_s"])
-        self.now = 0
         self.report = RunReport(scenario_name=scenario.get("name", "unnamed"), seed=self.seed)
         self.spine = EventSpine()
-        self.spine.now_fn = lambda: self.now
         self.registry = Registry()
         self.devices: dict[str, _DeviceStack] = {}
         self._pending_schedule = [dict(entry) for entry in scenario.get("schedule", [])]
@@ -143,13 +138,13 @@ class SimulationRunner:
     def _build(self) -> None:
         scn = self.scenario
         try:
-            policy = OptimizationPolicy.from_dict(scn.get("policy", {}))
-            monitor_cfg = MonitorConfig(**scn.get("monitor", {}))
+            self.policy = policy = OptimizationPolicy.from_dict(scn.get("policy", {}))
+            self.monitor_cfg = monitor_cfg = MonitorConfig(**scn.get("monitor", {}))
             forecast_raw = dict(scn.get("forecast", {}))
-            forecast_raw.setdefault("bucket_s", 60)
             horizon = forecast_raw.pop("horizon", None)
             if horizon is None:
-                horizon = max(1, math.ceil(policy.optimization_interval_s / forecast_raw["bucket_s"]))
+                bucket_s = forecast_raw.get("bucket_s", ForecastConfig.bucket_s)
+                horizon = max(1, math.ceil(policy.optimization_interval_s / bucket_s))
             forecast_cfg = ForecastConfig(horizon=int(horizon), **forecast_raw)
             specs = [WorkloadSpec.from_dict(image["workload"]) for image in scn["images"]]
             host_configs = [
@@ -188,8 +183,9 @@ class SimulationRunner:
             knowledge = Knowledge()
             emit = self._emitter(address)
             monitor = Monitor(bus, host, knowledge, self.registry, monitor_cfg, policy, emit)
-            forecaster = Forecaster(bus, monitor.metrics, forecast_cfg)
-            analyzer = Analyzer(
+            # the forecaster and the analyzer live on as the bus's handlers
+            Forecaster(bus, monitor.metrics, forecast_cfg)
+            Analyzer(
                 bus,
                 knowledge,
                 monitor.metrics,
@@ -201,14 +197,14 @@ class SimulationRunner:
             )
             deployer = Deployer(bus, self.registry, host, knowledge, policy, emit, cluster_mode=cluster)
             bus.subscribe(TOPIC_MONITOR, self._record_trace)
-            self.devices[address] = _DeviceStack(address, host, bus, knowledge, monitor, forecaster, analyzer, deployer)
+            self.devices[address] = _DeviceStack(host, bus, knowledge, monitor, deployer)
             self._stable_cycles[address] = 0
         if cluster:
             bridge_all({addr: stack.bus for addr, stack in self.devices.items()})
 
     def _emitter(self, device: str):
         def emit(event: dict) -> None:
-            self.report.events.append({"t": self.now, "device": device, **event})
+            self.report.events.append({"t": self.spine.now, "device": device, **event})
             if event["type"] == "optimization_cycle":
                 self._stable_cycles[device] = self._stable_cycles[device] + 1 if event["changes"] == 0 else 0
 
@@ -231,14 +227,14 @@ class SimulationRunner:
                 events = [tick() for tick in ticks]
                 if any(events):
                     break
-            self.now = t
+            self.spine.now = t
             for monitor, tick_events in zip(monitors, events):
                 monitor.on_tick(t, tick_events)
             self._inject_due_schedule(t)
             self.spine.drain()
-        self.report.messages = list(self.spine.log)
+        self.report.messages = self.spine.log
         self._capture_final_state()
-        self.report.expectation_results = evaluate_expectations(self.report, self.scenario)
+        self.report.expectation_results = evaluate_expectations(self.report, self.scenario, self.policy, self.monitor_cfg)
         return self.report
 
     def _next_wake_up(self, t: int) -> int:

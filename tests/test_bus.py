@@ -10,6 +10,8 @@ from orchestrion.bus import (
     bridge_all,
 )
 
+from conftest import collect
+
 
 def make_bus(device="10.0.0.1"):
     return MessageBus(device, EventSpine())
@@ -26,10 +28,10 @@ class TestActionTopicConformance:
     @pytest.mark.parametrize("action", list(Action))
     def test_publish_on_mapped_topic_ok(self, action):
         bus = make_bus()
-        sub = bus.subscribe(ACTION_TOPIC[action])
+        received = collect(bus, ACTION_TOPIC[action])
         bus.publish(ACTION_TOPIC[action], msg(action))
         bus.spine.drain()
-        assert len(sub.pop_all()) == 1
+        assert len(received) == 1
 
     def test_forecast_response_on_deploy_rejected(self):
         bus = make_bus()
@@ -41,42 +43,41 @@ class TestActionTopicConformance:
         with pytest.raises(ProtocolError):
             bus.publish("nonsense", msg(Action.FORECAST_REQUEST))
         with pytest.raises(ProtocolError):
-            bus.subscribe("nonsense")
+            bus.subscribe("nonsense", lambda topic, m: None)
 
 
 class TestDelivery:
     def test_round_trip(self):
         bus = make_bus()
-        sub = bus.subscribe("analyze")
+        got = collect(bus, "analyze")
         sent = msg(Action.DEPLOYMENT_ANALYSIS_REQUEST, {"k": 1})
         bus.publish("analyze", sent)
         bus.spine.drain()
-        got = sub.pop_all()
         assert len(got) == 1 and got[0].payload == {"k": 1}
 
     def test_fan_out_exactly_once_each(self):
         bus = make_bus()
-        sub_a = bus.subscribe("monitor")
-        sub_b = bus.subscribe("monitor")
+        got_a = collect(bus, "monitor")
+        got_b = collect(bus, "monitor")
         for _ in range(3):
             bus.publish("monitor", msg(Action.MONITORING_RESULT))
         bus.spine.drain()
-        assert len(sub_a.pop_all()) == 3
-        assert len(sub_b.pop_all()) == 3
+        assert len(got_a) == 3
+        assert len(got_b) == 3
 
     def test_no_publish_yields_empty_stream(self):
         bus = make_bus()
-        sub = bus.subscribe("forecast")
+        got = collect(bus, "forecast")
         bus.spine.drain()
-        assert sub.pop_all() == []
+        assert got == []
 
     def test_order_preserved_per_topic(self):
         bus = make_bus()
-        sub = bus.subscribe("deploy")
+        got = collect(bus, "deploy")
         for i in range(5):
             bus.publish("deploy", msg(Action.DEPLOYMENT_REQUEST, {"i": i}))
         bus.spine.drain()
-        assert [m.payload["i"] for m in sub.pop_all()] == list(range(5))
+        assert [m.payload["i"] for m in got] == list(range(5))
 
     def test_handler_dispatch(self):
         bus = make_bus()
@@ -96,19 +97,18 @@ class TestBridging:
 
     def test_monitor_result_reaches_peer_cluster_topic(self):
         spine, buses = self.make_cluster()
-        subs = {a: b.subscribe("cluster/monitor") for a, b in buses.items()}
+        got = {a: collect(b, "cluster/monitor") for a, b in buses.items()}
         buses["10.0.0.1"].publish("monitor", msg(Action.MONITORING_RESULT, {"device": "10.0.0.1"}))
         spine.drain()
-        assert len(subs["10.0.0.2"].pop_all()) == 1
-        assert len(subs["10.0.0.3"].pop_all()) == 1
-        assert subs["10.0.0.1"].pop_all() == []  # never bridged back to the origin
+        assert len(got["10.0.0.2"]) == 1
+        assert len(got["10.0.0.3"]) == 1
+        assert got["10.0.0.1"] == []  # never bridged back to the origin
 
     def test_cluster_topic_not_rebridged(self):
         spine, buses = self.make_cluster()
-        watcher = buses["10.0.0.3"].subscribe("cluster/deploy")
+        first_hop = collect(buses["10.0.0.3"], "cluster/deploy")
         buses["10.0.0.1"].publish("deploy", msg(Action.DEPLOYMENT_REQUEST))
         spine.drain()
-        first_hop = watcher.pop_all()
         assert len(first_hop) == 1
         # the bridged copy arriving at device 2 must not be re-broadcast to 3
         topics = [entry["topic"] for entry in spine.log]
@@ -125,10 +125,10 @@ class TestBridging:
     def test_duplicate_peer_registration_idempotent(self):
         spine, buses = self.make_cluster()
         buses["10.0.0.1"].bridge({"10.0.0.2": buses["10.0.0.2"]})
-        sub = buses["10.0.0.2"].subscribe("cluster/monitor")
+        got = collect(buses["10.0.0.2"], "cluster/monitor")
         buses["10.0.0.1"].publish("monitor", msg(Action.MONITORING_RESULT))
         spine.drain()
-        assert len(sub.pop_all()) == 1
+        assert len(got) == 1
 
     def test_empty_peer_set_is_noop(self):
         bus = make_bus()
@@ -142,12 +142,19 @@ class TestBridging:
         with pytest.raises(ProtocolError):
             bus.bridge({"self": bus})
 
+    def test_bridged_copies_reach_peers_in_address_string_order(self):
+        spine = EventSpine()
+        buses = {a: MessageBus(a, spine) for a in ("10.0.0.1", "10.0.0.3", "10.0.0.10", "10.0.0.2")}
+        bridge_all(buses)
+        buses["10.0.0.1"].publish("monitor", msg(Action.MONITORING_RESULT))
+        assert [e["device"] for e in spine.log if e["bridged_from"]] == ["10.0.0.10", "10.0.0.2", "10.0.0.3"]
+
     def test_origin_preserved_on_bridge(self):
         spine, buses = self.make_cluster()
-        sub = buses["10.0.0.2"].subscribe("cluster/deploy")
+        got = collect(buses["10.0.0.2"], "cluster/deploy")
         buses["10.0.0.1"].publish("deploy", msg(Action.DEPLOYMENT_REQUEST))
         spine.drain()
-        (received,) = sub.pop_all()
+        (received,) = got
         assert received.origin == "10.0.0.1"
 
 

@@ -12,6 +12,8 @@ from orchestrion.monitor import Monitor, MonitorConfig
 from orchestrion.registry import ImageBlob, Registry
 from orchestrion.scenario import run_scenario
 
+from conftest import collect
+
 
 class TestSelectExecutor:
     TABLE_EQUAL = {
@@ -220,7 +222,7 @@ class TestVerdictHandling:
         )
         registry.publish_image("vendor", "app", blob, {"cpu": 100, "mem": 150}, {"cpu": 50, "mem": 100})
         deployer = Deployer(bus, registry, host, Knowledge(), OptimizationPolicy(), lambda event: None)
-        analyses = bus.subscribe("analyze")
+        analyses = collect(bus, "analyze")
 
         def verdict(action, analysis_id):
             payload = {"deployment_id": deployment_id, "analysis_id": analysis_id}
@@ -229,17 +231,19 @@ class TestVerdictHandling:
 
         deployment_id = deployer.submit({"owner": "vendor", "image": "app"})["request_id"]
         spine.drain()
-        (request,) = analyses.pop_all()
+        (request,) = analyses
+        analyses.clear()
         verdict(Action.DEPLOYMENT_CANCEL, request.payload["analysis_id"])
-        (base,) = analyses.pop_all()
+        (base,) = analyses
+        analyses.clear()
         assert base.payload["role"] == "base"
         verdict(Action.DEPLOYMENT_CANCEL, request.payload["analysis_id"])  # stale duplicate
-        assert analyses.pop_all() == []
+        assert analyses == []
         verdict(Action.DEPLOYMENT_ACCEPT, base.payload["analysis_id"])
         status = deployer.deployment_status(deployment_id)
         assert status["state"] == "running"
         assert [(d["verdict"], d["role"]) for d in status["decisions"]] == [("reject", "request"), ("accept", "base")]
-        assert analyses.pop_all() == []
+        assert analyses == []
         assert len(host.running_containers()) == 1
 
     def test_update_applies_without_restart(self):

@@ -9,6 +9,8 @@ from orchestrion.model import Limits, OptimizationPolicy
 from orchestrion.monitor import Monitor, MonitorConfig, next_optimization_due, optimization_due
 from orchestrion.registry import Registry, RegistryError
 
+from conftest import collect
+
 
 def build_stack(policy=None, config=None):
     spine = EventSpine()
@@ -30,14 +32,12 @@ def build_stack(policy=None, config=None):
 
 
 def register(knowledge, host, cid, deployment="d1", attempt=1, image="memory-3"):
-    spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
     knowledge.register_container(
         ContainerRecord(
             container_id=cid,
             deployment_id=deployment,
             owner="vendor",
             image=image,
-            spec=spec,
             limits=Limits(cpu=100, mem=150),
             start_t=host.now,
             attempt=attempt,
@@ -61,11 +61,11 @@ class TestScraping:
 
     def test_empty_host_result_carries_full_availability(self):
         spine, bus, host, knowledge, registry, monitor, _ = build_stack()
-        results = bus.subscribe("monitor")
+        results = collect(bus, "monitor")
         for t in range(1, 11):
             monitor.on_tick(t, host.tick())
         spine.drain()
-        (message,) = results.pop_all()
+        (message,) = results
         assert message.payload["avail"] == {"cpu": 1000, "mem": 1000}
         assert message.payload["containers"] == {}
 
@@ -161,13 +161,13 @@ class TestPrematureExitRetries:
 
     def test_oom_triggers_retry_request(self):
         spine, bus, host, knowledge, registry, monitor, events = build_stack()
-        requests = bus.subscribe("deploy")
+        requests = collect(bus, "deploy")
         cid = self.run_until_kill(monitor, host)
         register(knowledge, host, cid, attempt=1)
         for t in range(1, 4):
             monitor.on_tick(t, host.tick())
         spine.drain()
-        retry = [m for m in requests.pop_all() if m.action is Action.DEPLOYMENT_REQUEST]
+        retry = [m for m in requests if m.action is Action.DEPLOYMENT_REQUEST]
         assert len(retry) == 1
         assert retry[0].payload["attempt"] == 2
         assert retry[0].payload["retry"] is True
@@ -175,20 +175,20 @@ class TestPrematureExitRetries:
 
     def test_exhausted_attempts_give_up(self):
         spine, bus, host, knowledge, registry, monitor, events = build_stack()
-        requests = bus.subscribe("deploy")
+        requests = collect(bus, "deploy")
         cid = self.run_until_kill(monitor, host)
         register(knowledge, host, cid, attempt=3)  # max_attempts=3 in the stack
         for t in range(1, 4):
             monitor.on_tick(t, host.tick())
         spine.drain()
-        assert [m for m in requests.pop_all() if m.action is Action.DEPLOYMENT_REQUEST] == []
+        assert [m for m in requests if m.action is Action.DEPLOYMENT_REQUEST] == []
         assert any(e["type"] == "retry_exhausted" for e in events)
         assert knowledge.deployments["d1"].state == "failed"
 
     def test_orchestrated_stop_not_retried(self):
         spine, bus, host, knowledge, registry, monitor, events = build_stack()
-        requests = bus.subscribe("deploy")
-        optimizations = bus.subscribe("analyze")
+        requests = collect(bus, "deploy")
+        optimizations = collect(bus, "analyze")
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
         cid = host.run_container(spec, Limits(cpu=100, mem=150))
         register(knowledge, host, cid)
@@ -200,10 +200,10 @@ class TestPrematureExitRetries:
             monitor.on_tick(t, host.tick())
             spine.drain()
         assert knowledge.containers[cid].status == "stopped"
-        assert [m for m in requests.pop_all() if m.action is Action.DEPLOYMENT_REQUEST] == []
+        assert [m for m in requests if m.action is Action.DEPLOYMENT_REQUEST] == []
         assert [
             m
-            for m in optimizations.pop_all()
+            for m in optimizations
             if m.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST and m.payload["container"] == cid
         ] == []
         assert host.container(cid).status == "stopped"
@@ -215,7 +215,7 @@ class TestOptimizationCadence:
         spine, bus, host, knowledge, registry, monitor, _ = build_stack(
             policy=OptimizationPolicy(warmup_delay_s=warmup, optimization_interval_s=interval)
         )
-        inbox = bus.subscribe("analyze")
+        received = collect(bus, "analyze")
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
         cid = host.run_container(spec, Limits(cpu=100, mem=150))
         register(knowledge, host, cid)
@@ -223,9 +223,10 @@ class TestOptimizationCadence:
         for t in range(1, ticks + 1):
             monitor.on_tick(t, host.tick())
             spine.drain()
-            for m in inbox.pop_all():
+            for m in received:
                 if m.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST:
                     sent.append((t, m.payload))
+            received.clear()
         return sent
 
     def test_no_requests_before_warmup(self):
@@ -238,17 +239,17 @@ class TestOptimizationCadence:
 
     def test_no_active_containers_no_requests(self):
         spine, bus, host, knowledge, registry, monitor, _ = build_stack()
-        inbox = bus.subscribe("analyze")
+        received = collect(bus, "analyze")
         for t in range(1, 200):
             monitor.on_tick(t, host.tick())
         spine.drain()
-        assert inbox.pop_all() == []
+        assert received == []
 
     def test_batch_carries_index_and_count(self):
         spine, bus, host, knowledge, registry, monitor, _ = build_stack(
             policy=OptimizationPolicy(warmup_delay_s=10, optimization_interval_s=30)
         )
-        inbox = bus.subscribe("analyze")
+        received = collect(bus, "analyze")
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
         for i in range(2):
             cid = host.run_container(spec, Limits(cpu=100, mem=150))
@@ -256,7 +257,7 @@ class TestOptimizationCadence:
         for t in range(1, 11):
             monitor.on_tick(t, host.tick())
         spine.drain()
-        batch = [m.payload for m in inbox.pop_all() if m.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST]
+        batch = [m.payload for m in received if m.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST]
         assert [(p["index"], p["count"]) for p in batch] == [(0, 2), (1, 2)]
 
 

@@ -182,6 +182,8 @@ class TestCli:
             {"devices": [{"address": "10.0.0.1", "cpu_total": 0}]},
             {"images": exp1_mem_images_with_first(workload={"pattern": 9})},
             {"images": exp1_mem_images_with_first(base={"cpu": 50, "mem": 151})},
+            {"forecast": {"ar_order": 0}},
+            {"forecast": {"diff_order": 2, "min_points": 8}},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
