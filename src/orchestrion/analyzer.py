@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .bus import Action, Message, MessageBus, TOPIC_ANALYZE, TOPIC_DEPLOY, TOPIC_FORECAST
@@ -147,19 +148,15 @@ def optimize_cpu(current: int, peak_util: float, peak_throttle: float, policy: O
     return max(candidate, 0)
 
 
-@dataclass
-class _Pending:
-    kind: str  # "admission" | "cycle"
-    payload: dict
-
-
 class Analyzer:
     """Consumes analysis and optimization requests; answers with deployment
     accept/cancel verdicts and limit updates.
 
     One piece of work is in flight at a time: an optimization cycle runs as an
     atomic sequence and admissions queue behind it, so the sequential
-    availability accounting is never interleaved.
+    availability accounting is never interleaved. Queued work is a
+    ``(finish, work)`` pair; the one forecast in flight is held as
+    ``(forecast_id, finish, work)`` until its response arrives.
     """
 
     def __init__(
@@ -179,10 +176,10 @@ class Analyzer:
         self.policy = policy
         self.totals = totals
         self.reserve = reserve
-        self.horizon = max(1, horizon)
+        self.horizon = horizon
         self.emit = emit
-        self._queue: list[_Pending] = []
-        self._awaiting: _Pending | None = None
+        self._queue: deque[tuple] = deque()
+        self._awaiting: tuple | None = None
         self._forecast_seq = 0
         self._cycles: dict[str, dict] = {}  # correlation -> gathering state
         bus.subscribe(TOPIC_ANALYZE, self._on_analyze)
@@ -192,7 +189,7 @@ class Analyzer:
 
     def _on_analyze(self, topic: str, msg: Message) -> None:
         if msg.action is Action.DEPLOYMENT_ANALYSIS_REQUEST:
-            self._queue.append(_Pending(kind="admission", payload=dict(msg.payload)))
+            self._queue.append((self._finish_admission, msg.payload))
             self._pump()
         elif msg.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST:
             self._gather_cycle(msg)
@@ -205,32 +202,29 @@ class Analyzer:
         state["containers"].append(msg.payload["container"])
         if len(state["containers"]) == state["count"]:
             del self._cycles[msg.correlation_id]
-            self._queue.append(_Pending(kind="cycle", payload=state))
+            self._queue.append((self._finish_cycle, state))
             self._pump()
 
     def _on_forecast(self, topic: str, msg: Message) -> None:
         if msg.action is not Action.FORECAST_RESPONSE:
             return
-        if self._awaiting is None or msg.correlation_id != self._awaiting.payload.get("_forecast_id"):
+        if self._awaiting is None or msg.correlation_id != self._awaiting[0]:
             return
-        pending, self._awaiting = self._awaiting, None
+        _, finish, work = self._awaiting
+        self._awaiting = None
         results = {
             cid: ForecastResult.from_dict(doc) for cid, doc in msg.payload.get("results", {}).items()
         }
-        if pending.kind == "admission":
-            self._finish_admission(pending.payload, results)
-        else:
-            self._finish_cycle(pending.payload, results)
+        finish(work, results)
         self._pump()
 
     def _pump(self) -> None:
         if self._awaiting is not None or not self._queue:
             return
-        pending = self._queue.pop(0)
+        finish, work = self._queue.popleft()
         self._forecast_seq += 1
         forecast_id = f"fc{self._forecast_seq:04d}@{self.bus.device}"
-        pending.payload["_forecast_id"] = forecast_id
-        self._awaiting = pending
+        self._awaiting = (forecast_id, finish, work)
         actives = [rec.container_id for rec in self.knowledge.active()]
         self.bus.publish(
             TOPIC_FORECAST,

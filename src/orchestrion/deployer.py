@@ -18,7 +18,7 @@ from .bus import Action, CLUSTER_PREFIX, Message, MessageBus, TOPIC_DEPLOY, TOPI
 from .hostsim import HostSimulator, WorkloadSpec
 from .knowledge import ContainerRecord, DeploymentRecord, Knowledge
 from .model import DeviceId, Limits, OptimizationPolicy
-from .registry import NotFound, Registry, RegistryError, TamperError
+from .registry import ImageRecord, NotFound, Registry, RegistryError, TamperError
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +56,7 @@ class _Admission:
     role: str
     target: Limits
     spec: WorkloadSpec
+    image: ImageRecord
     analysis_id: str = ""
 
 
@@ -80,13 +81,14 @@ class Deployer:
         self.emit = emit
         self.cluster_mode = cluster_mode
         self.table: dict[str, dict] = {}
-        self._queue: deque[dict] = deque()
+        self._queue: deque[tuple[str, int]] = deque()
         self._active: _Admission | None = None
         self._request_seq = 0
         self._analysis_seq = 0
         bus.subscribe(TOPIC_DEPLOY, self._on_deploy)
-        bus.subscribe(TOPIC_MONITOR, self._on_monitoring)
         if cluster_mode:
+            # only cluster elections read the availability table
+            bus.subscribe(TOPIC_MONITOR, self._on_monitoring)
             bus.subscribe(CLUSTER_PREFIX + TOPIC_DEPLOY, self._on_deploy)
             bus.subscribe(CLUSTER_PREFIX + TOPIC_MONITOR, self._on_monitoring)
 
@@ -203,13 +205,12 @@ class Deployer:
                 owner=payload["owner"],
                 image=payload["image"],
             )
-        self._queue.append({"deployment_id": deployment_id, "attempt": attempt})
+        self._queue.append((deployment_id, attempt))
         self._pump()
 
     def _pump(self) -> None:
         while self._active is None and self._queue:
-            work = self._queue.popleft()
-            self._start_admission(work["deployment_id"], work["attempt"])
+            self._start_admission(*self._queue.popleft())
 
     def _start_admission(self, deployment_id: str, attempt: int) -> None:
         record = self.knowledge.deployments[deployment_id]
@@ -232,11 +233,11 @@ class Deployer:
         record.state = "analyzing"
         record.attempts = max(record.attempts, attempt)
         self._active = _Admission(
-            deployment_id=deployment_id, attempt=attempt, role=role, target=target, spec=spec
+            deployment_id=deployment_id, attempt=attempt, role=role, target=target, spec=spec, image=image
         )
         self._publish_analysis()
 
-    def _target_for_attempt(self, image, attempt: int) -> tuple[str, Limits]:
+    def _target_for_attempt(self, image: ImageRecord, attempt: int) -> tuple[str, Limits]:
         request = Limits(cpu=image.request_limit_cpu, mem=image.request_limit_memory)
         base = Limits(cpu=image.base_limit_cpu, mem=image.base_limit_memory)
         if attempt <= 1:
@@ -289,9 +290,7 @@ class Deployer:
     def _handle_cancel(self, admission: _Admission, record: DeploymentRecord) -> None:
         if admission.role == ROLE_REQUEST:
             # second analysis with the vendor's base limits
-            image = self.registry.get_image(record.owner, record.image)
-            admission.role = ROLE_BASE
-            admission.target = Limits(cpu=image.base_limit_cpu, mem=image.base_limit_memory)
+            admission.role, admission.target = self._target_for_attempt(admission.image, 2)
             self._publish_analysis()
             return
         record.state = "failed" if admission.attempt > 1 else "rejected"

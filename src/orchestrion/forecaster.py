@@ -26,13 +26,10 @@ MODEL_MIN_POINTS = AR_ORDER + 2
 
 @dataclass(frozen=True)
 class ForecastConfig:
-    horizon: int = 1
     min_points: int = MODEL_MIN_POINTS
     bucket_s: int = 60
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if self.min_points < MODEL_MIN_POINTS:
             raise ValueError("min_points too small for the model order")
         if self.bucket_s <= 0:
@@ -174,7 +171,7 @@ class Forecaster:
     def _on_message(self, topic: str, msg: Message) -> None:
         if msg.action is not Action.FORECAST_REQUEST:
             return
-        horizon = int(msg.payload.get("horizon") or self.config.horizon)
+        horizon = msg.payload["horizon"]
         results: dict[str, dict] = {}
         for cid in msg.payload.get("containers", []):
             results[cid] = self.forecast_container(cid, horizon).as_dict()

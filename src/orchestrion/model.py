@@ -83,6 +83,13 @@ def clamp(value: int, lo: int, hi: int) -> int:
     return min(max(value, lo), hi)
 
 
+def require_int(name: str, value) -> None:
+    """Durations and counts are whole numbers: the simulation clock ticks in
+    integer seconds."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ContractViolation(f"{name} must be an integer, got {value!r}")
+
+
 def _as_amount_map(value: "Limits | Mapping") -> dict[Resource, int]:
     if isinstance(value, Limits):
         return {Resource.CPU: value.cpu, Resource.MEM: value.mem}
@@ -153,6 +160,8 @@ class OptimizationPolicy:
         for res in RESOURCES:
             if self.scale_up.get(res) <= 0 or self.scale_down.get(res) <= 0:
                 raise ContractViolation("scale amounts must be > 0")
+        for name in ("optimization_interval_s", "warmup_delay_s"):
+            require_int(name, getattr(self, name))
         if self.optimization_interval_s <= 0 or self.warmup_delay_s < 0:
             raise ContractViolation("intervals must be positive")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .bus import Action, Message, MessageBus, TOPIC_DEPLOY, TOPIC_ANALYZE
 from .hostsim import HostSimulator, SimEvent, STATUS_KILLED_OOM, STATUS_STOPPED
 from .knowledge import Knowledge
-from .model import OptimizationPolicy
+from .model import OptimizationPolicy, require_int
 from .registry import Registry, RegistryError
 
 logger = logging.getLogger(__name__)
@@ -32,6 +32,8 @@ class MonitorConfig:
     max_attempts: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("scrape_interval_s", "retention_s", "max_attempts"):
+            require_int(name, getattr(self, name))
         if self.scrape_interval_s <= 0 or self.retention_s <= 0 or self.max_attempts < 1:
             raise ValueError("monitor config values must be positive")
 

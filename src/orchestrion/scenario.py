@@ -140,12 +140,9 @@ class SimulationRunner:
         try:
             self.policy = policy = OptimizationPolicy.from_dict(scn.get("policy", {}))
             self.monitor_cfg = monitor_cfg = MonitorConfig(**scn.get("monitor", {}))
-            forecast_raw = dict(scn.get("forecast", {}))
-            horizon = forecast_raw.pop("horizon", None)
-            if horizon is None:
-                bucket_s = forecast_raw.get("bucket_s", ForecastConfig.bucket_s)
-                horizon = max(1, math.ceil(policy.optimization_interval_s / bucket_s))
-            forecast_cfg = ForecastConfig(horizon=int(horizon), **forecast_raw)
+            forecast_cfg = ForecastConfig(**scn.get("forecast", {}))
+            # buckets forecast ahead: enough to cover one optimization interval
+            horizon = math.ceil(policy.optimization_interval_s / forecast_cfg.bucket_s)
             specs = [WorkloadSpec.from_dict(image["workload"]) for image in scn["images"]]
             host_configs = [
                 HostConfig(
@@ -156,7 +153,7 @@ class SimulationRunner:
                 )
                 for dev in scn["devices"]
             ]
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError) as exc:
             # unknown keys, wrong types and out-of-range values in the scenario's
             # policy/monitor/forecast blocks and in its device and image entries
             # are errors in the scenario
@@ -192,7 +189,7 @@ class SimulationRunner:
                 policy,
                 totals=Limits(cpu=host.config.cpu_total, mem=host.config.mem_total),
                 reserve=Limits(cpu=host.config.reserved_cpu, mem=host.config.reserved_mem),
-                horizon=forecast_cfg.horizon,
+                horizon=horizon,
                 emit=emit,
             )
             deployer = Deployer(bus, self.registry, host, knowledge, policy, emit, cluster_mode=cluster)

@@ -64,7 +64,7 @@ class TestSelectExecutor:
         assert dominant_resource(300, 64, 1000, 1000) == "cpu"
 
 
-def build_device(reserved_mem=0, reserved_cpu=0, register_image=True, request=None, base=None):
+def build_device(reserved_mem=0, reserved_cpu=0, register_image=True, request=None, base=None, cluster_mode=False):
     spine = EventSpine()
     bus = MessageBus("10.0.0.1", spine)
     host = HostSimulator(
@@ -75,7 +75,7 @@ def build_device(reserved_mem=0, reserved_cpu=0, register_image=True, request=No
     events = []
     policy = OptimizationPolicy(warmup_delay_s=300)
     monitor = Monitor(bus, host, knowledge, registry, MonitorConfig(), policy, events.append)
-    Forecaster(bus, monitor.metrics, ForecastConfig(horizon=3, bucket_s=60))
+    Forecaster(bus, monitor.metrics, ForecastConfig(bucket_s=60))
     Analyzer(
         bus,
         knowledge,
@@ -86,7 +86,7 @@ def build_device(reserved_mem=0, reserved_cpu=0, register_image=True, request=No
         horizon=3,
         emit=events.append,
     )
-    deployer = Deployer(bus, registry, host, knowledge, policy, events.append)
+    deployer = Deployer(bus, registry, host, knowledge, policy, events.append, cluster_mode=cluster_mode)
     if register_image:
         blob = ImageBlob(
             [json.dumps({"workload": {"pattern": 3, "workload_class": "mem", "period_s": 1800, "peak": 95}}).encode()]
@@ -309,6 +309,68 @@ class TestAdmissionCycleOrdering:
         assert len(cycle_events) == 1
 
 
+class TestAnalyzerInFlightSlot:
+    def analysis(self, analysis_id):
+        payload = {
+            "deployment_id": "d-" + analysis_id,
+            "analysis_id": analysis_id,
+            "target": {"cpu": 10, "mem": 10},
+            "role": "request",
+            "attempt": 1,
+        }
+        return Message(action=Action.DEPLOYMENT_ANALYSIS_REQUEST, payload=payload, correlation_id=analysis_id)
+
+    def test_only_the_inflight_forecast_response_is_taken(self):
+        spine, bus, host, knowledge, registry, deployer, events = build_device()
+        deployer.submit({"owner": "vendor", "image": "app"})
+        spine.drain()
+        (container,) = host.running_containers()
+        # a forecast that would reject any admission if the analyzer took it
+        overload = {container.container_id: {"cpu_util": [5000.0], "mem_util": [5000.0], "throttle_pct": [0.0]}}
+
+        def respond(correlation_id):
+            message = Message(
+                action=Action.FORECAST_RESPONSE, payload={"results": overload, "horizon": 3}, correlation_id=correlation_id
+            )
+            bus.publish("forecast", message)
+
+        handled = []
+
+        def inject(_topic, msg):
+            # runs right after the analyzer handles the same message; once aq2's
+            # forecast is requested, an unknown id and a duplicate of the
+            # submission's answered forecast are queued behind aq2's answer,
+            # so they reach the analyzer while aq3 is in flight
+            handled.append((msg.action.value, msg.correlation_id))
+            if msg.action is Action.FORECAST_REQUEST and msg.correlation_id == "fc0003@10.0.0.1":
+                respond("fc9999@10.0.0.1")
+                respond("fc0001@10.0.0.1")
+
+        def verdicts():
+            return [e["correlation_id"] for e in spine.log if e["action"] in ("deployment_accept", "deployment_cancel")]
+
+        def admissions():
+            return [(e["analysis_id"], e["verdict"]) for e in events if e["type"] == "admission"]
+
+        bus.subscribe("forecast", inject)
+        for analysis_id in ("aq1", "aq2", "aq3"):
+            bus.publish("analyze", self.analysis(analysis_id))
+        spine.drain()
+
+        aq3_in_flight = handled.index(("forecast_response", "fc0003@10.0.0.1"))
+        aq3_answered = handled.index(("forecast_response", "fc0004@10.0.0.1"))
+        assert aq3_in_flight < handled.index(("forecast_response", "fc9999@10.0.0.1")) < aq3_answered
+        assert aq3_in_flight < handled.index(("forecast_response", "fc0001@10.0.0.1"), aq3_in_flight) < aq3_answered
+        assert admissions() == [("a0001@10.0.0.1", "accept"), ("aq1", "accept"), ("aq2", "accept"), ("aq3", "accept")]
+        assert verdicts() == ["a0001@10.0.0.1", "aq1", "aq2", "aq3"]
+
+        # a duplicate of an answered response finds the slot empty
+        respond("fc0004@10.0.0.1")
+        spine.drain()
+        assert len(admissions()) == 4
+        assert verdicts() == ["a0001@10.0.0.1", "aq1", "aq2", "aq3"]
+
+
 class TestAvailabilityTable:
     def monitoring(self, device, t, cpu, mem):
         return Message(
@@ -318,13 +380,13 @@ class TestAvailabilityTable:
         )
 
     def test_self_and_peer_updates(self):
-        spine, bus, host, knowledge, registry, deployer, _ = build_device()
+        spine, bus, host, knowledge, registry, deployer, _ = build_device(cluster_mode=True)
         bus.publish("monitor", self.monitoring("10.0.0.1", 10, 900, 800))
         spine.drain()
         assert deployer.table["10.0.0.1"] == {"cpu": 900, "mem": 800, "t": 10}
 
     def test_stale_result_ignored(self):
-        spine, bus, host, knowledge, registry, deployer, _ = build_device()
+        spine, bus, host, knowledge, registry, deployer, _ = build_device(cluster_mode=True)
         bus.publish("monitor", self.monitoring("10.0.0.1", 20, 900, 800))
         bus.publish("monitor", self.monitoring("10.0.0.1", 10, 100, 100))
         spine.drain()

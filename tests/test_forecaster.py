@@ -87,7 +87,7 @@ def build_service(bucket_s=60):
     spine = EventSpine()
     bus = MessageBus("10.0.0.1", spine)
     store = MetricsStore(retention_s=100_000)
-    service = Forecaster(bus, store, ForecastConfig(horizon=3, bucket_s=bucket_s))
+    service = Forecaster(bus, store, ForecastConfig(bucket_s=bucket_s))
     return spine, bus, store, service
 
 
@@ -121,7 +121,7 @@ class TestForecastService:
         watcher = collect(bus, "forecast")
         bus.publish(
             "forecast",
-            Message(action=Action.FORECAST_REQUEST, payload={"containers": ["c1"]}, correlation_id="fc-42"),
+            Message(action=Action.FORECAST_REQUEST, payload={"containers": ["c1"], "horizon": 3}, correlation_id="fc-42"),
         )
         spine.drain()
         actions = [m.action for m in watcher]

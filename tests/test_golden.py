@@ -2,9 +2,11 @@
 
 Every artifact is a pure function of ``(scenario, seed)``, so a refactor that
 keeps behaviour must keep these bytes. A digest changes only in a change that
-alters artifacts on purpose and says why.
+alters artifacts on purpose and says why; to re-baseline, print a fresh run's
+digest for every pinned run with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 import hashlib
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,12 @@ OFF_CADENCE_GOLDEN = "1fc8618b2bf050ea0563b1cfb0cf29140ef03a1219f416a9f9cc858238
 # 10.0.0.2) differs from numeric order: it pins the order in which bridged
 # copies reach the peers, which messages.jsonl records.
 CLUSTER_12_GOLDEN = "1d90ed1fcca89c8451eb4c4c35b1ba64ca73d28f5fe9197e2da2b9e28ae1c45f"
+
+
+def expiring_scenario() -> dict:
+    scenario = builtin_scenario(EXPIRING_SCENARIO)
+    scenario["monitor"] = {**scenario.get("monitor", {}), "retention_s": EXPIRING_RETENTION_S}
+    return scenario
 
 
 def off_cadence_scenario() -> dict:
@@ -188,9 +196,7 @@ def test_builtin_artifacts_unchanged(name, tmp_path):
 
 
 def test_expiring_run_artifacts_unchanged(tmp_path):
-    scenario = builtin_scenario(EXPIRING_SCENARIO)
-    scenario["monitor"] = {**scenario.get("monitor", {}), "retention_s": EXPIRING_RETENTION_S}
-    report = run_scenario(scenario)
+    report = run_scenario(expiring_scenario())
     assert report.events_of("metrics_archived"), "the run must expire rows to pin them"
     report.write(tmp_path)
     assert tree_digest(tmp_path) == EXPIRING_GOLDEN
@@ -222,3 +228,17 @@ def test_cluster_12_run_artifacts_unchanged(tmp_path):
     assert any(m["bridged_from"] == "10.0.0.10" for m in report.messages)
     report.write(tmp_path)
     assert tree_digest(tmp_path) == CLUSTER_12_GOLDEN
+
+
+if __name__ == "__main__":
+    pinned = {name: lambda name=name: builtin_scenario(name) for name in sorted(GOLDEN)}
+    pinned.update(
+        expiring=expiring_scenario,
+        full_window=full_window_scenario,
+        off_cadence=off_cadence_scenario,
+        cluster_12=cluster_12_scenario,
+    )
+    for name, build in pinned.items():
+        with tempfile.TemporaryDirectory() as out:
+            run_scenario(build()).write(out)
+            print(name, tree_digest(Path(out)))

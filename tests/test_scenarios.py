@@ -184,6 +184,9 @@ class TestCli:
             {"images": exp1_mem_images_with_first(base={"cpu": 50, "mem": 151})},
             {"forecast": {"ar_order": 0}},
             {"forecast": {"diff_order": 2, "min_points": 8}},
+            {"forecast": {"horizon": 5}},
+            {"monitor": {"scrape_interval_s": 7.5}},
+            {"policy": {"warmup_delay_s": 30.5}},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
