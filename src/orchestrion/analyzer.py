@@ -157,6 +157,9 @@ class Analyzer:
     availability accounting is never interleaved. Queued work is a
     ``(finish, work)`` pair; the one forecast in flight is held as
     ``(forecast_id, finish, work)`` until its response arrives.
+
+    ``capacity`` is the device's usable capacity: its totals less the host's
+    reserve. Availability starts from it and a CPU upscale is capped at it.
     """
 
     def __init__(
@@ -165,8 +168,7 @@ class Analyzer:
         knowledge: Knowledge,
         metrics_store,
         policy: OptimizationPolicy,
-        totals: Limits,
-        reserve: Limits,
+        capacity: Limits,
         horizon: int,
         emit,
     ) -> None:
@@ -174,8 +176,7 @@ class Analyzer:
         self.knowledge = knowledge
         self.metrics = metrics_store
         self.policy = policy
-        self.totals = totals
-        self.reserve = reserve
+        self.capacity = capacity
         self.horizon = horizon
         self.emit = emit
         self._queue: deque[tuple] = deque()
@@ -213,7 +214,7 @@ class Analyzer:
         _, finish, work = self._awaiting
         self._awaiting = None
         results = {
-            cid: ForecastResult.from_dict(doc) for cid, doc in msg.payload.get("results", {}).items()
+            cid: ForecastResult.from_dict(doc) for cid, doc in msg.payload["results"].items()
         }
         finish(work, results)
         self._pump()
@@ -238,46 +239,30 @@ class Analyzer:
     # -- admission -------------------------------------------------------------
 
     def _availability(self, forecasts: dict[str, ForecastResult]) -> PredictionSet:
-        currents: dict[str, Limits] = {}
-        observed: dict[str, dict] = {}
-        for rec in self.knowledge.active():
-            currents[rec.container_id] = rec.limits
-            last = self.metrics.last(rec.container_id)
-            if last is not None:
-                observed[rec.container_id] = last
-        return predict_availability(forecasts, currents, self.totals, self.reserve, observed)
+        # A container lacks a usable forecast only when it has no stored
+        # sample yet, so its current limit alone stands for it.
+        currents = {rec.container_id: rec.limits for rec in self.knowledge.active()}
+        return predict_availability(forecasts, currents, self.capacity)
 
     def _finish_admission(self, payload: dict, forecasts: dict[str, ForecastResult]) -> None:
         pred = self._availability(forecasts)
         target = Limits.from_dict(payload["target"])
         verdict = admit(target, pred)
         action = Action.DEPLOYMENT_ACCEPT if verdict.accepted else Action.DEPLOYMENT_CANCEL
-        self.emit(
-            {
-                "type": "admission",
-                "deployment": payload["deployment_id"],
-                "analysis_id": payload["analysis_id"],
-                "attempt": payload.get("attempt", 1),
-                "role": payload.get("role", "request"),
-                "verdict": verdict.decision,
-                "target": target.as_dict(),
-                "avail": pred.avail_dict(),
-                "reason": verdict.reason,
-            }
-        )
+        ruling = {
+            "analysis_id": payload["analysis_id"],
+            "attempt": payload["attempt"],
+            "role": payload["role"],
+            "target": target.as_dict(),
+            "avail": pred.avail_dict(),
+            "reason": verdict.reason,
+        }
+        self.emit({"type": "admission", "deployment": payload["deployment_id"], "verdict": verdict.decision, **ruling})
         self.bus.publish(
             TOPIC_DEPLOY,
             Message(
                 action=action,
-                payload={
-                    "deployment_id": payload["deployment_id"],
-                    "analysis_id": payload["analysis_id"],
-                    "target": target.as_dict(),
-                    "role": payload.get("role", "request"),
-                    "attempt": payload.get("attempt", 1),
-                    "avail": pred.avail_dict(),
-                    "reason": verdict.reason,
-                },
+                payload={"deployment_id": payload["deployment_id"], **ruling},
                 correlation_id=payload["analysis_id"],
             ),
         )
@@ -314,8 +299,7 @@ class Analyzer:
         obs_cpu = self.metrics.observed_max(cid, "cpu_util")
         cpu_peak = max(fc_cpu_peak, obs_cpu)
         throttle_peak = max(forecast.throttle_pct) if forecast.throttle_pct else 0.0
-        cpu_cap = self.totals.cpu - self.reserve.cpu
-        cpu_target = optimize_cpu(record.limits.cpu, cpu_peak, throttle_peak, self.policy, cpu_cap)
+        cpu_target = optimize_cpu(record.limits.cpu, cpu_peak, throttle_peak, self.policy, self.capacity.cpu)
 
         applied: dict[Resource, int] = {}
         final = record.limits
@@ -342,12 +326,11 @@ class Analyzer:
         if not applied:
             return 0
         account_optimization(pred, applied)
+        change = {"container": cid, "cycle": cycle, "previous": record.limits.as_dict()}
         self.emit(
             {
                 "type": "optimization",
-                "container": cid,
-                "cycle": cycle,
-                "previous": record.limits.as_dict(),
+                **change,
                 "target": final.as_dict(),
                 "deltas": {res.value: d for res, d in applied.items()},
             }
@@ -356,12 +339,7 @@ class Analyzer:
             TOPIC_DEPLOY,
             Message(
                 action=Action.DEPLOYMENT_UPDATE,
-                payload={
-                    "container": cid,
-                    "limits": final.as_dict(),
-                    "previous": record.limits.as_dict(),
-                    "cycle": cycle,
-                },
+                payload={**change, "limits": final.as_dict()},
                 correlation_id=f"opt-{cycle}-{cid}",
             ),
         )

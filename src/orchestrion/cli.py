@@ -48,11 +48,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args.builtin:
-            scenario = builtin_scenario(args.builtin)
+            try:
+                scenario = builtin_scenario(args.builtin)
+            except KeyError as exc:  # an unknown name
+                raise ScenarioError(exc.args[0]) from None
         else:
             scenario = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
         report = run_scenario(scenario, seed=args.seed)
-    except (ScenarioError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

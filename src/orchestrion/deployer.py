@@ -134,19 +134,14 @@ class Deployer:
     # -- message handling -------------------------------------------------------------
 
     def _on_deploy(self, topic: str, msg: Message) -> None:
-        handlers = {
-            Action.DEPLOYMENT_REQUEST: self._on_request,
-            Action.DEPLOYMENT_ACCEPT: self._on_verdict,
-            Action.DEPLOYMENT_CANCEL: self._on_verdict,
-            Action.DEPLOYMENT_UPDATE: self._on_update,
-        }
-        handler = handlers.get(msg.action)
-        if handler is not None:
-            handler(topic, msg)
+        if msg.action is Action.DEPLOYMENT_REQUEST:
+            self._on_request(topic, msg)
+        elif msg.action is Action.DEPLOYMENT_UPDATE:
+            self._on_update(topic, msg)
+        else:  # publish admits only an accept or a cancel besides these
+            self._on_verdict(topic, msg)
 
     def _on_monitoring(self, topic: str, msg: Message) -> None:
-        if msg.action is not Action.MONITORING_RESULT:
-            return
         payload = msg.payload
         device = payload["device"]
         entry = self.table.get(device)

@@ -57,7 +57,7 @@ class Limits:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, int]) -> "Limits":
-        return cls(cpu=int(data["cpu"]), mem=int(data["mem"]))
+        return cls(cpu=data["cpu"], mem=data["mem"])
 
 
 def delta_limit(target: "Limits | Mapping", current: "Limits | Mapping") -> dict[Resource, int]:

@@ -13,7 +13,7 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .bus import Action, Message, MessageBus, TOPIC_DEPLOY, TOPIC_ANALYZE
+from .bus import Action, Message, MessageBus, TOPIC_ANALYZE, TOPIC_DEPLOY, TOPIC_MONITOR
 from .hostsim import HostSimulator, SimEvent, STATUS_KILLED_OOM, STATUS_STOPPED
 from .knowledge import Knowledge
 from .model import OptimizationPolicy, require_int
@@ -231,7 +231,7 @@ class Monitor:
             if row["status"] == "running":
                 self.metrics.append(cid, sample.t, row)
         self.bus.publish(
-            "monitor",
+            TOPIC_MONITOR,
             Message(
                 action=Action.MONITORING_RESULT,
                 payload={

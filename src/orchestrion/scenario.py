@@ -16,6 +16,7 @@ import csv
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .deployer import Deployer
 from .forecaster import ForecastConfig, Forecaster
 from .hostsim import HostConfig, HostSimulator, WorkloadSpec
 from .knowledge import Knowledge
-from .model import Limits, OptimizationPolicy
+from .model import DeviceId, Limits, OptimizationPolicy, require_int
 from .monitor import Monitor, MonitorConfig
 from .registry import ImageBlob, Registry, RegistryError
 
@@ -34,8 +35,28 @@ logger = logging.getLogger(__name__)
 TRACE_COLUMNS = ("t", "container", "cpu_util", "cpu_limit", "cpu_throttle", "mem_util", "mem_limit", "status")
 
 
+# keys every entry of a scenario's lists must carry
+ENTRY_KEYS = {
+    "devices": ("address",),
+    "images": ("owner", "name", "workload", "request", "base"),
+    "schedule": ("owner", "image"),
+}
+
+
 class ScenarioError(ValueError):
     pass
+
+
+@contextmanager
+def _reading(where: str):
+    """Report a missing key, a wrong type or an out-of-range value met while
+    reading ``where`` of a scenario as a ScenarioError that names it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ScenarioError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError, RegistryError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -109,6 +130,18 @@ class RunReport:
         return paths
 
 
+@dataclass(frozen=True, slots=True)
+class _ScheduledRequest:
+    """A schedule entry, read once: due at ``at_s``, or else once ``device``
+    has run ``stable_cycles`` stable optimization cycles in a row."""
+
+    device: str
+    owner: str
+    image: str
+    at_s: int | None
+    stable_cycles: int | None
+
+
 @dataclass
 class _DeviceStack:
     host: HostSimulator
@@ -123,13 +156,23 @@ class SimulationRunner:
 
     def __init__(self, scenario: dict) -> None:
         self.scenario = validate_scenario(scenario)
-        self.seed = int(scenario.get("seed", 0))
-        self.duration = int(scenario["duration_s"])
+        self.seed = scenario.get("seed", 0)
+        self.duration = scenario["duration_s"]
         self.report = RunReport(scenario_name=scenario.get("name", "unnamed"), seed=self.seed)
         self.spine = EventSpine()
         self.registry = Registry()
         self.devices: dict[str, _DeviceStack] = {}
-        self._pending_schedule = [dict(entry) for entry in scenario.get("schedule", [])]
+        first_device = scenario["devices"][0]["address"]
+        self._pending_schedule = [
+            _ScheduledRequest(
+                device=entry.get("device") or first_device,
+                owner=entry["owner"],
+                image=entry["image"],
+                at_s=entry.get("at_s"),
+                stable_cycles=entry.get("after_stable_cycles"),
+            )
+            for entry in scenario.get("schedule", [])
+        ]
         self._stable_cycles: dict[str, int] = {}
         self._build()
 
@@ -137,43 +180,36 @@ class SimulationRunner:
 
     def _build(self) -> None:
         scn = self.scenario
-        try:
+        with _reading("policy"):
             self.policy = policy = OptimizationPolicy.from_dict(scn.get("policy", {}))
+        with _reading("monitor"):
             self.monitor_cfg = monitor_cfg = MonitorConfig(**scn.get("monitor", {}))
+        with _reading("forecast"):
             forecast_cfg = ForecastConfig(**scn.get("forecast", {}))
-            # buckets forecast ahead: enough to cover one optimization interval
-            horizon = math.ceil(policy.optimization_interval_s / forecast_cfg.bucket_s)
-            specs = [WorkloadSpec.from_dict(image["workload"]) for image in scn["images"]]
-            host_configs = [
-                HostConfig(
+        # buckets forecast ahead: enough to cover one optimization interval
+        horizon = math.ceil(policy.optimization_interval_s / forecast_cfg.bucket_s)
+
+        for index, image in enumerate(scn["images"]):
+            with _reading(f"images[{index}]"):
+                spec = WorkloadSpec.from_dict(image["workload"])
+                blob = ImageBlob([json.dumps({"workload": spec.as_dict()}, sort_keys=True).encode("utf-8")])
+                self.registry.publish_image(
+                    owner=image["owner"],
+                    name=image["name"],
+                    blob=blob,
+                    request_limits=Limits.from_dict(image["request"]).as_dict(),
+                    base_limits=Limits.from_dict(image["base"]).as_dict(),
+                )
+
+        cluster = scn.get("cluster", False) and len(scn["devices"]) > 1
+        for index, dev in enumerate(scn["devices"]):
+            with _reading(f"devices[{index}]"):
+                host_config = HostConfig(
                     cpu_total=int(dev.get("cpu_total", 1000)),
                     mem_total=int(dev.get("mem_total", 1000)),
                     reserved_cpu=int(dev.get("reserved_cpu", 0)),
                     reserved_mem=int(dev.get("reserved_mem", 0)),
                 )
-                for dev in scn["devices"]
-            ]
-        except (TypeError, ValueError) as exc:
-            # unknown keys, wrong types and out-of-range values in the scenario's
-            # policy/monitor/forecast blocks and in its device and image entries
-            # are errors in the scenario
-            raise ScenarioError(str(exc)) from exc
-
-        for image, spec in zip(scn["images"], specs):
-            blob = ImageBlob([json.dumps({"workload": spec.as_dict()}, sort_keys=True).encode("utf-8")])
-            try:
-                self.registry.publish_image(
-                    owner=image["owner"],
-                    name=image["name"],
-                    blob=blob,
-                    request_limits=image["request"],
-                    base_limits=image["base"],
-                )
-            except RegistryError as exc:
-                raise ScenarioError(str(exc)) from exc
-
-        cluster = bool(scn.get("cluster", False)) and len(scn["devices"]) > 1
-        for dev, host_config in zip(scn["devices"], host_configs):
             address = dev["address"]
             host = HostSimulator(host_config, seed=self.seed, device=address)
             bus = MessageBus(address, self.spine)
@@ -187,8 +223,7 @@ class SimulationRunner:
                 knowledge,
                 monitor.metrics,
                 policy,
-                totals=Limits(cpu=host.config.cpu_total, mem=host.config.mem_total),
-                reserve=Limits(cpu=host.config.reserved_cpu, mem=host.config.reserved_mem),
+                capacity=Limits(cpu=host.config.usable_cpu, mem=host.config.usable_mem),
                 horizon=horizon,
                 emit=emit,
             )
@@ -214,7 +249,6 @@ class SimulationRunner:
 
         monitors = [stack.monitor for stack in self.devices.values()]
         ticks = [stack.host.tick for stack in self.devices.values()]
-        self.spine.drain()
         t = 0
         while t < self.duration:
             # Until the wake-up only the hosts move; a host event makes its
@@ -240,39 +274,35 @@ class SimulationRunner:
         ``t + 1``: a stable-cycle count moves in the drain at ``t``, after
         that second's injection."""
         wake = min(stack.monitor.next_wake_up(t) for stack in self.devices.values())
-        for entry in self._pending_schedule:
-            if self._is_due(entry, t):
+        for request in self._pending_schedule:
+            if self._is_due(request, t):
                 return t + 1
-            if "at_s" in entry:
-                wake = min(wake, int(entry["at_s"]))
+            if request.at_s is not None:
+                wake = min(wake, request.at_s)
         return wake
 
-    def _is_due(self, entry: dict, t: int) -> bool:
-        if "at_s" in entry:
-            return t >= int(entry["at_s"])
-        return self._stable_cycles[self._entry_device(entry)] >= int(entry["after_stable_cycles"])
-
-    def _entry_device(self, entry: dict) -> str:
-        return entry.get("device") or next(iter(self.devices))
+    def _is_due(self, request: _ScheduledRequest, t: int) -> bool:
+        if request.at_s is not None:
+            return t >= request.at_s
+        return self._stable_cycles[request.device] >= request.stable_cycles
 
     def _inject_due_schedule(self, t: int) -> None:
         remaining = []
-        for entry in self._pending_schedule:
-            if self._is_due(entry, t):
-                device = self._entry_device(entry)
-                stack = self.devices[device]
-                result = stack.deployer.submit({"owner": entry["owner"], "image": entry["image"]})
+        for request in self._pending_schedule:
+            if self._is_due(request, t):
+                stack = self.devices[request.device]
+                result = stack.deployer.submit({"owner": request.owner, "image": request.image})
                 self.report.events.append(
                     {
                         "t": t,
-                        "device": device,
+                        "device": request.device,
                         "type": "request_submitted",
                         "deployment": result["request_id"],
-                        "image": entry["image"],
+                        "image": request.image,
                     }
                 )
             else:
-                remaining.append(entry)
+                remaining.append(request)
         self._pending_schedule = remaining
 
     def _record_trace(self, topic: str, msg: Message) -> None:
@@ -320,23 +350,48 @@ def validate_scenario(scenario: dict) -> dict:
     for key in ("duration_s", "devices", "images"):
         if key not in scenario:
             raise ScenarioError(f"scenario missing required key {key!r}")
-    if int(scenario["duration_s"]) <= 0:
+    with _reading("scenario"):
+        require_int("duration_s", scenario["duration_s"])
+        require_int("seed", scenario.get("seed", 0))
+    duration = scenario["duration_s"]
+    if duration <= 0:
         raise ScenarioError("duration_s must be positive")
+    if not isinstance(scenario.get("cluster", False), bool):
+        raise ScenarioError(f"cluster must be true or false, got {scenario['cluster']!r}")
     if not scenario["devices"]:
         raise ScenarioError("at least one device is required")
+    for section, keys in ENTRY_KEYS.items():
+        for index, entry in enumerate(scenario.get(section, [])):
+            for key in keys:
+                if key not in entry:
+                    raise ScenarioError(f"{section}[{index}]: missing key {key!r}")
+
     addresses = [d["address"] for d in scenario["devices"]]
+    bridged = scenario.get("cluster", False) and len(addresses) > 1
+    for index, address in enumerate(addresses):
+        if not isinstance(address, str):
+            raise ScenarioError(f"devices[{index}]: address must be a string, got {address!r}")
+        if bridged:  # elections break ties by numeric address order
+            with _reading(f"devices[{index}]"):
+                DeviceId(address=address)
     if len(set(addresses)) != len(addresses):
         raise ScenarioError("device addresses must be unique")
+
     image_keys = {(i["owner"], i["name"]) for i in scenario["images"]}
-    for entry in scenario.get("schedule", []):
-        if "at_s" in entry and not 0 <= int(entry["at_s"]) <= int(scenario["duration_s"]):
-            raise ScenarioError(f"schedule time {entry['at_s']} outside run duration")
-        if "at_s" not in entry and "after_stable_cycles" not in entry:
-            raise ScenarioError("schedule entries need at_s or after_stable_cycles")
+    for index, entry in enumerate(scenario.get("schedule", [])):
+        where = f"schedule[{index}]"
+        due = "at_s" if "at_s" in entry else "after_stable_cycles"
+        if due not in entry:
+            raise ScenarioError(f"{where}: schedule entries need at_s or after_stable_cycles")
+        with _reading(where):
+            require_int(due, entry[due])
+        upper = duration if due == "at_s" else math.inf
+        if not 0 <= entry[due] <= upper:
+            raise ScenarioError(f"{where}: {due} {entry[due]} outside [0, {upper}]")
         if (entry["owner"], entry["image"]) not in image_keys:
-            raise ScenarioError(f"schedule references unknown image {entry['owner']}/{entry['image']}")
+            raise ScenarioError(f"{where}: schedule references unknown image {entry['owner']}/{entry['image']}")
         if entry.get("device") and entry["device"] not in addresses:
-            raise ScenarioError(f"schedule references unknown device {entry['device']}")
+            raise ScenarioError(f"{where}: schedule references unknown device {entry['device']}")
     return scenario
 
 

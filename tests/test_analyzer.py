@@ -3,6 +3,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from orchestrion.analyzer import (
+    Analyzer,
     PredictionSet,
     account_optimization,
     admit,
@@ -10,8 +11,12 @@ from orchestrion.analyzer import (
     optimize_memory,
     predict_availability,
 )
+from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
 from orchestrion.forecaster import ForecastResult
 from orchestrion.model import Limits, OptimizationPolicy, Resource
+from orchestrion.scenario import run_scenario
+
+from test_golden import off_cadence_scenario
 
 POLICY = OptimizationPolicy()  # scale_up 50/20, scale_down 100/20, buffer/margin 1.1
 
@@ -183,3 +188,27 @@ class TestAccounting:
             account_optimization(pred, delta)
         assert pred.avail[Resource.CPU] == 1000.0 - (50 - 100 + 30)
         assert pred.avail[Resource.MEM] == 1000.0 - 20
+
+
+def test_containers_without_a_usable_forecast_have_no_samples(monkeypatch):
+    """The analyzer stands a container without a usable forecast in by its
+    current limit alone. That holds only while such a container has no stored
+    sample: its forecast was unknown, or it was registered after the forecast
+    was requested, both within one drain that no scrape interrupts. A change
+    that lets a forecast response arrive after a scrape breaks this first."""
+    availability = Analyzer._availability
+    unforecast = []
+
+    def checked(analyzer, forecasts):
+        for record in analyzer.knowledge.active():
+            forecast = forecasts.get(record.container_id)
+            usable = forecast is not None and not forecast.error and forecast.cpu_util and forecast.mem_util
+            if not usable:
+                unforecast.append(record.container_id)
+                assert analyzer.metrics.last(record.container_id) is None, record.container_id
+        return availability(analyzer, forecasts)
+
+    monkeypatch.setattr(Analyzer, "_availability", checked)
+    for scenario in [builtin_scenario(name) for name in sorted(BUILTIN_SCENARIOS)] + [off_cadence_scenario()]:
+        run_scenario(scenario)
+    assert unforecast, "some decision must meet a container without a usable forecast"

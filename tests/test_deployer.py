@@ -81,8 +81,7 @@ def build_device(reserved_mem=0, reserved_cpu=0, register_image=True, request=No
         knowledge,
         monitor.metrics,
         policy,
-        totals=Limits(cpu=host.config.cpu_total, mem=host.config.mem_total),
-        reserve=Limits(cpu=reserved_cpu, mem=reserved_mem),
+        capacity=Limits(cpu=host.config.usable_cpu, mem=host.config.usable_mem),
         horizon=3,
         emit=events.append,
     )

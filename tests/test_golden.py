@@ -4,8 +4,12 @@ Every artifact is a pure function of ``(scenario, seed)``, so a refactor that
 keeps behaviour must keep these bytes. A digest changes only in a change that
 alters artifacts on purpose and says why; to re-baseline, print a fresh run's
 digest for every pinned run with ``PYTHONPATH=src python tests/test_golden.py``.
+Adding ``--bench-seed 5`` also prints the digest of each benchmark workload's
+seed-5 round, the byte-identity check of a change that keeps behaviour.
 """
+import argparse
 import hashlib
+import sys
 import tempfile
 from pathlib import Path
 
@@ -230,7 +234,27 @@ def test_cluster_12_run_artifacts_unchanged(tmp_path):
     assert tree_digest(tmp_path) == CLUSTER_12_GOLDEN
 
 
+def bench_round_digests(seed: int) -> dict[str, str]:
+    """``tree_digest`` of each benchmark workload's round at ``seed``: every
+    scenario's ``RunReport.write`` tree, in a directory named by its index."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    digests = {}
+    for name, make in WORKLOADS.items():
+        with tempfile.TemporaryDirectory() as out:
+            for index, scenario in enumerate(make(seed)):
+                run_scenario(scenario).write(Path(out) / f"{index:03d}")
+            digests[name] = tree_digest(Path(out))
+    return digests
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the tree_digest of a fresh run of every pinned run.")
+    parser.add_argument(
+        "--bench-seed", type=int, help="also print the digest of each benchmark workload's round at this seed"
+    )
+    args = parser.parse_args()
     pinned = {name: lambda name=name: builtin_scenario(name) for name in sorted(GOLDEN)}
     pinned.update(
         expiring=expiring_scenario,
@@ -242,3 +266,6 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as out:
             run_scenario(build()).write(out)
             print(name, tree_digest(Path(out)))
+    if args.bench_seed is not None:
+        for name, digest in bench_round_digests(args.bench_seed).items():
+            print(f"{name}@{args.bench_seed}", digest)

@@ -5,7 +5,7 @@ import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
 from orchestrion.cli import main
-from orchestrion.scenario import ScenarioError, run_scenario, validate_scenario
+from orchestrion.scenario import ScenarioError, SimulationRunner, run_scenario, validate_scenario
 
 
 def exp1_mem_images_with_first(**fields):
@@ -14,6 +14,14 @@ def exp1_mem_images_with_first(**fields):
     for key, value in fields.items():
         images[0][key] = {**images[0][key], **value}
     return images
+
+
+def exp1_mem_schedule_with_first(**fields):
+    """exp1_mem's schedule, with its first entry's ``at_s`` replaced by ``fields``."""
+    schedule = builtin_scenario("exp1_mem")["schedule"]
+    first = {key: value for key, value in schedule[0].items() if key != "at_s"}
+    schedule[0] = {**first, **fields}
+    return schedule
 
 
 class TestBuiltinCatalog:
@@ -187,6 +195,19 @@ class TestCli:
             {"forecast": {"horizon": 5}},
             {"monitor": {"scrape_interval_s": 7.5}},
             {"policy": {"warmup_delay_s": 30.5}},
+            {"duration_s": "abc"},
+            {"seed": "x"},
+            {"schedule": exp1_mem_schedule_with_first(at_s="x")},
+            {"schedule": exp1_mem_schedule_with_first(after_stable_cycles="x")},
+            {
+                "cluster": True,
+                "devices": [{"address": "edge-0"}, {"address": "edge-1"}],
+                "schedule": [{"at_s": 15, "owner": "vendor-a", "image": "memory-1"}],
+            },
+            {"images": exp1_mem_images_with_first(request={"cpu": "x"})},
+            {"images": exp1_mem_images_with_first(request={"cpu": -5}, base={"cpu": -10})},
+            {"cluster": "false"},
+            {"schedule": exp1_mem_schedule_with_first(at_s=15.5)},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
@@ -195,3 +216,18 @@ class TestCli:
         assert main(["run", str(scenario_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_entry_missing_a_key_names_it(self, tmp_path, capsys):
+        scenario_path = tmp_path / "bad.json"
+        scenario_path.write_text(json.dumps({**builtin_scenario("exp1_mem"), "devices": [{"cpu_total": 1000}]}))
+        assert main(["run", str(scenario_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: devices[0]: missing key 'address'"]
+
+    def test_key_error_inside_a_run_is_not_a_scenario_error(self, monkeypatch):
+        def run(runner):
+            raise KeyError("a bug, not bad input")
+
+        monkeypatch.setattr(SimulationRunner, "run", run)
+        with pytest.raises(KeyError, match="a bug"):
+            main(["run", "--builtin", "exp1_mem"])
