@@ -8,22 +8,24 @@ Ten synthetic workloads are available: five patterns, each in a CPU-dominant
 and a memory-dominant flavor.
 
 A tick reads each container's dominant demand from a table indexed by phase,
-at most one period long. The host fills an entry from :func:`workload_demand`
-the first time a container reaches that phase, so a container that dies early
-pays only for the phases it lived. Containers of one :class:`WorkloadSpec`
-share a table, except for pattern 4, whose noise is keyed by container; the
-tables belong to the host and die with it. A table is a list of chunks of
-``1 << CHUNK_BITS`` phases, added as phases are reached.
+at most one period long. A table is a list of chunks of ``1 << CHUNK_BITS``
+(64) phases. The first time a container reaches a phase of a chunk not yet in
+its table, the host fills that whole chunk with one :func:`demand_range` call,
+so a container that dies early pays only for the chunks it reached.
+Containers of one :class:`WorkloadSpec` share a table, except for pattern 4,
+whose noise is keyed by container; the tables belong to the host and die
+with it.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import struct
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from hashlib import sha256
 
-from .model import Limits
+from .model import Limits, require_int
 
 logger = logging.getLogger(__name__)
 
@@ -36,11 +38,10 @@ STATUS_STOPPED = "stopped"
 FLAT_CPU_MCPU = 20
 FLAT_MEM_MB = 20
 
-# Demand-table entry of a phase no container has reached yet.
-UNFILLED = -1
 # A demand-table chunk holds 64 phases: its 512-byte buffer stays in Python's
 # small-object allocator. Whole-period arrays lived on the C heap, and the
 # fragmentation they left raised the peak RSS of some 16-device runs by 10 MB.
+# A table holds only full chunks; the last chunk of a period may be shorter.
 CHUNK_BITS = 6
 CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
@@ -64,6 +65,10 @@ _DIURNAL_POINTS = (
     (0.90, 0.45),
     (1.00, 0.40),
 )
+_DIURNAL_U = tuple(u for u, _ in _DIURNAL_POINTS)
+# Pattern 4's noise is the first 7 bytes of a SHA-256 digest, scaled into [0, 1).
+_NOISE_SCALE = float(1 << 56)
+_pack_q = struct.Struct(">q").pack
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,8 @@ class WorkloadSpec:
     peak: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("pattern", "period_s", "peak"):
+            require_int(name, getattr(self, name))
         if self.pattern not in PATTERN_NAMES:
             raise ValueError(f"unknown pattern {self.pattern}")
         if self.workload_class not in ("cpu", "mem"):
@@ -94,53 +101,62 @@ class WorkloadSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadSpec":
         return cls(
-            pattern=int(data["pattern"]),
-            workload_class=str(data["workload_class"]),
-            period_s=int(data["period_s"]),
-            peak=int(data["peak"]),
+            pattern=data["pattern"],
+            workload_class=data["workload_class"],
+            period_s=data["period_s"],
+            peak=data["peak"],
         )
 
 
-def _noise01(seed: int, key: str, phase: int) -> float:
-    """Deterministic pseudo-random value in [0, 1) from (seed, key, phase)."""
-    digest = hashlib.sha256(struct.pack(">q", seed) + key.encode("utf-8") + struct.pack(">q", phase)).digest()
-    return int.from_bytes(digest[:7], "big") / float(1 << 56)
+def _diurnal_level(u: float) -> float:
+    """Pattern 5's level at phase fraction ``u`` in [0, 1): linear between
+    the key points, on the first segment whose end is at or after ``u``."""
+    i = bisect_left(_DIURNAL_U, u, 1)
+    (u0, l0), (u1, l1) = _DIURNAL_POINTS[i - 1], _DIURNAL_POINTS[i]
+    return l0 + (u - u0) / (u1 - u0) * (l1 - l0)
 
 
-def pattern_level(pattern: int, u: float, noise: float) -> float:
-    """Normalized demand level in [0, 1] at phase fraction ``u`` of the period."""
+def demand_range(spec: WorkloadSpec, first: int, last: int, seed: int = 0, key: str = "") -> list[int]:
+    """Dominant-resource demand at phases ``first`` to ``last - 1`` of one
+    period, ``0 <= first <= last <= spec.period_s``.
+
+    The dominant resource follows the pattern's level, in [0, 1], scaled to
+    the peak. Pattern 4's level dithers below 1 by noise drawn from
+    ``(seed, key, phase)``; the other patterns depend on the phase alone.
+    """
+    if not 0 <= first <= last <= spec.period_s:
+        raise ValueError(f"phases [{first}, {last}) outside one period of {spec.period_s} s")
+    period, peak, pattern = spec.period_s, spec.peak, spec.pattern
+    phases = range(first, last)
     if pattern == 1:  # slow triangular ramp to peak and back
-        return 2.0 * u if u < 0.5 else 2.0 * (1.0 - u)
-    if pattern == 2:  # step jumps between 20% and 100%
-        return 0.2 if u < 0.5 else 1.0
-    if pattern == 3:  # on-off square wave, on first
-        return 1.0 if u < 0.5 else 0.1
-    if pattern == 4:  # small dither below the peak; never exceeds it
-        return 1.0 - 0.05 * noise
-    # pattern 5: piecewise diurnal profile
-    for (u0, l0), (u1, l1) in zip(_DIURNAL_POINTS, _DIURNAL_POINTS[1:]):
-        if u0 <= u <= u1:
-            if u1 == u0:
-                return l1
-            frac = (u - u0) / (u1 - u0)
-            return l0 + frac * (l1 - l0)
-    return _DIURNAL_POINTS[-1][1]
+        levels = [2.0 * u if u < 0.5 else 2.0 * (1.0 - u) for u in (p / period for p in phases)]
+    elif pattern == 2:  # step jumps between 20% and 100%
+        levels = [0.2 if p / period < 0.5 else 1.0 for p in phases]
+    elif pattern == 3:  # on-off square wave, on first
+        levels = [1.0 if p / period < 0.5 else 0.1 for p in phases]
+    elif pattern == 4:  # small dither below the peak; never exceeds it
+        prefix = _pack_q(seed) + key.encode("utf-8")
+        levels = [
+            1.0 - 0.05 * (int.from_bytes(sha256(prefix + _pack_q(p)).digest()[:7], "big") / _NOISE_SCALE)
+            for p in phases
+        ]
+    else:  # pattern 5: piecewise diurnal profile
+        levels = [_diurnal_level(p / period) for p in phases]
+    # a float product can round past a peak above 2**53
+    return [min(round(peak * level), peak) for level in levels]
 
 
 def workload_demand(spec: WorkloadSpec, phase_s: int, seed: int = 0, key: str = "") -> tuple[int, int]:
     """Demanded ``(cpu, mem)`` at ``phase_s`` seconds into the workload's life.
 
     Deterministic and periodic: the same (spec, seed, key, phase mod period)
-    always yields the same demand. The dominant resource follows the pattern
-    scaled to the peak; the other resource stays flat.
+    always yields the same demand. The dominant resource follows
+    :func:`demand_range`; the other resource stays flat.
     """
     if phase_s < 0:
         raise ValueError("phase must be >= 0")
     phase = phase_s % spec.period_s
-    u = phase / spec.period_s
-    noise = _noise01(seed, key, phase) if spec.pattern == 4 else 0.0
-    amount = int(round(spec.peak * pattern_level(spec.pattern, u, noise)))
-    amount = min(amount, spec.peak)
+    (amount,) = demand_range(spec, phase, phase + 1, seed, key)
     if spec.workload_class == "cpu":
         return amount, FLAT_MEM_MB
     return FLAT_CPU_MCPU, amount
@@ -156,6 +172,8 @@ class HostConfig:
     reserved_mem: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("cpu_total", "mem_total", "reserved_cpu", "reserved_mem"):
+            require_int(name, getattr(self, name))
         if self.cpu_total <= 0 or self.mem_total <= 0:
             raise ValueError("host totals must be positive")
         if not 0 <= self.reserved_cpu <= self.cpu_total:
@@ -221,7 +239,10 @@ class HostSimulator:
         self.seed = seed
         self.device = device
         self.now = 0
-        self._containers: dict[str, ContainerState] = {}
+        self._usable_cpu = config.usable_cpu
+        self._usable_mem = config.usable_mem
+        self._containers: dict[str, ContainerState] = {}  # every container ever run
+        self._live: dict[str, ContainerState] = {}  # the running ones, in registration order
         self._counter = 0
         self._pending_final: dict[str, dict] = {}  # dead containers awaiting one last sample row
         self._pending_events: list[SimEvent] = []  # raised between ticks, returned by the next one
@@ -236,7 +257,7 @@ class HostSimulator:
         cid = f"c{self._counter:03d}@{self.device}"
         # pattern 4's noise is keyed by container, so it gets a table of its own
         table = [] if spec.pattern == 4 else self._tables.setdefault(spec, [])
-        self._containers[cid] = ContainerState(
+        self._containers[cid] = self._live[cid] = ContainerState(
             container_id=cid,
             spec=spec,
             limits=limits,
@@ -264,7 +285,7 @@ class HostSimulator:
             raise KeyError(f"unknown container {cid}") from None
 
     def running_containers(self) -> list[ContainerState]:
-        return [c for c in self._containers.values() if c.status == STATUS_RUNNING]
+        return list(self._live.values())
 
     def _running(self, cid: str) -> ContainerState:
         state = self.container(cid)
@@ -274,6 +295,7 @@ class HostSimulator:
 
     def _retire(self, state: ContainerState, status: str) -> None:
         state.status = status
+        del self._live[state.container_id]
         self._pending_final[state.container_id] = {
             "cpu_util": state.last_cpu_util,
             "mem_util": 0,
@@ -291,18 +313,15 @@ class HostSimulator:
         self.now += 1
         events, self._pending_events = self._pending_events, []
         now = self.now
-        mem_budget = self.config.usable_mem
-        cpu_budget = self.config.usable_cpu
-        for state in self._containers.values():
-            if state.status != STATUS_RUNNING:
-                continue
+        mem_budget = self._usable_mem
+        cpu_budget = self._usable_cpu
+        killed: list[ContainerState] = []
+        for state in self._live.values():
             spec = state.spec
             phase = (now - state.start_t) % spec.period_s
             try:
                 amount = state.demand[phase >> CHUNK_BITS][phase & CHUNK_MASK]
             except IndexError:
-                amount = UNFILLED
-            if amount == UNFILLED:
                 amount = self._fill_demand(state, phase)
             if spec.workload_class == "cpu":
                 cpu, mem = amount, FLAT_MEM_MB
@@ -315,7 +334,7 @@ class HostSimulator:
             if mem > limits.mem or mem > mem_budget:
                 reason = "limit" if mem > limits.mem else "host_capacity"
                 state.mem_usage = 0
-                self._retire(state, STATUS_KILLED_OOM)
+                killed.append(state)
                 events.append(
                     SimEvent(
                         kind="oom_kill",
@@ -342,17 +361,19 @@ class HostSimulator:
             state.window_granted += granted
             if want > granted:
                 state.window_throttled += 1
+        for state in killed:  # off the live set only once the loop over it is done
+            self._retire(state, STATUS_KILLED_OOM)
         return events
 
     def _fill_demand(self, state: ContainerState, phase: int) -> int:
-        """Fill the table entry of a phase no container has reached yet."""
-        cpu, mem = workload_demand(state.spec, phase, self.seed, state.container_id)
-        amount = cpu if state.spec.workload_class == "cpu" else mem
-        table = state.demand
-        while len(table) <= phase >> CHUNK_BITS:  # phases are reached in order: one chunk at a time
-            table.append(array("q", [UNFILLED]) * (CHUNK_MASK + 1))
-        table[phase >> CHUNK_BITS][phase & CHUNK_MASK] = amount
-        return amount
+        """Fill the table up to the chunk that holds ``phase`` and return its
+        entry. Phases are reached in order, so that is one new chunk."""
+        spec, table = state.spec, state.demand
+        while len(table) <= phase >> CHUNK_BITS:
+            first = len(table) << CHUNK_BITS
+            last = min(first + CHUNK_MASK + 1, spec.period_s)
+            table.append(array("q", demand_range(spec, first, last, self.seed, state.container_id)))
+        return table[phase >> CHUNK_BITS][phase & CHUNK_MASK]
 
     # -- metrics -----------------------------------------------------------------
 
@@ -361,9 +382,7 @@ class HostSimulator:
         containers: dict[str, dict] = {}
         used_cpu = 0
         used_mem = 0
-        for state in self._containers.values():
-            if state.status != STATUS_RUNNING:
-                continue
+        for state in self._live.values():
             ticks = max(state.window_ticks, 1)
             cpu_util = int(round(state.window_granted / ticks))
             throttle_pct = 100.0 * state.window_throttled / ticks
@@ -390,6 +409,6 @@ class HostSimulator:
         return MetricsSample(
             t=self.now,
             containers=containers,
-            avail_cpu=self.config.usable_cpu - used_cpu,
-            avail_mem=self.config.usable_mem - used_mem,
+            avail_cpu=self._usable_cpu - used_cpu,
+            avail_mem=self._usable_mem - used_mem,
         )

@@ -39,19 +39,21 @@ class Knowledge:
 
     def __init__(self) -> None:
         self.containers: dict[str, ContainerRecord] = {}
+        self._live: dict[str, ContainerRecord] = {}  # the running ones, in registration order
         self.deployments: dict[str, DeploymentRecord] = {}
 
     def register_container(self, record: ContainerRecord) -> None:
-        self.containers[record.container_id] = record
+        self.containers[record.container_id] = self._live[record.container_id] = record
 
     def active(self) -> list[ContainerRecord]:
         """Running containers in registration order (oldest first)."""
-        return [c for c in self.containers.values() if c.status == "running"]
+        return list(self._live.values())
 
     def mark_dead(self, cid: str, status: str) -> None:
         rec = self.containers.get(cid)
         if rec is not None:
             rec.status = status
+            self._live.pop(cid, None)
 
     def set_limits(self, cid: str, limits: Limits) -> None:
         rec = self.containers.get(cid)

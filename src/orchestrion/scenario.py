@@ -205,10 +205,10 @@ class SimulationRunner:
         for index, dev in enumerate(scn["devices"]):
             with _reading(f"devices[{index}]"):
                 host_config = HostConfig(
-                    cpu_total=int(dev.get("cpu_total", 1000)),
-                    mem_total=int(dev.get("mem_total", 1000)),
-                    reserved_cpu=int(dev.get("reserved_cpu", 0)),
-                    reserved_mem=int(dev.get("reserved_mem", 0)),
+                    cpu_total=dev.get("cpu_total", 1000),
+                    mem_total=dev.get("mem_total", 1000),
+                    reserved_cpu=dev.get("reserved_cpu", 0),
+                    reserved_mem=dev.get("reserved_mem", 0),
                 )
             address = dev["address"]
             host = HostSimulator(host_config, seed=self.seed, device=address)
@@ -358,13 +358,18 @@ def validate_scenario(scenario: dict) -> dict:
         raise ScenarioError("duration_s must be positive")
     if not isinstance(scenario.get("cluster", False), bool):
         raise ScenarioError(f"cluster must be true or false, got {scenario['cluster']!r}")
-    if not scenario["devices"]:
-        raise ScenarioError("at least one device is required")
     for section, keys in ENTRY_KEYS.items():
-        for index, entry in enumerate(scenario.get(section, [])):
+        entries = scenario.get(section, [])
+        if not isinstance(entries, list):
+            raise ScenarioError(f"{section}: must be a list of objects, got {entries!r}")
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ScenarioError(f"{section}[{index}]: must be an object, got {entry!r}")
             for key in keys:
                 if key not in entry:
                     raise ScenarioError(f"{section}[{index}]: missing key {key!r}")
+    if not scenario["devices"]:
+        raise ScenarioError("at least one device is required")
 
     addresses = [d["address"] for d in scenario["devices"]]
     bridged = scenario.get("cluster", False) and len(addresses) > 1

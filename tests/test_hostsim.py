@@ -1,18 +1,22 @@
+import hashlib
 import math
+import struct
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orchestrion.hostsim import (
+    CHUNK_BITS,
     FLAT_CPU_MCPU,
     FLAT_MEM_MB,
     HostConfig,
     HostSimulator,
     STATUS_KILLED_OOM,
     STATUS_RUNNING,
-    UNFILLED,
+    STATUS_STOPPED,
     WorkloadSpec,
+    demand_range,
     workload_demand,
 )
 from orchestrion.model import Limits
@@ -160,13 +164,17 @@ class TestOomSemantics:
         assert sample.avail_mem == 1000
 
 
+CHUNK = 1 << CHUNK_BITS
+
+
 def entries(table):
     """A chunked demand table's entries, indexed by phase."""
     return list(chain.from_iterable(table))
 
 
-def filled(table):
-    return [phase for phase, amount in enumerate(entries(table)) if amount != UNFILLED]
+def chunk_sizes(table):
+    """Entries per chunk: a table holds only chunks filled whole."""
+    return [len(chunk) for chunk in table]
 
 
 class TestDemandTables:
@@ -180,9 +188,9 @@ class TestDemandTables:
             host.tick()
         table = host.container(cid).demand
         dominant = 0 if workload_class == "cpu" else 1
-        assert filled(table) == list(range(spec.period_s))
-        for phase in filled(table):
-            assert entries(table)[phase] == workload_demand(spec, phase, 7, cid)[dominant]
+        assert chunk_sizes(table) == [CHUNK, spec.period_s - CHUNK]
+        for phase, amount in enumerate(entries(table)):
+            assert amount == workload_demand(spec, phase, 7, cid)[dominant]
 
     def test_noisy_pattern_has_a_table_per_container(self):
         host = HostSimulator(HostConfig(cpu_total=4000, mem_total=4000), seed=7)
@@ -193,9 +201,10 @@ class TestDemandTables:
         tables = [host.container(cid).demand for cid in cids]
         assert tables[0] != tables[1]
         for cid, table in zip(cids, tables):
-            assert filled(table) == list(range(1, 46))
-            for phase in filled(table):
-                assert entries(table)[phase] == workload_demand(spec, phase, 7, cid)[0]
+            # phases 1 to 45 were reached; their chunk is the whole 60 s period
+            assert chunk_sizes(table) == [60]
+            for phase, amount in enumerate(entries(table)):
+                assert amount == workload_demand(spec, phase, 7, cid)[0]
 
     def test_other_patterns_share_a_table_per_spec(self):
         host = HostSimulator(HostConfig(cpu_total=4000, mem_total=4000))
@@ -206,21 +215,28 @@ class TestDemandTables:
         assert host.container(first).demand is host.container(second).demand
         assert host.container(first).demand is not host.container(other).demand
 
-    def test_container_killed_on_first_tick_fills_only_that_phase(self):
+    def test_container_killed_on_first_tick_fills_only_that_chunk(self):
         host = HostSimulator(HostConfig())
         cid = host.run_container(mem_spec(3), Limits(cpu=50, mem=10))
         assert [e.kind for e in host.tick()] == ["oom_kill"]
         for _ in range(20):
             host.tick()
-        assert filled(host.container(cid).demand) == [1]
+        table = host.container(cid).demand
+        assert chunk_sizes(table) == [CHUNK]
+        assert entries(table)[1] == 95
 
     def test_table_grows_with_the_phases_reached(self):
         host = HostSimulator(HostConfig())
-        cid = host.run_container(mem_spec(1, period=10**9), Limits(cpu=100, mem=150))
-        for _ in range(5):
-            host.tick()
-        assert filled(host.container(cid).demand) == [1, 2, 3, 4, 5]
-        assert len(host.container(cid).demand) == 1  # one chunk of phases
+        spec = mem_spec(1, period=10**9)
+        cid = host.run_container(spec, Limits(cpu=100, mem=150))
+        table = host.container(cid).demand
+        # (ticks so far, chunks filled): phase t lies in chunk t // 64
+        for ticks, chunks in ((5, 1), (CHUNK - 1, 1), (CHUNK, 2), (2 * CHUNK - 1, 2), (2 * CHUNK, 3)):
+            while host.now < ticks:
+                host.tick()
+            assert chunk_sizes(table) == [CHUNK] * chunks
+        for phase, amount in enumerate(entries(table)):
+            assert amount == workload_demand(spec, phase)[1]
 
 
 class TestThrottling:
@@ -327,3 +343,168 @@ class TestDeterminism:
 
         assert run(33) == run(33)
         assert run(33) != run(34)  # pattern-4 noise differs across seeds
+
+
+class TestLiveContainers:
+    @pytest.mark.parametrize("status", [STATUS_KILLED_OOM, STATUS_STOPPED])
+    def test_registration_order_survives_a_death(self, status):
+        # 500 mCPU for three containers that each want 400 while on
+        host = HostSimulator(HostConfig(cpu_total=500))
+        first, middle, last = (host.run_container(cpu_spec(3, peak=400), Limits(cpu=400, mem=64)) for _ in range(3))
+        if status == STATUS_STOPPED:
+            host.stop_container(middle)
+            kind = "stopped"
+        else:
+            host.update_limits(middle, Limits(cpu=400, mem=10))  # below its flat 20 MB
+            kind = "oom_kill"
+        assert [(e.kind, e.container_id) for e in host.tick()] == [(kind, middle)]
+        assert [s.container_id for s in host.running_containers()] == [first, last]
+        # the first-registered live container is still granted first
+        assert host.container(first).window_granted == 400
+        assert host.container(last).window_granted == 100
+
+        sample = host.sample_metrics()
+        assert list(sample.containers) == [first, last, middle]
+        assert sample.containers[middle]["status"] == status
+        assert [row["cpu_util"] for row in sample.containers.values()] == [400, 100, 0]
+
+        for _ in range(5):
+            assert host.tick() == []
+        sample = host.sample_metrics()
+        assert list(sample.containers) == [first, last]  # the dead container appeared once
+        assert [row["cpu_util"] for row in sample.containers.values()] == [400, 100]
+        assert host.container(middle).status == status
+
+
+# -- equivalence with the per-phase implementation ------------------------------
+
+# Frozen copies of the earlier per-phase workload_demand and its helpers. The
+# chunk fill must give the same integers entry for entry, because every
+# artifact hangs on them.
+
+REFERENCE_DIURNAL_POINTS = (
+    (0.00, 0.40),
+    (0.15, 0.30),
+    (0.30, 0.55),
+    (0.45, 0.80),
+    (0.55, 1.00),
+    (0.70, 0.85),
+    (0.80, 0.60),
+    (0.90, 0.45),
+    (1.00, 0.40),
+)
+
+
+def reference_noise01(seed, key, phase):
+    digest = hashlib.sha256(struct.pack(">q", seed) + key.encode("utf-8") + struct.pack(">q", phase)).digest()
+    return int.from_bytes(digest[:7], "big") / float(1 << 56)
+
+
+def reference_pattern_level(pattern, u, noise):
+    if pattern == 1:
+        return 2.0 * u if u < 0.5 else 2.0 * (1.0 - u)
+    if pattern == 2:
+        return 0.2 if u < 0.5 else 1.0
+    if pattern == 3:
+        return 1.0 if u < 0.5 else 0.1
+    if pattern == 4:
+        return 1.0 - 0.05 * noise
+    for (u0, l0), (u1, l1) in zip(REFERENCE_DIURNAL_POINTS, REFERENCE_DIURNAL_POINTS[1:]):
+        if u0 <= u <= u1:
+            if u1 == u0:
+                return l1
+            frac = (u - u0) / (u1 - u0)
+            return l0 + frac * (l1 - l0)
+    return REFERENCE_DIURNAL_POINTS[-1][1]
+
+
+def reference_workload_demand(spec, phase_s, seed=0, key=""):
+    if phase_s < 0:
+        raise ValueError("phase must be >= 0")
+    phase = phase_s % spec.period_s
+    u = phase / spec.period_s
+    noise = reference_noise01(seed, key, phase) if spec.pattern == 4 else 0.0
+    amount = int(round(spec.peak * reference_pattern_level(spec.pattern, u, noise)))
+    amount = min(amount, spec.peak)
+    if spec.workload_class == "cpu":
+        return amount, FLAT_MEM_MB
+    return FLAT_CPU_MCPU, amount
+
+
+PERIODS = (1, 63, 64, 65, 90, 1800, 10**9)
+
+
+@st.composite
+def phase_ranges(draw, period):
+    """``[first, last)`` within one period, mostly near a chunk boundary or
+    the period's end, at most three chunks long."""
+    anchor = draw(
+        st.one_of(
+            st.integers(0, period),
+            st.integers(0, period // CHUNK).map(lambda chunk: chunk * CHUNK),
+            st.just(period),
+        )
+    )
+    first = min(max(anchor + draw(st.integers(-CHUNK - 2, 2)), 0), period)
+    last = min(first + draw(st.integers(0, 3 * CHUNK)), period)
+    return first, last
+
+
+class TestDemandRange:
+    @given(
+        pattern=st.sampled_from([1, 2, 3, 4, 5]),
+        workload_class=st.sampled_from(["cpu", "mem"]),
+        period=st.sampled_from(PERIODS),
+        peak=st.one_of(st.integers(1, 2000), st.integers(1, 10**18)),
+        seed=st.integers(-(2**63), 2**63 - 1),
+        key=st.text(max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_range_equals_the_per_phase_reference(self, pattern, workload_class, period, peak, seed, key, data):
+        spec = WorkloadSpec(pattern=pattern, workload_class=workload_class, period_s=period, peak=peak)
+        first, last = data.draw(phase_ranges(period))
+        dominant = 0 if workload_class == "cpu" else 1
+        want = [reference_workload_demand(spec, phase, seed, key)[dominant] for phase in range(first, last)]
+        assert demand_range(spec, first, last, seed, key) == want
+        laps = data.draw(st.integers(0, 10**6))
+        for phase in range(first, min(last, first + 3)):
+            assert workload_demand(spec, phase + laps * period, seed, key) == reference_workload_demand(
+                spec, phase + laps * period, seed, key
+            )
+
+    @pytest.mark.parametrize("workload_class", ["cpu", "mem"])
+    @pytest.mark.parametrize("pattern", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_chunk_crossing_ranges_equal_the_reference(self, pattern, workload_class, period):
+        spec = WorkloadSpec(pattern=pattern, workload_class=workload_class, period_s=period, peak=150)
+        dominant = 0 if workload_class == "cpu" else 1
+        for first in sorted({min(first, period) for first in (0, CHUNK - 1, CHUNK + 1, max(period - CHUNK - 1, 0))}):
+            last = min(first + 2 * CHUNK + 1, period)
+            want = [reference_workload_demand(spec, phase, 3, "k")[dominant] for phase in range(first, last)]
+            assert demand_range(spec, first, last, 3, "k") == want
+
+    def test_noise_is_drawn_per_seed_and_key(self):
+        spec = cpu_spec(4, peak=10**6, period=200)
+        ranges = {}
+        for seed in (0, 1, -1):
+            for key in ("", "c001@10.0.0.1", "c002@10.0.0.1", "ü"):
+                ranges[seed, key] = got = demand_range(spec, 50, 150, seed, key)
+                assert got == [reference_workload_demand(spec, phase, seed, key)[0] for phase in range(50, 150)]
+        assert len({tuple(r) for r in ranges.values()}) == len(ranges)
+
+    @pytest.mark.parametrize("pattern", [1, 2, 3, 4, 5])
+    def test_peak_beyond_float_precision_never_exceeded(self, pattern):
+        peak = 2**54 - 1  # the float product at level 1.0 rounds up to 2**54
+        spec = WorkloadSpec(pattern=pattern, workload_class="mem", period_s=20, peak=peak)
+        got = demand_range(spec, 0, 20, 5, "k")
+        assert got == [reference_workload_demand(spec, phase, 5, "k")[1] for phase in range(20)]
+        if pattern == 4:
+            assert max(got) < peak
+        else:
+            assert max(got) == peak
+
+    @pytest.mark.parametrize("first, last", [(-1, 3), (5, 4), (0, 91)])
+    def test_range_outside_one_period_rejected(self, first, last):
+        with pytest.raises(ValueError):
+            demand_range(mem_spec(1, period=90), first, last)

@@ -208,6 +208,15 @@ class TestCli:
             {"images": exp1_mem_images_with_first(request={"cpu": -5}, base={"cpu": -10})},
             {"cluster": "false"},
             {"schedule": exp1_mem_schedule_with_first(at_s=15.5)},
+            {"devices": 5},
+            {"schedule": [5]},
+            {"images": {}},
+            {"devices": [{"address": "10.0.0.1", "cpu_total": 1000.9}]},
+            {"images": exp1_mem_images_with_first(workload={"period_s": 1800.9})},
+            {"devices": [{"address": "10.0.0.1", "reserved_mem": 0.5}]},
+            {"images": exp1_mem_images_with_first(workload={"pattern": 1.0})},
+            {"images": exp1_mem_images_with_first(workload={"peak": 95.5})},
+            {"images": [5]},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
@@ -216,6 +225,28 @@ class TestCli:
         assert main(["run", str(scenario_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"devices": 5}, "devices: must be a list of objects, got 5"),
+            ({"images": {}}, "images: must be a list of objects, got {}"),
+            ({"schedule": [5]}, "schedule[0]: must be an object, got 5"),
+            (
+                {"devices": [{"address": "10.0.0.1", "cpu_total": 1000.9}]},
+                "devices[0]: cpu_total must be an integer, got 1000.9",
+            ),
+            (
+                {"images": exp1_mem_images_with_first(workload={"period_s": 1800.9})},
+                "images[0]: period_s must be an integer, got 1800.9",
+            ),
+        ],
+    )
+    def test_bad_entry_names_its_section_and_index(self, tmp_path, capsys, block, message):
+        scenario_path = tmp_path / "bad.json"
+        scenario_path.write_text(json.dumps({**builtin_scenario("exp1_mem"), **block}))
+        assert main(["run", str(scenario_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_entry_missing_a_key_names_it(self, tmp_path, capsys):
         scenario_path = tmp_path / "bad.json"
