@@ -8,13 +8,11 @@ registry and a simulated container host. Scenarios are driven through
 
 __version__ = "0.1.0"
 
-from .model import Limits, OptimizationPolicy, Resource, clamp, delta_limit
+from .model import Limits, OptimizationPolicy, clamp
 
 __all__ = [
     "Limits",
     "OptimizationPolicy",
-    "Resource",
     "clamp",
-    "delta_limit",
     "__version__",
 ]

@@ -13,35 +13,24 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .bus import Action, Message, MessageBus, TOPIC_ANALYZE, TOPIC_DEPLOY, TOPIC_FORECAST
 from .forecaster import ForecastResult
 from .knowledge import Knowledge
-from .model import Limits, OptimizationPolicy, Resource
+from .model import RESOURCES, Limits, OptimizationPolicy
 
 logger = logging.getLogger(__name__)
 
 _EPS = 1e-9
 
+# the forecast series that predicts each resource's use
+_UTIL_METRICS = (("cpu", "cpu_util"), ("mem", "mem_util"))
+
 
 def _ceil_amount(value: float) -> int:
     """Integer ceiling that forgives float representation slop (100*1.1 -> 110)."""
     return int(math.ceil(value - _EPS))
-
-
-@dataclass
-class PredictionSet:
-    """Per-container clamped utilization peaks and the remaining availability.
-
-    ``avail`` may go negative; it is reported as-is, never floored.
-    """
-
-    peaks: dict[str, dict[Resource, float]] = field(default_factory=dict)
-    avail: dict[Resource, float] = field(default_factory=dict)
-
-    def avail_dict(self) -> dict[str, float]:
-        return {res.value: self.avail[res] for res in self.avail}
 
 
 @dataclass(frozen=True)
@@ -57,58 +46,43 @@ class AdmissionVerdict:
 def predict_availability(
     forecasts: dict[str, ForecastResult | None],
     currents: dict[str, Limits],
-    totals: Limits,
-    reserve: Limits | None = None,
-    last_observed: dict[str, dict] | None = None,
-) -> PredictionSet:
-    """Clamp predictions below current limits and subtract each container's
-    peak from the host totals (minus any configured reserve).
+    capacity: Limits,
+) -> dict[str, float]:
+    """Subtract each running container's predicted peak from the usable
+    capacity, per resource.
 
-    A container without a usable forecast contributes the larger of its
-    current limit and its last observed utilization.
+    A peak is the largest forecast value, floored at the current limit; a
+    container without a usable forecast counts its current limit alone. The
+    result may go negative: it is reported as-is, never floored.
     """
-    reserve = reserve or Limits(cpu=0, mem=0)
-    last_observed = last_observed or {}
-    pred = PredictionSet()
-    pred.avail = {
-        Resource.CPU: float(totals.cpu - reserve.cpu),
-        Resource.MEM: float(totals.mem - reserve.mem),
-    }
-    metric_by_resource = {Resource.CPU: "cpu_util", Resource.MEM: "mem_util"}
+    avail = {"cpu": float(capacity.cpu), "mem": float(capacity.mem)}
     for cid, limits in currents.items():
         forecast = forecasts.get(cid)
-        peaks: dict[Resource, float] = {}
-        for res, metric in metric_by_resource.items():
-            current = float(limits.get(res))
-            series = getattr(forecast, metric, None) if forecast is not None and not getattr(forecast, "error", None) else None
-            if series:
-                peak = max(max(current, value) for value in series)
-            else:
-                observed = float((last_observed.get(cid) or {}).get(metric, 0.0))
-                peak = max(current, observed)
-            peaks[res] = peak
-            pred.avail[res] -= peak
-        pred.peaks[cid] = peaks
-    return pred
+        usable = forecast is not None and not forecast.error
+        for res, metric in _UTIL_METRICS:
+            current = float(getattr(limits, res))
+            series = getattr(forecast, metric) if usable else None
+            avail[res] -= max(max(current, value) for value in series) if series else current
+    return avail
 
 
-def admit(target: Limits, pred: PredictionSet) -> AdmissionVerdict:
+def admit(target: Limits, avail: dict[str, float]) -> AdmissionVerdict:
     """Accept only if the target sits strictly below predicted availability
     for every resource; equality rejects."""
-    for res in (Resource.CPU, Resource.MEM):
-        if not float(target.get(res)) < pred.avail[res]:
+    for res in RESOURCES:
+        amount = getattr(target, res)
+        if not float(amount) < avail[res]:
             return AdmissionVerdict(
                 decision="reject",
-                reason=f"insufficient {res.value}: target {target.get(res)} vs predicted {pred.avail[res]:g}",
+                reason=f"insufficient {res}: target {amount} vs predicted {avail[res]:g}",
             )
     return AdmissionVerdict(decision="accept")
 
 
-def account_optimization(pred: PredictionSet, deltas: dict[Resource, int]) -> PredictionSet:
+def account_optimization(avail: dict[str, float], deltas: dict[str, int]) -> None:
     """Debit approved limit changes from the running availability."""
     for res, delta in deltas.items():
-        pred.avail[res] -= delta
-    return pred
+        avail[res] -= delta
 
 
 def optimize_memory(current: int, peak_util: float, policy: OptimizationPolicy) -> int:
@@ -238,23 +212,23 @@ class Analyzer:
 
     # -- admission -------------------------------------------------------------
 
-    def _availability(self, forecasts: dict[str, ForecastResult]) -> PredictionSet:
+    def _availability(self, forecasts: dict[str, ForecastResult]) -> dict[str, float]:
         # A container lacks a usable forecast only when it has no stored
         # sample yet, so its current limit alone stands for it.
         currents = {rec.container_id: rec.limits for rec in self.knowledge.active()}
         return predict_availability(forecasts, currents, self.capacity)
 
     def _finish_admission(self, payload: dict, forecasts: dict[str, ForecastResult]) -> None:
-        pred = self._availability(forecasts)
+        avail = self._availability(forecasts)
         target = Limits.from_dict(payload["target"])
-        verdict = admit(target, pred)
+        verdict = admit(target, avail)
         action = Action.DEPLOYMENT_ACCEPT if verdict.accepted else Action.DEPLOYMENT_CANCEL
         ruling = {
             "analysis_id": payload["analysis_id"],
             "attempt": payload["attempt"],
             "role": payload["role"],
             "target": target.as_dict(),
-            "avail": pred.avail_dict(),
+            "avail": avail,
             "reason": verdict.reason,
         }
         self.emit({"type": "admission", "deployment": payload["deployment_id"], "verdict": verdict.decision, **ruling})
@@ -270,7 +244,7 @@ class Analyzer:
     # -- optimization cycle ------------------------------------------------------
 
     def _finish_cycle(self, state: dict, forecasts: dict[str, ForecastResult]) -> None:
-        pred = self._availability(forecasts)
+        avail = self._availability(forecasts)
         changes = 0
         for cid in state["containers"]:
             record = self.knowledge.containers.get(cid)
@@ -279,18 +253,18 @@ class Analyzer:
             forecast = forecasts.get(cid)
             if forecast is None or forecast.error:
                 continue  # no usable forecast: leave the container alone
-            changes += self._optimize_container(record, forecast, pred, state["cycle"])
+            changes += self._optimize_container(record, forecast, avail, state["cycle"])
         self.emit(
             {
                 "type": "optimization_cycle",
                 "cycle": state["cycle"],
                 "containers": list(state["containers"]),
                 "changes": changes,
-                "avail": pred.avail_dict(),
+                "avail": avail,
             }
         )
 
-    def _optimize_container(self, record, forecast: ForecastResult, pred: PredictionSet, cycle: int) -> int:
+    def _optimize_container(self, record, forecast: ForecastResult, avail: dict[str, float], cycle: int) -> int:
         cid = record.container_id
         obs_mem = self.metrics.observed_max(cid, "mem_util")
         mem_target = optimize_memory(record.limits.mem, obs_mem, self.policy)
@@ -301,38 +275,39 @@ class Analyzer:
         throttle_peak = max(forecast.throttle_pct) if forecast.throttle_pct else 0.0
         cpu_target = optimize_cpu(record.limits.cpu, cpu_peak, throttle_peak, self.policy, self.capacity.cpu)
 
-        applied: dict[Resource, int] = {}
-        final = record.limits
-        for res, target_value in ((Resource.MEM, mem_target), (Resource.CPU, cpu_target)):
-            current_value = record.limits.get(res)
+        deltas: dict[str, int] = {}
+        targets: dict[str, int] = {}
+        for res, target_value in (("mem", mem_target), ("cpu", cpu_target)):
+            current_value = getattr(record.limits, res)
             delta = target_value - current_value
             if delta == 0:
                 continue
-            if delta > 0 and not delta < pred.avail[res]:
+            if delta > 0 and not delta < avail[res]:
                 self.emit(
                     {
                         "type": "optimization_denied",
                         "container": cid,
-                        "resource": res.value,
+                        "resource": res,
                         "wanted": target_value,
                         "current": current_value,
-                        "avail": pred.avail[res],
+                        "avail": avail[res],
                         "cycle": cycle,
                     }
                 )
                 continue
-            applied[res] = delta
-            final = final.with_value(res, target_value)
-        if not applied:
+            deltas[res] = delta
+            targets[res] = target_value
+        if not deltas:
             return 0
-        account_optimization(pred, applied)
+        account_optimization(avail, deltas)
+        final = replace(record.limits, **targets)
         change = {"container": cid, "cycle": cycle, "previous": record.limits.as_dict()}
         self.emit(
             {
                 "type": "optimization",
                 **change,
                 "target": final.as_dict(),
-                "deltas": {res.value: d for res, d in applied.items()},
+                "deltas": deltas,
             }
         )
         self.bus.publish(

@@ -4,7 +4,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .hostsim import WorkloadSpec, workload_demand
-from .model import OptimizationPolicy
+from .model import ContractViolation, OptimizationPolicy, require_int
 from .monitor import MonitorConfig
 
 
@@ -27,10 +27,9 @@ def evaluate_expectations(
 
 def _image_rows(report, image: str) -> list[dict]:
     rows: list[dict] = []
-    for cid in report.containers_of_image(image):
-        for (_, trace_cid), trace in report.traces.items():
-            if trace_cid == cid:
-                rows.extend(trace)
+    for event in report.events_of("deployed"):
+        if event["image"] == image:
+            rows.extend(report.traces.get((event["device"], event["container"]), ()))
     return sorted(rows, key=lambda r: r["t"])
 
 
@@ -238,38 +237,33 @@ def _executor_sequence(report, scenario, params, policy, monitor):
 def _cluster_message_overhead(report, scenario, params, policy, monitor):
     """Per deployment: exactly one bridged cluster/deploy broadcast and exactly
     one analysis request cluster-wide."""
-    deployments = [e["deployment"] for e in report.events_of("request_submitted")]
-    failures = []
-    details = {}
-    for dep in deployments:
-        bridged_ids = {
-            m["msg_id"]
-            for m in report.messages
-            if m["topic"] == "cluster/deploy" and m["correlation_id"] == dep and m["action"] == "deployment_request"
-        }
-        analysis_count = sum(
-            1
-            for m in report.messages
-            if m["action"] == "deployment_analysis_request"
+    deployment_of: dict[str, str] = {}  # analysis id -> deployment, first admission wins
+    for event in report.admissions():
+        deployment_of.setdefault(event["analysis_id"], event["deployment"])
+    bridged_ids: dict[str, set] = defaultdict(set)
+    analysis_counts: dict[str, int] = defaultdict(int)
+    for m in report.messages:
+        if m["topic"] == "cluster/deploy" and m["action"] == "deployment_request":
+            bridged_ids[m["correlation_id"]].add(m["msg_id"])
+        elif (
+            m["action"] == "deployment_analysis_request"
             and m["bridged_from"] is None
             and m["correlation_id"].startswith("a")
-            and _analysis_belongs(report, m["correlation_id"], dep)
-        )
-        details[dep] = {"bridged": len(bridged_ids), "analysis_requests": analysis_count}
-        if len(bridged_ids) != 1:
-            failures.append(f"{dep}: {len(bridged_ids)} bridged deploy broadcasts")
+            and m["correlation_id"] in deployment_of
+        ):
+            analysis_counts[deployment_of[m["correlation_id"]]] += 1
+    failures = []
+    details = {}
+    for dep in (e["deployment"] for e in report.events_of("request_submitted")):
+        bridged, analysis_count = len(bridged_ids[dep]), analysis_counts[dep]
+        details[dep] = {"bridged": bridged, "analysis_requests": analysis_count}
+        if bridged != 1:
+            failures.append(f"{dep}: {bridged} bridged deploy broadcasts")
         if analysis_count != 1:
             failures.append(f"{dep}: {analysis_count} analysis requests")
     if failures:
         return False, "; ".join(failures)
     return True, f"per-deployment overhead {details}"
-
-
-def _analysis_belongs(report, analysis_id: str, deployment: str) -> bool:
-    for event in report.admissions():
-        if event["analysis_id"] == analysis_id:
-            return event["deployment"] == deployment
-    return False
 
 
 def _existing_first(report, scenario, params, policy, monitor):
@@ -334,3 +328,68 @@ _EVALUATORS = {
     "existing_first": _existing_first,
     "final_throttle_below": _final_throttle_below,
 }
+
+
+# -- parameter checks, run before the simulation ---------------------------------
+
+
+def _must(what: str, test):
+    def check(name: str, value) -> None:
+        if not test(value):
+            raise ContractViolation(f"{name} must be {what}, got {value!r}")
+
+    return check
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2
+
+
+_TEXT = _must("a string", lambda v: isinstance(v, str))
+_NUMBER = _must("a number", _is_number)
+_TEXTS = _must("a list of strings", lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v))
+_BANDS = _must(
+    "a map of image to [low, high]",
+    lambda v: isinstance(v, dict) and all(_is_pair(b) and all(map(_is_number, b)) for b in v.values()),
+)
+
+# parameter -> (check, required) for each type whose evaluator reads parameters
+_PARAMETERS = {
+    "decision_sequence": {
+        "resource": (_must("'cpu' or 'mem'", lambda v: v in ("cpu", "mem")), True),
+        "expect": (_must("a list of [verdict, amount] pairs", lambda v: isinstance(v, list) and all(map(_is_pair, v))), True),
+    },
+    "min_oom_per_deployment": {"min": (require_int, True)},
+    "mem_limits_in_band": {
+        "bands": (_BANDS, True),
+        "mode": (_must("'from_t' or 'final_container'", lambda v: v in ("from_t", "final_container")), False),
+        "from_s": (require_int, False),  # required in from_t mode
+    },
+    "newcomer_mem_band": {"bands": (_BANDS, True)},
+    "throttle_recovered": {"from_s": (require_int, True), "max_pct": (_NUMBER, True)},
+    "no_cpu_upscale": {
+        "image": (_TEXT, True),
+        "min_denials": (require_int, False),
+        "min_full_throttle_samples": (require_int, False),
+    },
+    "executor_sequence": {"expect": (_TEXTS, True)},
+    "existing_first": {"existing_images": (_TEXTS, True), "newcomer_images": (_TEXTS, True)},
+    "final_throttle_below": {"max_pct": (_NUMBER, True)},
+}
+
+
+def check_expectation(expectation: dict) -> None:
+    """Raise if a known expectation type misses a parameter its evaluator
+    reads, or has one of the wrong type. An unknown type passes: evaluation
+    reports it as a failed result."""
+    kind = expectation["type"]
+    _TEXT("type", kind)
+    for name, (check, required) in _PARAMETERS.get(kind, {}).items():
+        if name in expectation:
+            check(name, expectation[name])
+        elif required or (name == "from_s" and expectation.get("mode", "from_t") == "from_t"):
+            raise KeyError(name)

@@ -6,8 +6,7 @@ the availability arithmetic exact across components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, field
 from typing import Mapping
 
 
@@ -15,15 +14,7 @@ class ContractViolation(ValueError):
     """An operation was invoked outside its stated preconditions."""
 
 
-class Resource(str, Enum):
-    CPU = "cpu"
-    MEM = "mem"
-
-    def __str__(self) -> str:  # keep log/JSON output plain
-        return self.value
-
-
-RESOURCES = (Resource.CPU, Resource.MEM)
+RESOURCES = ("cpu", "mem")
 
 
 @dataclass(frozen=True)
@@ -38,19 +29,11 @@ class Limits:
 
     def __post_init__(self) -> None:
         for res in RESOURCES:
-            value = self.get(res)
+            value = getattr(self, res)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ContractViolation(f"{res.value} amount must be an integer, got {value!r}")
+                raise ContractViolation(f"{res} amount must be an integer, got {value!r}")
             if value < 0:
-                raise ContractViolation(f"{res.value} amount must be >= 0, got {value}")
-
-    def get(self, resource: Resource) -> int:
-        return self.cpu if resource is Resource.CPU else self.mem
-
-    def with_value(self, resource: Resource, value: int) -> "Limits":
-        if resource is Resource.CPU:
-            return replace(self, cpu=value)
-        return replace(self, mem=value)
+                raise ContractViolation(f"{res} amount must be >= 0, got {value}")
 
     def as_dict(self) -> dict[str, int]:
         return {"cpu": self.cpu, "mem": self.mem}
@@ -58,22 +41,6 @@ class Limits:
     @classmethod
     def from_dict(cls, data: Mapping[str, int]) -> "Limits":
         return cls(cpu=data["cpu"], mem=data["mem"])
-
-
-def delta_limit(target: "Limits | Mapping", current: "Limits | Mapping") -> dict[Resource, int]:
-    """Signed per-resource difference ``target - current``.
-
-    Both arguments must cover the same resource kinds; a mismatch is a
-    contract violation. Results may be negative (downscale).
-    """
-    target_map = _as_amount_map(target)
-    current_map = _as_amount_map(current)
-    if set(target_map) != set(current_map):
-        raise ContractViolation(
-            f"mismatched resource kinds: {sorted(r.value for r in target_map)} "
-            f"vs {sorted(r.value for r in current_map)}"
-        )
-    return {res: target_map[res] - current_map[res] for res in target_map}
 
 
 def clamp(value: int, lo: int, hi: int) -> int:
@@ -88,16 +55,6 @@ def require_int(name: str, value) -> None:
     integer seconds."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ContractViolation(f"{name} must be an integer, got {value!r}")
-
-
-def _as_amount_map(value: "Limits | Mapping") -> dict[Resource, int]:
-    if isinstance(value, Limits):
-        return {Resource.CPU: value.cpu, Resource.MEM: value.mem}
-    out: dict[Resource, int] = {}
-    for key, amount in value.items():
-        res = key if isinstance(key, Resource) else Resource(str(key))
-        out[res] = int(amount)
-    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -121,11 +78,6 @@ class DeviceId:
 
     def __str__(self) -> str:
         return self.address
-
-
-# Vendor defaults used when an image record omits limits.
-DEFAULT_REQUEST_LIMITS = Limits(cpu=200, mem=128)
-DEFAULT_BASE_LIMITS = Limits(cpu=100, mem=64)
 
 
 @dataclass
@@ -158,7 +110,7 @@ class OptimizationPolicy:
         if self.mem_min > self.mem_max:
             raise ContractViolation(f"mem_min {self.mem_min} > mem_max {self.mem_max}")
         for res in RESOURCES:
-            if self.scale_up.get(res) <= 0 or self.scale_down.get(res) <= 0:
+            if getattr(self.scale_up, res) <= 0 or getattr(self.scale_down, res) <= 0:
                 raise ContractViolation("scale amounts must be > 0")
         for name in ("optimization_interval_s", "warmup_delay_s"):
             require_int(name, getattr(self, name))

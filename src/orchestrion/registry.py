@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .model import DEFAULT_BASE_LIMITS, DEFAULT_REQUEST_LIMITS, Limits
-
 HASH_ALGORITHM = "sha256"
 
 
@@ -104,17 +102,10 @@ def content_hash(raw: bytes) -> str:
 class Registry:
     """Content store + ownership ledger + per-device metrics archive index."""
 
-    def __init__(
-        self,
-        root: Optional[str | Path] = None,
-        default_request_limits: Optional[Limits] = None,
-        default_base_limits: Optional[Limits] = None,
-    ) -> None:
+    def __init__(self, root: Optional[str | Path] = None) -> None:
         self._store: dict[str, bytes] = {}
         self._images: dict[tuple[str, str], ImageRecord] = {}
         self._archive_index: dict[str, list[str]] = {}
-        self.default_request_limits = default_request_limits or DEFAULT_REQUEST_LIMITS
-        self.default_base_limits = default_base_limits or DEFAULT_BASE_LIMITS
         self._root = Path(root) if root is not None else None
         if self._root is not None:
             self._load_disk()
@@ -126,21 +117,16 @@ class Registry:
         owner: str,
         name: str,
         blob: ImageBlob,
-        request_limits: Optional[dict] = None,
-        base_limits: Optional[dict] = None,
+        request_limits: dict,
+        base_limits: dict,
         caller: Optional[str] = None,
     ) -> str:
         """Store the blob and create/update the ledger entry; returns the hash.
 
         Only the recorded owner can deliver updates; base limits must not
-        exceed their paired request limits. Omitted limits fall back to the
-        configured defaults (see ``default_request_limits``).
+        exceed their paired request limits.
         """
         caller = caller if caller is not None else owner
-        if request_limits is None:
-            request_limits = self.default_request_limits.as_dict()
-        if base_limits is None:
-            base_limits = self.default_base_limits.as_dict()
         for res in ("cpu", "mem"):
             if int(base_limits[res]) > int(request_limits[res]):
                 raise RegistryError(

@@ -23,6 +23,7 @@ from pathlib import Path
 from .analyzer import Analyzer
 from .bus import EventSpine, Message, MessageBus, TOPIC_MONITOR, bridge_all
 from .deployer import Deployer
+from .expectations import check_expectation
 from .forecaster import ForecastConfig, Forecaster
 from .hostsim import HostConfig, HostSimulator, WorkloadSpec
 from .knowledge import Knowledge
@@ -40,6 +41,7 @@ ENTRY_KEYS = {
     "devices": ("address",),
     "images": ("owner", "name", "workload", "request", "base"),
     "schedule": ("owner", "image"),
+    "expectations": ("type",),
 }
 
 
@@ -397,6 +399,9 @@ def validate_scenario(scenario: dict) -> dict:
             raise ScenarioError(f"{where}: schedule references unknown image {entry['owner']}/{entry['image']}")
         if entry.get("device") and entry["device"] not in addresses:
             raise ScenarioError(f"{where}: schedule references unknown device {entry['device']}")
+    for index, expectation in enumerate(scenario.get("expectations", [])):
+        with _reading(f"expectations[{index}]"):
+            check_expectation(expectation)
     return scenario
 
 

@@ -10,7 +10,6 @@ import random
 import pytest
 
 from orchestrion.analyzer import (
-    PredictionSet,
     account_optimization,
     admit,
     optimize_cpu,
@@ -19,7 +18,7 @@ from orchestrion.analyzer import (
 )
 from orchestrion.builtins import builtin_scenario
 from orchestrion.forecaster import ForecastResult, ar_forecast, clip_series
-from orchestrion.model import Limits, OptimizationPolicy, Resource, clamp
+from orchestrion.model import Limits, OptimizationPolicy, clamp
 from orchestrion.registry import ImageBlob, Registry, OwnershipViolation, TamperError
 from orchestrion.scenario import run_scenario
 
@@ -207,32 +206,30 @@ def test_criterion_8_formula_unit_suite():
     conditions.append((clamp(128, 64, 512) == 128, "clamp identity"))
 
     # predicted-availability arithmetic
-    empty = predict_availability({}, {}, totals=Limits(cpu=1000, mem=400))
-    conditions.append((empty.avail[Resource.MEM] == pytest.approx(400.0, abs=1e-9), "empty host avail 400"))
+    empty = predict_availability({}, {}, capacity=Limits(cpu=1000, mem=400))
+    conditions.append((empty["mem"] == pytest.approx(400.0, abs=1e-9), "empty host avail 400"))
     forecasts = {
         "c1": ForecastResult(cpu_util=[10.0], mem_util=[95.0], throttle_pct=[0.0]),
         "c2": ForecastResult(cpu_util=[10.0], mem_util=[95.0], throttle_pct=[0.0]),
     }
     currents = {"c1": Limits(cpu=100, mem=150), "c2": Limits(cpu=100, mem=150)}
-    two = predict_availability(forecasts, currents, totals=Limits(cpu=1000, mem=400))
-    conditions.append((two.avail[Resource.MEM] == pytest.approx(100.0, abs=1e-9), "400 - 150 - 150 = 100"))
+    two = predict_availability(forecasts, currents, capacity=Limits(cpu=1000, mem=400))
+    conditions.append((two["mem"] == pytest.approx(100.0, abs=1e-9), "400 - 150 - 150 = 100"))
     above = predict_availability(
         {"c1": ForecastResult(cpu_util=[160.0], mem_util=[1.0], throttle_pct=[0.0])},
         {"c1": Limits(cpu=100, mem=64)},
-        totals=Limits(cpu=1000, mem=1000),
+        capacity=Limits(cpu=1000, mem=1000),
     )
-    conditions.append((above.peaks["c1"][Resource.CPU] == pytest.approx(160.0, abs=1e-9), "clamp keeps larger of limit/forecast"))
+    conditions.append((above["cpu"] == pytest.approx(840.0, abs=1e-9), "clamp keeps larger of limit/forecast: 1000 - 160"))
 
     # admission strictness and accounting
-    pred = PredictionSet()
-    pred.avail = {Resource.CPU: 1000.0, Resource.MEM: 100.0}
-    conditions.append((not admit(Limits(cpu=1, mem=100), pred).accepted, "equality rejects"))
-    pred2 = PredictionSet()
-    pred2.avail = {Resource.CPU: 300.0, Resource.MEM: 0.0}
-    account_optimization(pred2, {Resource.CPU: 50})
-    conditions.append((pred2.avail[Resource.CPU] == pytest.approx(250.0, abs=1e-9), "avail 300 - 50 = 250"))
-    account_optimization(pred2, {Resource.MEM: -40})
-    conditions.append((pred2.avail[Resource.MEM] == pytest.approx(40.0, abs=1e-9), "downscale frees 40"))
+    avail = {"cpu": 1000.0, "mem": 100.0}
+    conditions.append((not admit(Limits(cpu=1, mem=100), avail).accepted, "equality rejects"))
+    avail2 = {"cpu": 300.0, "mem": 0.0}
+    account_optimization(avail2, {"cpu": 50})
+    conditions.append((avail2["cpu"] == pytest.approx(250.0, abs=1e-9), "avail 300 - 50 = 250"))
+    account_optimization(avail2, {"mem": -40})
+    conditions.append((avail2["mem"] == pytest.approx(40.0, abs=1e-9), "downscale frees 40"))
 
     # forecaster worked examples
     ramp, _ = ar_forecast([float(v) for v in range(10, 101, 10)], horizon=2)

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from orchestrion.analyzer import (
     Analyzer,
-    PredictionSet,
     account_optimization,
     admit,
     optimize_cpu,
@@ -13,7 +12,7 @@ from orchestrion.analyzer import (
 )
 from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
 from orchestrion.forecaster import ForecastResult
-from orchestrion.model import Limits, OptimizationPolicy, Resource
+from orchestrion.model import Limits, OptimizationPolicy
 from orchestrion.scenario import run_scenario
 
 from test_golden import off_cadence_scenario
@@ -21,17 +20,15 @@ from test_golden import off_cadence_scenario
 POLICY = OptimizationPolicy()  # scale_up 50/20, scale_down 100/20, buffer/margin 1.1
 
 
-def pred_with(cpu_avail, mem_avail):
-    pred = PredictionSet()
-    pred.avail = {Resource.CPU: float(cpu_avail), Resource.MEM: float(mem_avail)}
-    return pred
+def avail_of(cpu_avail, mem_avail):
+    return {"cpu": float(cpu_avail), "mem": float(mem_avail)}
 
 
 class TestPredictAvailability:
     def test_no_containers_full_capacity(self):
-        pred = predict_availability({}, {}, totals=Limits(cpu=1000, mem=400))
-        assert pred.avail[Resource.MEM] == 400.0
-        assert pred.avail[Resource.CPU] == 1000.0
+        avail = predict_availability({}, {}, capacity=Limits(cpu=1000, mem=400))
+        assert avail["mem"] == 400.0
+        assert avail["cpu"] == 1000.0
 
     def test_two_containers_at_current_limits(self):
         forecasts = {
@@ -39,44 +36,43 @@ class TestPredictAvailability:
             "c2": ForecastResult(cpu_util=[20.0], mem_util=[95.0], throttle_pct=[0.0]),
         }
         currents = {"c1": Limits(cpu=100, mem=150), "c2": Limits(cpu=100, mem=150)}
-        pred = predict_availability(forecasts, currents, totals=Limits(cpu=1000, mem=400))
-        assert pred.avail[Resource.MEM] == 400.0 - 150.0 - 150.0
+        avail = predict_availability(forecasts, currents, capacity=Limits(cpu=1000, mem=400))
+        assert avail["mem"] == 400.0 - 150.0 - 150.0
 
     def test_forecast_above_limit_dominates(self):
         forecasts = {"c1": ForecastResult(cpu_util=[160.0], mem_util=[10.0], throttle_pct=[0.0])}
         currents = {"c1": Limits(cpu=100, mem=64)}
-        pred = predict_availability(forecasts, currents, totals=Limits(cpu=1000, mem=1000))
-        assert pred.peaks["c1"][Resource.CPU] == 160.0
-        assert pred.avail[Resource.CPU] == 840.0
+        avail = predict_availability(forecasts, currents, capacity=Limits(cpu=1000, mem=1000))
+        assert avail["cpu"] == 840.0  # 1000 - 160: the forecast peak, not the 100 limit
+        assert avail["mem"] == 936.0  # 1000 - 64: the limit, not the 10 forecast
 
-    def test_missing_forecast_uses_limit_or_observation(self):
-        currents = {"c1": Limits(cpu=100, mem=64)}
-        observed = {"c1": {"cpu_util": 120.0, "mem_util": 30.0}}
-        pred = predict_availability({}, currents, Limits(cpu=1000, mem=1000), last_observed=observed)
-        assert pred.peaks["c1"][Resource.CPU] == 120.0  # observation above limit
-        assert pred.peaks["c1"][Resource.MEM] == 64.0  # limit above observation
+    def test_missing_forecast_counts_the_current_limit(self):
+        currents = {"c1": Limits(cpu=100, mem=64), "c2": Limits(cpu=50, mem=32)}
+        forecasts = {"c2": ForecastResult(cpu_util=[500.0], mem_util=[500.0], error="fit failed")}
+        avail = predict_availability(forecasts, currents, Limits(cpu=1000, mem=1000))
+        assert avail == {"cpu": 850.0, "mem": 904.0}
 
-    def test_reserve_subtracted_and_negative_reported(self):
+    def test_negative_availability_reported(self):
         currents = {"c1": Limits(cpu=100, mem=300)}
-        pred = predict_availability({}, currents, Limits(cpu=1000, mem=1000), reserve=Limits(cpu=0, mem=800))
-        assert pred.avail[Resource.MEM] == -100.0  # reported, never floored
+        avail = predict_availability({}, currents, Limits(cpu=1000, mem=200))
+        assert avail["mem"] == -100.0  # reported, never floored
 
 
 class TestAdmission:
     def test_accept_below_availability(self):
-        verdict = admit(Limits(cpu=10, mem=150), pred_with(1000, 250))
+        verdict = admit(Limits(cpu=10, mem=150), avail_of(1000, 250))
         assert verdict.accepted
 
     def test_equality_rejects(self):
-        verdict = admit(Limits(cpu=10, mem=100), pred_with(1000, 100))
+        verdict = admit(Limits(cpu=10, mem=100), avail_of(1000, 100))
         assert not verdict.accepted
         assert "mem" in verdict.reason
 
     def test_cpu_accept_example(self):
-        assert admit(Limits(cpu=50, mem=1), pred_with(95, 1000)).accepted
+        assert admit(Limits(cpu=50, mem=1), avail_of(95, 1000)).accepted
 
     def test_any_resource_failing_rejects(self):
-        assert not admit(Limits(cpu=500, mem=10), pred_with(400, 1000)).accepted
+        assert not admit(Limits(cpu=500, mem=10), avail_of(400, 1000)).accepted
 
     @given(
         cpu=st.integers(min_value=0, max_value=1000),
@@ -86,11 +82,11 @@ class TestAdmission:
     )
     @settings(max_examples=200, deadline=None)
     def test_monotone_admission(self, cpu, mem, d_cpu, d_mem):
-        pred = pred_with(700, 600)
+        avail = avail_of(700, 600)
         big = Limits(cpu=cpu + d_cpu, mem=mem + d_mem)
         small = Limits(cpu=cpu, mem=mem)
-        if admit(big, pred).accepted:
-            assert admit(small, pred).accepted
+        if admit(big, avail).accepted:
+            assert admit(small, avail).accepted
 
 
 class TestOptimizeMemory:
@@ -167,27 +163,112 @@ class TestOptimizeCpu:
 
 class TestAccounting:
     def test_upscale_reduces_availability(self):
-        pred = pred_with(300, 500)
-        account_optimization(pred, {Resource.CPU: 50})
-        assert pred.avail[Resource.CPU] == 250.0
+        avail = avail_of(300, 500)
+        account_optimization(avail, {"cpu": 50})
+        assert avail["cpu"] == 250.0
 
     def test_downscale_frees_availability(self):
-        pred = pred_with(300, 500)
-        account_optimization(pred, {Resource.MEM: -40})
-        assert pred.avail[Resource.MEM] == 540.0
+        avail = avail_of(300, 500)
+        account_optimization(avail, {"mem": -40})
+        assert avail["mem"] == 540.0
 
     def test_zero_delta_no_change(self):
-        pred = pred_with(300, 500)
-        account_optimization(pred, {Resource.CPU: 0, Resource.MEM: 0})
-        assert pred.avail == {Resource.CPU: 300.0, Resource.MEM: 500.0}
+        avail = avail_of(300, 500)
+        account_optimization(avail, {"cpu": 0, "mem": 0})
+        assert avail == {"cpu": 300.0, "mem": 500.0}
 
     def test_conservation_over_a_cycle(self):
-        pred = pred_with(1000, 1000)
-        deltas = [{Resource.CPU: 50}, {Resource.CPU: -100}, {Resource.MEM: 20}, {Resource.CPU: 30}]
+        avail = avail_of(1000, 1000)
+        deltas = [{"cpu": 50}, {"cpu": -100}, {"mem": 20}, {"cpu": 30}]
         for delta in deltas:
-            account_optimization(pred, delta)
-        assert pred.avail[Resource.CPU] == 1000.0 - (50 - 100 + 30)
-        assert pred.avail[Resource.MEM] == 1000.0 - 20
+            account_optimization(avail, delta)
+        assert avail["cpu"] == 1000.0 - (50 - 100 + 30)
+        assert avail["mem"] == 1000.0 - 20
+
+
+# -- equivalence with the enum-keyed implementation ---------------------------------
+
+# Frozen copies of the earlier availability and admission arithmetic, which
+# keyed resources by an enum and could subtract a reserve and fall back to a
+# last observation. Called as the analyzer called them (no reserve, no
+# observation), the current ones must give the same floats bit for bit and
+# the same verdicts, because every admission and cycle event carries them.
+
+
+def reference_predict_availability(forecasts, currents, totals, reserve=None, last_observed=None):
+    reserve = reserve or Limits(cpu=0, mem=0)
+    last_observed = last_observed or {}
+    avail = {"cpu": float(totals.cpu - reserve.cpu), "mem": float(totals.mem - reserve.mem)}
+    for cid, limits in currents.items():
+        forecast = forecasts.get(cid)
+        for res, metric in (("cpu", "cpu_util"), ("mem", "mem_util")):
+            current = float(getattr(limits, res))
+            series = getattr(forecast, metric, None) if forecast is not None and not getattr(forecast, "error", None) else None
+            if series:
+                peak = max(max(current, value) for value in series)
+            else:
+                observed = float((last_observed.get(cid) or {}).get(metric, 0.0))
+                peak = max(current, observed)
+            avail[res] -= peak
+    return avail
+
+
+def reference_admit(target, avail):
+    for res in ("cpu", "mem"):
+        if not float(getattr(target, res)) < avail[res]:
+            return "reject", f"insufficient {res}: target {getattr(target, res)} vs predicted {avail[res]:g}"
+    return "accept", ""
+
+
+amounts = st.integers(min_value=0, max_value=5000)
+limits_st = st.builds(Limits, cpu=amounts, mem=amounts)
+# fractional values, values below a limit, and diverged values far above one
+series_st = st.lists(
+    st.one_of(
+        st.floats(min_value=0, max_value=300, allow_nan=False),
+        st.integers(min_value=0, max_value=5000).map(float),
+        st.floats(min_value=0, max_value=1e9, allow_nan=False),
+    ),
+    max_size=6,
+)
+forecast_st = st.one_of(
+    st.none(),
+    st.builds(ForecastResult, cpu_util=series_st, mem_util=series_st, throttle_pct=series_st),
+    st.builds(ForecastResult, cpu_util=series_st, mem_util=series_st, error=st.just("not enough history")),
+)
+
+
+@st.composite
+def decision_inputs(draw):
+    cids = draw(st.lists(st.sampled_from([f"c{i:03d}" for i in range(8)]), unique=True, max_size=8))
+    currents = {cid: draw(limits_st) for cid in cids}
+    # a container may have no entry at all, or a None one
+    forecasts = {cid: draw(forecast_st) for cid in cids if draw(st.booleans())}
+    return forecasts, currents, draw(limits_st), draw(limits_st)
+
+
+class TestMatchesReference:
+    @given(decision_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_availability_and_verdict_match_reference(self, inputs):
+        forecasts, currents, capacity, target = inputs
+        want = reference_predict_availability(forecasts, currents, capacity)
+        got = predict_availability(forecasts, currents, capacity)
+        assert list(got) == ["cpu", "mem"]
+        assert repr(got) == repr(want)
+        verdict = admit(target, got)
+        assert (verdict.decision, verdict.reason) == reference_admit(target, want)
+
+    @given(decision_inputs(), st.dictionaries(st.sampled_from(["mem", "cpu"]), st.integers(-500, 500)))
+    @settings(max_examples=200, deadline=None)
+    def test_accounting_matches_reference(self, inputs, deltas):
+        forecasts, currents, capacity, _ = inputs
+        want = reference_predict_availability(forecasts, currents, capacity)
+        for res, delta in deltas.items():
+            want[res] -= delta
+        got = predict_availability(forecasts, currents, capacity)
+        account_optimization(got, deltas)
+        assert repr(got) == repr(want)
 
 
 def test_containers_without_a_usable_forecast_have_no_samples(monkeypatch):

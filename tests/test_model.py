@@ -6,38 +6,8 @@ from orchestrion.model import (
     DeviceId,
     Limits,
     OptimizationPolicy,
-    Resource,
     clamp,
-    delta_limit,
 )
-
-
-class TestDeltaLimit:
-    def test_memory_downscale(self):
-        assert delta_limit({"mem": 130}, {"mem": 150}) == {Resource.MEM: -20}
-
-    def test_cpu_upscale(self):
-        assert delta_limit({"cpu": 120}, {"cpu": 100}) == {Resource.CPU: 20}
-
-    def test_identity(self):
-        limits = Limits(cpu=100, mem=128)
-        assert delta_limit(limits, limits) == {Resource.CPU: 0, Resource.MEM: 0}
-
-    def test_mismatched_kinds_rejected(self):
-        with pytest.raises(ContractViolation):
-            delta_limit({"mem": 100}, {"cpu": 100})
-
-    @given(
-        a=st.integers(min_value=0, max_value=10_000),
-        b=st.integers(min_value=0, max_value=10_000),
-        c=st.integers(min_value=0, max_value=10_000),
-        d=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_antisymmetric(self, a, b, c, d):
-        x, y = Limits(cpu=a, mem=b), Limits(cpu=c, mem=d)
-        forward = delta_limit(x, y)
-        backward = delta_limit(y, x)
-        assert forward == {res: -v for res, v in backward.items()}
 
 
 class TestClamp:
@@ -78,10 +48,6 @@ class TestLimits:
     def test_round_trip(self):
         limits = Limits(cpu=300, mem=150)
         assert Limits.from_dict(limits.as_dict()) == limits
-
-    def test_with_value(self):
-        limits = Limits(cpu=100, mem=100)
-        assert limits.with_value(Resource.MEM, 64) == Limits(cpu=100, mem=64)
 
 
 class TestDeviceId:

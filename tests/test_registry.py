@@ -66,22 +66,6 @@ class TestPublishAndGet:
         with pytest.raises(OwnershipViolation):
             reg.publish_image("vendor", "app", blob_from(b"x"), REQUEST, BASE, caller="mallory")
 
-    def test_omitted_limits_fall_back_to_defaults(self):
-        reg = Registry()
-        reg.publish_image("vendor", "app", blob_from(b"x"))
-        record = reg.get_image("vendor", "app")
-        assert (record.request_limit_cpu, record.request_limit_memory) == (200, 128)
-        assert (record.base_limit_cpu, record.base_limit_memory) == (100, 64)
-
-    def test_default_limits_configurable(self):
-        from orchestrion.model import Limits
-
-        reg = Registry(default_request_limits=Limits(cpu=300, mem=256), default_base_limits=Limits(cpu=150, mem=96))
-        reg.publish_image("vendor", "app", blob_from(b"x"))
-        record = reg.get_image("vendor", "app")
-        assert record.request_limit_memory == 256
-        assert record.base_limit_cpu == 150
-
 
 class TestBlobStore:
     def test_fetch_round_trip(self):

@@ -86,6 +86,13 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             validate_scenario(scenario)
 
+    def test_unknown_expectation_type_is_a_failed_result(self, tmp_path, capsys):
+        scenario = {**builtin_scenario("exp1_mem"), "duration_s": 60, "expectations": [{"type": "nonsense"}]}
+        scenario_path = tmp_path / "unknown.json"
+        scenario_path.write_text(json.dumps(scenario))
+        assert main(["run", str(scenario_path)]) == 2
+        assert "[FAIL] nonsense: unknown expectation type 'nonsense'" in capsys.readouterr().out
+
     def test_duplicate_devices(self):
         scenario = builtin_scenario("cluster_3dev")
         scenario["devices"][1]["address"] = scenario["devices"][0]["address"]
@@ -239,6 +246,22 @@ class TestCli:
             (
                 {"images": exp1_mem_images_with_first(workload={"period_s": 1800.9})},
                 "images[0]: period_s must be an integer, got 1800.9",
+            ),
+            (
+                {"duration_s": 60, "expectations": [{"type": "throttle_recovered", "max_pct": 25.0}]},
+                "expectations[0]: missing key 'from_s'",
+            ),
+            (
+                {"duration_s": 60, "expectations": [{"type": "zero_oom"}, {"type": "min_oom_per_deployment", "min": "x"}]},
+                "expectations[1]: min must be an integer, got 'x'",
+            ),
+            (
+                {"duration_s": 60, "expectations": {"type": "zero_oom"}},
+                "expectations: must be a list of objects, got {'type': 'zero_oom'}",
+            ),
+            (
+                {"duration_s": 60, "expectations": [{"type": "min_oom_per_deployment", "min": 1.5}]},
+                "expectations[0]: min must be an integer, got 1.5",
             ),
         ],
     )
