@@ -13,6 +13,7 @@ import json
 import logging
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bus import Action, CLUSTER_PREFIX, Message, MessageBus, TOPIC_DEPLOY, TOPIC_ANALYZE, TOPIC_MONITOR
 from .hostsim import HostSimulator, WorkloadSpec
@@ -32,6 +33,12 @@ def dominant_resource(request_cpu: int, request_mem: int, host_cpu: int, host_me
     return "mem" if request_mem / host_mem >= request_cpu / host_cpu else "cpu"
 
 
+@lru_cache(maxsize=1024)  # bounded: a long-lived process may meet many addresses
+def _address_order(address: str) -> tuple[int, int, int, int]:
+    """Numeric order of a device address, worked out once per address."""
+    return DeviceId(address=address).sort_key
+
+
 def select_executor(table: dict[str, dict], dominant: str, fallback: str) -> str:
     """Deterministic executor election over the availability table.
 
@@ -44,7 +51,7 @@ def select_executor(table: dict[str, dict], dominant: str, fallback: str) -> str
     other = "mem" if dominant == "cpu" else "cpu"
     ranked = sorted(
         table.items(),
-        key=lambda item: (-item[1][dominant], -item[1][other], DeviceId(address=item[0]).sort_key),
+        key=lambda item: (-item[1][dominant], -item[1][other], _address_order(item[0])),
     )
     return ranked[0][0]
 

@@ -7,6 +7,15 @@ work backlog, memory demand above the limit kills the container (no swap).
 Ten synthetic workloads are available: five patterns, each in a CPU-dominant
 and a memory-dominant flavor.
 
+A host whose live limits sum to no more than its usable CPU and memory is
+uncontended: no container can take from another, so each one can be stepped
+over many seconds alone. :meth:`HostSimulator.quiet_until` finds the first
+second at which a tick could raise an event, and
+:meth:`HostSimulator.advance` steps every container up to the second before
+it in one call, with the same results as that many ticks. A contended host,
+or one with a queued ``stopped`` event, is quiet for no second: it is ticked
+second by second.
+
 A tick reads each container's dominant demand from a table indexed by phase,
 at most one period long. A table is a list of chunks of ``1 << CHUNK_BITS``
 (64) phases. The first time a container reaches a phase of a chunk not yet in
@@ -24,6 +33,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from hashlib import sha256
+from itertools import repeat
 
 from .model import Limits, require_int
 
@@ -231,6 +241,34 @@ class MetricsSample:
     avail_mem: int
 
 
+def _grant(state: ContainerState, demands, total: int, count: int, within: bool) -> None:
+    """Grant ``count`` seconds of CPU ``demands``, summing to ``total``, to a
+    container on an uncontended host; ``within`` tells that none is above its
+    limit. The backlog follows Lindley's recursion ``b' = max(0, b + d - L)``:
+    with no backlog and no demand above the limit ``L``, every second is
+    granted what it demands."""
+    granted = total
+    if state.backlog or not within:
+        limit = state.limits.cpu
+        backlog = state.backlog
+        granted = throttled = 0
+        for amount in demands:
+            want = amount + backlog
+            if want > limit:
+                granted += limit
+                backlog = want - limit
+                throttled += 1
+            else:
+                granted += want
+                backlog = 0
+        state.backlog = backlog
+        state.window_throttled += throttled
+    state.total_demanded += total
+    state.total_granted += granted
+    state.window_ticks += count
+    state.window_granted += granted
+
+
 class HostSimulator:
     """Single-host container runtime with CPU throttling and OOM kills."""
 
@@ -241,6 +279,10 @@ class HostSimulator:
         self.now = 0
         self._usable_cpu = config.usable_cpu
         self._usable_mem = config.usable_mem
+        # usable capacity the live containers' limits leave over; below zero
+        # the host is contended
+        self._slack_cpu = self._usable_cpu
+        self._slack_mem = self._usable_mem
         self._containers: dict[str, ContainerState] = {}  # every container ever run
         self._live: dict[str, ContainerState] = {}  # the running ones, in registration order
         self._counter = 0
@@ -257,6 +299,8 @@ class HostSimulator:
         cid = f"c{self._counter:03d}@{self.device}"
         # pattern 4's noise is keyed by container, so it gets a table of its own
         table = [] if spec.pattern == 4 else self._tables.setdefault(spec, [])
+        self._slack_cpu -= limits.cpu
+        self._slack_mem -= limits.mem
         self._containers[cid] = self._live[cid] = ContainerState(
             container_id=cid,
             spec=spec,
@@ -269,6 +313,8 @@ class HostSimulator:
 
     def update_limits(self, cid: str, limits: Limits) -> None:
         state = self._running(cid)
+        self._slack_cpu += state.limits.cpu - limits.cpu
+        self._slack_mem += state.limits.mem - limits.mem
         state.limits = limits
 
     def stop_container(self, cid: str) -> None:
@@ -296,6 +342,8 @@ class HostSimulator:
     def _retire(self, state: ContainerState, status: str) -> None:
         state.status = status
         del self._live[state.container_id]
+        self._slack_cpu += state.limits.cpu
+        self._slack_mem += state.limits.mem
         self._pending_final[state.container_id] = {
             "cpu_util": state.last_cpu_util,
             "mem_util": 0,
@@ -365,9 +413,68 @@ class HostSimulator:
             self._retire(state, STATUS_KILLED_OOM)
         return events
 
+    def quiet_until(self, wake: int) -> int:
+        """The first second in ``(now, wake]`` at which :meth:`tick` can raise
+        an event, or ``wake`` if none can. On an uncontended host that is the
+        first second a mem-class container demands more than its memory
+        limit, or ``now + 1`` if a cpu-class one is limited below its flat
+        memory. A queued ``stopped`` event, or a contended host, answers
+        ``now + 1``."""
+        now = self.now
+        if self._pending_events or self._slack_cpu < 0 or self._slack_mem < 0:
+            return now + 1
+        for state in self._live.values():
+            limit = state.limits.mem
+            if state.spec.workload_class == "cpu":
+                if limit < FLAT_MEM_MB:
+                    return now + 1
+            elif limit < state.spec.peak:  # demand never exceeds the peak
+                t = now
+                for piece in self._pieces(state, wake - now):
+                    if max(piece) > limit:
+                        wake = t + next(i for i, amount in enumerate(piece, 1) if amount > limit)
+                        break
+                    t += len(piece)
+        return wake
+
+    def advance(self, last: int) -> None:
+        """Step every live container through seconds ``now + 1`` to ``last``,
+        as that many :meth:`tick` calls would on a host that is quiet until
+        ``last + 1`` (see :meth:`quiet_until`)."""
+        count = last - self.now
+        if count <= 0:
+            return
+        for state in self._live.values():
+            limit = state.limits.cpu
+            if state.spec.workload_class == "cpu":
+                state.mem_usage = FLAT_MEM_MB
+                capped = limit >= state.spec.peak  # demand never exceeds the peak
+                for piece in self._pieces(state, count):
+                    _grant(state, piece, sum(piece), len(piece), capped or max(piece) <= limit)
+            else:
+                state.mem_usage = self._fill_demand(state, (last - state.start_t) % state.spec.period_s)
+                _grant(state, repeat(FLAT_CPU_MCPU, count), FLAT_CPU_MCPU * count, count, FLAT_CPU_MCPU <= limit)
+        self.now = last
+
+    def _pieces(self, state: ContainerState, count: int) -> list[array]:
+        """Dominant demand of ``state`` at seconds ``now + 1`` to
+        ``now + count``, as successive slices of its table's chunks."""
+        table, period = state.demand, state.spec.period_s
+        phase = (self.now + 1 - state.start_t) % period
+        pieces = []
+        while count > 0:
+            if phase >> CHUNK_BITS >= len(table):
+                self._fill_demand(state, phase)
+            first = phase & CHUNK_MASK
+            piece = table[phase >> CHUNK_BITS][first : first + count]
+            pieces.append(piece)
+            count -= len(piece)
+            phase = (phase + len(piece)) % period
+        return pieces
+
     def _fill_demand(self, state: ContainerState, phase: int) -> int:
         """Fill the table up to the chunk that holds ``phase`` and return its
-        entry. Phases are reached in order, so that is one new chunk."""
+        entry."""
         spec, table = state.spec, state.demand
         while len(table) <= phase >> CHUNK_BITS:
             first = len(table) << CHUNK_BITS

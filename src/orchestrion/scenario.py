@@ -8,7 +8,10 @@ device scrapes or starts an optimization cycle, a scheduled deployment request
 falls due, or a host raises an event (an OOM kill, a stop). At a wake-up every
 monitor acts, due requests are injected and the spine drains until quiescent.
 Between wake-ups nothing is published, so limits and the container set stay
-put and the runner only ticks the hosts.
+put and only the hosts move: each host is stepped over the seconds before
+the first one at which any host can raise an event, and every host ticks at
+that second. A contended host can raise one at any second, so while one is,
+every host ticks second by second.
 """
 from __future__ import annotations
 
@@ -250,16 +253,25 @@ class SimulationRunner:
         from .expectations import evaluate_expectations
 
         monitors = [stack.monitor for stack in self.devices.values()]
-        ticks = [stack.host.tick for stack in self.devices.values()]
+        hosts = [stack.host for stack in self.devices.values()]
         t = 0
         while t < self.duration:
             # Until the wake-up only the hosts move; a host event makes its
-            # second a wake-up too. Every host ticks before any monitor acts,
-            # as a monitor reads its own host alone.
-            for t in range(t + 1, min(self._next_wake_up(t), self.duration) + 1):
-                events = [tick() for tick in ticks]
-                if any(events):
+            # second a wake-up too. Every host is stepped over the seconds
+            # before the first one at which any host can raise an event, then
+            # ticked at it; every host ticks before any monitor acts, as a
+            # monitor reads its own host alone. A host's quiet second stays
+            # good until it is reached, so only those are asked again.
+            wake = min(self._next_wake_up(t), self.duration)
+            quiet = [host.quiet_until(wake) for host in hosts]
+            while True:
+                t = min(quiet)
+                for host in hosts:
+                    host.advance(t - 1)
+                events = [host.tick() for host in hosts]
+                if t == wake or any(events):
                     break
+                quiet = [q if q > t else host.quiet_until(wake) for q, host in zip(quiet, hosts)]
             self.spine.now = t
             for monitor, tick_events in zip(monitors, events):
                 monitor.on_tick(t, tick_events)

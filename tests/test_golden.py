@@ -6,6 +6,10 @@ alters artifacts on purpose and says why; to re-baseline, print a fresh run's
 digest for every pinned run with ``PYTHONPATH=src python tests/test_golden.py``.
 Adding ``--bench-seed 5`` also prints the digest of each benchmark workload's
 seed-5 round, the byte-identity check of a change that keeps behaviour.
+
+The runner steps quiet hosts a span at a time. Its oracle is the same runner
+with every host quiet for no second, which ticks every host every second: it
+must write the same bytes.
 """
 import argparse
 import hashlib
@@ -16,7 +20,10 @@ from pathlib import Path
 import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, CPU_PEAKS, MEM_PEAKS, builtin_scenario
+from orchestrion.hostsim import HostSimulator
 from orchestrion.scenario import run_scenario
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 GOLDEN = {
     "exp1_mem": "ebe1663f14393f0d638516a80ca2328fec003fbe1f17a1d87ab69a68989cadf6",
@@ -180,6 +187,16 @@ def full_window_scenario() -> dict:
     }
 
 
+# every pinned run: name -> (scenario builder, digest)
+PINNED = {name: (lambda name=name: builtin_scenario(name), digest) for name, digest in sorted(GOLDEN.items())}
+PINNED.update(
+    expiring=(expiring_scenario, EXPIRING_GOLDEN),
+    full_window=(full_window_scenario, FULL_WINDOW_GOLDEN),
+    off_cadence=(off_cadence_scenario, OFF_CADENCE_GOLDEN),
+    cluster_12=(cluster_12_scenario, CLUSTER_12_GOLDEN),
+)
+
+
 def tree_digest(root: Path) -> str:
     """sha256 over every file under ``root``: relative path, then content."""
     digest = hashlib.sha256()
@@ -234,10 +251,35 @@ def test_cluster_12_run_artifacts_unchanged(tmp_path):
     assert tree_digest(tmp_path) == CLUSTER_12_GOLDEN
 
 
+def tick_every_second(monkeypatch):
+    """Make every host quiet for no second, so the runner ticks it every second."""
+    monkeypatch.setattr(HostSimulator, "quiet_until", lambda host, wake: host.now + 1)
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_per_second_runner_writes_the_pinned_bytes(name, tmp_path, monkeypatch):
+    tick_every_second(monkeypatch)
+    build, digest = PINNED[name]
+    run_scenario(build()).write(tmp_path)
+    assert tree_digest(tmp_path) == digest
+
+
+@pytest.mark.parametrize("workload", ["paper_builtins", "forecast_heavy", "cluster_fanout"])
+def test_per_second_runner_matches_on_benchmark_scenarios(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    scenario = WORKLOADS[workload](5)[0]
+    run_scenario(scenario).write(tmp_path / "spans")
+    tick_every_second(monkeypatch)
+    run_scenario(scenario).write(tmp_path / "seconds")
+    assert tree_digest(tmp_path / "spans") == tree_digest(tmp_path / "seconds")
+
+
 def bench_round_digests(seed: int) -> dict[str, str]:
     """``tree_digest`` of each benchmark workload's round at ``seed``: every
     scenario's ``RunReport.write`` tree, in a directory named by its index."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    sys.path.insert(0, str(PERFBENCH))
     from workloads import WORKLOADS
 
     digests = {}
@@ -255,14 +297,7 @@ if __name__ == "__main__":
         "--bench-seed", type=int, help="also print the digest of each benchmark workload's round at this seed"
     )
     args = parser.parse_args()
-    pinned = {name: lambda name=name: builtin_scenario(name) for name in sorted(GOLDEN)}
-    pinned.update(
-        expiring=expiring_scenario,
-        full_window=full_window_scenario,
-        off_cadence=off_cadence_scenario,
-        cluster_12=cluster_12_scenario,
-    )
-    for name, build in pinned.items():
+    for name, (build, _) in PINNED.items():
         with tempfile.TemporaryDirectory() as out:
             run_scenario(build()).write(out)
             print(name, tree_digest(Path(out)))

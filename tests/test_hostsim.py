@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from orchestrion.hostsim import (
     CHUNK_BITS,
+    ContainerState,
     FLAT_CPU_MCPU,
     FLAT_MEM_MB,
     HostConfig,
@@ -508,3 +509,173 @@ class TestDemandRange:
     def test_range_outside_one_period_rejected(self, first, last):
         with pytest.raises(ValueError):
             demand_range(mem_spec(1, period=90), first, last)
+
+
+# -- span stepping against per-second ticks --------------------------------------
+
+SPAN_PERIODS = (1, 63, 64, 65, 600)
+
+
+@st.composite
+def span_containers(draw):
+    """One container to run: its spec, the ticks before it starts, and its
+    limits before and after the warm-up, each below, at or above its peak."""
+    workload_class = draw(st.sampled_from(["cpu", "mem"]))
+    spec = WorkloadSpec(
+        pattern=draw(st.sampled_from([1, 2, 3, 4, 5])),
+        workload_class=workload_class,
+        period_s=draw(st.sampled_from(SPAN_PERIODS)),
+        peak=draw(st.integers(1, 300)),
+    )
+    near_peak = st.one_of(
+        st.integers(1, spec.peak),
+        st.sampled_from(sorted({max(spec.peak - 1, 1), spec.peak, spec.peak + 1})),
+        st.integers(spec.peak, 2 * spec.peak + 40),
+    )
+    flat = FLAT_MEM_MB if workload_class == "cpu" else FLAT_CPU_MCPU
+    flat_limit = st.one_of(st.integers(1, 2 * flat), st.sampled_from([flat - 1, flat, flat + 1]))
+    # the warm-up limit is low, so that the limit after it starts on a backlog
+    cpu_limits = (draw(st.integers(1, 40)), draw(near_peak if workload_class == "cpu" else flat_limit))
+    mem_limits = (draw(near_peak if workload_class == "mem" else flat_limit),) * 2
+    return spec, draw(st.integers(0, 150)), cpu_limits, mem_limits
+
+
+def build_span_hosts(config, seed, containers, warmup):
+    """Two identically built hosts, and the ids of the containers run on them."""
+    hosts = [HostSimulator(config, seed=seed, device="10.0.0.1") for _ in range(2)]
+    cids = []
+    for spec, delay, (cpu, _), (mem, _) in containers:
+        for host in hosts:
+            for _ in range(delay):
+                host.tick()
+            cid = host.run_container(spec, Limits(cpu=cpu, mem=mem))
+        cids.append(cid)
+    for host in hosts:
+        for _ in range(warmup):
+            host.tick()
+        for cid, (_, _, (_, cpu), (_, mem)) in zip(cids, containers):
+            if host.container(cid).status == STATUS_RUNNING:
+                host.update_limits(cid, Limits(cpu=cpu, mem=mem))
+    return hosts, cids
+
+
+def contended(host):
+    live = host.running_containers()
+    return (
+        sum(s.limits.cpu for s in live) > host.config.usable_cpu
+        or sum(s.limits.mem for s in live) > host.config.usable_mem
+    )
+
+
+def assert_same_containers(spanned, ticked, cids):
+    for cid in cids:
+        a, b = spanned.container(cid), ticked.container(cid)
+        for name in ContainerState.__slots__:
+            if name != "demand":
+                assert getattr(a, name) == getattr(b, name), (cid, name)
+        # a scan may fill chunks ahead of the ticks; what both filled agrees
+        common = min(len(a.demand), len(b.demand))
+        assert a.demand[:common] == b.demand[:common]
+
+
+class TestSpanAdvance:
+    @given(
+        totals=st.tuples(st.integers(100, 4000), st.integers(100, 4000)),
+        seed=st.integers(0, 2**31),
+        containers=st.lists(span_containers(), min_size=1, max_size=4),
+        warmup=st.one_of(st.just(0), st.integers(0, 70)),
+        wakes=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+        stop_one=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_advance_then_tick_equals_per_second_ticks(self, totals, seed, containers, warmup, wakes, stop_one):
+        config = HostConfig(cpu_total=totals[0], mem_total=totals[1])
+        (spanned, ticked), cids = build_span_hosts(config, seed, containers, warmup)
+        for index, offset in enumerate(wakes):
+            stopped = stop_one and index == 1 and bool(spanned.running_containers())
+            if stopped:
+                cid = spanned.running_containers()[0].container_id
+                spanned.stop_container(cid)
+                ticked.stop_container(cid)
+            now, wake = spanned.now, spanned.now + offset
+            quiet = spanned.quiet_until(wake)
+            assert now < quiet <= wake
+            if contended(spanned) or stopped:
+                assert quiet == now + 1
+            spanned.advance(quiet - 1)
+            for _ in range(quiet - now - 1):
+                assert ticked.tick() == []
+            assert spanned.now == ticked.now == quiet - 1
+            assert_same_containers(spanned, ticked, cids)
+
+            events = spanned.tick()
+            assert ticked.tick() == events
+            if quiet < wake and not contended(ticked):
+                assert events, "an uncontended host is quiet until its first event"
+            assert spanned.now == ticked.now == quiet
+            assert_same_containers(spanned, ticked, cids)
+            assert spanned.sample_metrics() == ticked.sample_metrics()
+
+    @pytest.mark.parametrize("workload_class", ["cpu", "mem"])
+    @pytest.mark.parametrize("pattern", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("period", SPAN_PERIODS)
+    def test_span_across_chunk_and_period_ends(self, pattern, workload_class, period):
+        spec = WorkloadSpec(pattern=pattern, workload_class=workload_class, period_s=period, peak=150)
+        # the second container is first stepped by a span, the first one on a backlog
+        containers = [(spec, 0, (30, 140), (200, 200)), (spec, 61, (30, 200), (200, 200))]
+        (spanned, ticked), cids = build_span_hosts(HostConfig(), 3, containers, 0)
+        for offset in (200, 2 * period + 1):
+            wake = spanned.now + offset
+            assert spanned.quiet_until(wake) == wake
+            spanned.advance(wake - 1)
+            events = spanned.tick()
+            while ticked.now < wake:
+                assert ticked.tick() == []
+            assert events == []
+            assert_same_containers(spanned, ticked, cids)
+            assert spanned.sample_metrics() == ticked.sample_metrics()
+
+
+class TestSpanFallback:
+    def test_contended_host_is_quiet_for_no_second(self):
+        host = HostSimulator(HostConfig(cpu_total=500))
+        for _ in range(2):
+            host.run_container(cpu_spec(1, peak=100), Limits(cpu=300, mem=64))  # 600 of 500 mCPU
+        for _ in range(3):
+            assert host.quiet_until(host.now + 100) == host.now + 1
+            host.tick()
+        cid = host.running_containers()[1].container_id
+        host.update_limits(cid, Limits(cpu=200, mem=64))  # 500 of 500: uncontended
+        assert host.quiet_until(host.now + 100) == host.now + 100
+
+    def test_queued_stop_ends_the_span(self):
+        host = HostSimulator(HostConfig())
+        first = host.run_container(cpu_spec(1), Limits(cpu=200, mem=64))
+        host.run_container(mem_spec(1), Limits(cpu=100, mem=150))
+        host.stop_container(first)
+        assert host.quiet_until(host.now + 50) == host.now + 1
+        assert [(e.kind, e.container_id) for e in host.tick()] == [("stopped", first)]
+        assert host.quiet_until(host.now + 50) == host.now + 50
+
+    def test_cpu_container_below_its_flat_memory_ends_the_span(self):
+        host = HostSimulator(HostConfig())
+        cid = host.run_container(cpu_spec(1), Limits(cpu=200, mem=FLAT_MEM_MB - 1))
+        assert host.quiet_until(host.now + 50) == host.now + 1
+        assert [(e.kind, e.container_id) for e in host.tick()] == [("oom_kill", cid)]
+
+    def test_mem_demand_crossing_its_limit_mid_span_is_killed_at_that_second(self):
+        # the ramp demands round(95 * 2 * phase / 600), above 50 first at phase 160
+        spec = mem_spec(1, period=600)
+        (spanned, ticked), (cid,) = build_span_hosts(HostConfig(), 0, [(spec, 0, (100, 100), (50, 50))], 100)
+        quiet = spanned.quiet_until(300)
+        assert quiet == 160
+        spanned.advance(quiet - 1)
+        events = spanned.tick()
+        while not (ticked_events := ticked.tick()):
+            pass
+        assert ticked.now == quiet and events == ticked_events
+        (event,) = events
+        assert (event.kind, event.container_id, event.t) == ("oom_kill", cid, 160)
+        assert event.detail == {"demand_mem": 51, "mem_limit": 50, "reason": "limit"}
+        assert spanned.container(cid).status == STATUS_KILLED_OOM
+        assert spanned.sample_metrics() == ticked.sample_metrics()

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,51 @@ class TestTraceEmission:
             return [r for (_, cid), rows in report.traces.items() if cid in cids for r in rows]
 
         assert rows_for(base, "cpu-4") != rows_for(other, "cpu-4")
+
+
+def count_calls(counts, key, function):
+    """``function``, counting its calls under ``key``."""
+
+    def counted(*args):
+        counts[key] += 1
+        return function(*args)
+
+    return counted
+
+
+class TestSpanStepping:
+    def test_quiet_hosts_tick_only_at_wake_ups(self):
+        runner = SimulationRunner(builtin_scenario("exp1_mem"))
+        (host,) = [stack.host for stack in runner.devices.values()]
+        counts = Counter()
+        host.tick = count_calls(counts, "ticks", host.tick)
+        runner._next_wake_up = count_calls(counts, "wake_ups", runner._next_wake_up)
+        runner.run()
+        assert counts["ticks"] == counts["wake_ups"] < runner.duration / 5
+
+    def test_a_host_quiet_for_no_second_ticks_every_host_every_second(self):
+        runner = SimulationRunner(builtin_scenario("cluster_3dev"))
+        hosts = [stack.host for stack in runner.devices.values()]
+        first, others = hosts[0], hosts[1:]
+        first.quiet_until = lambda wake: first.now + 1  # as a contended host answers
+        ticks, asked = Counter(), Counter()
+        for host in hosts:
+            host.tick = count_calls(ticks, host.device, host.tick)
+        for host in others:
+            host.quiet_until = count_calls(asked, host.device, host.quiet_until)
+        runner._next_wake_up = count_calls(asked, "wake_ups", runner._next_wake_up)
+        report = runner.run()
+        assert all(ticks[host.device] == runner.duration for host in hosts)
+        # a quiet host is asked once per wake-up, not once per second
+        assert all(asked[host.device] == asked["wake_ups"] for host in others)
+        assert asked["wake_ups"] < runner.duration / 5
+        reference = run_scenario(builtin_scenario("cluster_3dev"))
+        assert (report.events, report.messages, report.traces, report.final_state) == (
+            reference.events,
+            reference.messages,
+            reference.traces,
+            reference.final_state,
+        )
 
 
 class TestCli:
