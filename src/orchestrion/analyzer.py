@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .bus import Action, Message, MessageBus, TOPIC_ANALYZE, TOPIC_DEPLOY, TOPIC_FORECAST
 from .forecaster import ForecastResult
-from .knowledge import Knowledge
+from .hostsim import STATUS_RUNNING, HostSimulator
 from .model import RESOURCES, Limits, OptimizationPolicy
 
 logger = logging.getLogger(__name__)
@@ -124,7 +124,8 @@ def optimize_cpu(current: int, peak_util: float, peak_throttle: float, policy: O
 
 class Analyzer:
     """Consumes analysis and optimization requests; answers with deployment
-    accept/cancel verdicts and limit updates.
+    accept/cancel verdicts and limit updates. The host's live containers,
+    with their current limits, are the ones it forecasts and accounts for.
 
     One piece of work is in flight at a time: an optimization cycle runs as an
     atomic sequence and admissions queue behind it, so the sequential
@@ -139,7 +140,7 @@ class Analyzer:
     def __init__(
         self,
         bus: MessageBus,
-        knowledge: Knowledge,
+        host: HostSimulator,
         metrics_store,
         policy: OptimizationPolicy,
         capacity: Limits,
@@ -147,7 +148,7 @@ class Analyzer:
         emit,
     ) -> None:
         self.bus = bus
-        self.knowledge = knowledge
+        self.host = host
         self.metrics = metrics_store
         self.policy = policy
         self.capacity = capacity
@@ -200,7 +201,7 @@ class Analyzer:
         self._forecast_seq += 1
         forecast_id = f"fc{self._forecast_seq:04d}@{self.bus.device}"
         self._awaiting = (forecast_id, finish, work)
-        actives = [rec.container_id for rec in self.knowledge.active()]
+        actives = [state.container_id for state in self.host.running_containers()]
         self.bus.publish(
             TOPIC_FORECAST,
             Message(
@@ -215,7 +216,7 @@ class Analyzer:
     def _availability(self, forecasts: dict[str, ForecastResult]) -> dict[str, float]:
         # A container lacks a usable forecast only when it has no stored
         # sample yet, so its current limit alone stands for it.
-        currents = {rec.container_id: rec.limits for rec in self.knowledge.active()}
+        currents = {state.container_id: state.limits for state in self.host.running_containers()}
         return predict_availability(forecasts, currents, self.capacity)
 
     def _finish_admission(self, payload: dict, forecasts: dict[str, ForecastResult]) -> None:
@@ -247,13 +248,16 @@ class Analyzer:
         avail = self._availability(forecasts)
         changes = 0
         for cid in state["containers"]:
-            record = self.knowledge.containers.get(cid)
-            if record is None or record.status != "running":
+            try:
+                container = self.host.container(cid)
+            except KeyError:
+                continue
+            if container.status != STATUS_RUNNING:
                 continue
             forecast = forecasts.get(cid)
             if forecast is None or forecast.error:
                 continue  # no usable forecast: leave the container alone
-            changes += self._optimize_container(record, forecast, avail, state["cycle"])
+            changes += self._optimize_container(container, forecast, avail, state["cycle"])
         self.emit(
             {
                 "type": "optimization_cycle",
@@ -264,21 +268,21 @@ class Analyzer:
             }
         )
 
-    def _optimize_container(self, record, forecast: ForecastResult, avail: dict[str, float], cycle: int) -> int:
-        cid = record.container_id
+    def _optimize_container(self, container, forecast: ForecastResult, avail: dict[str, float], cycle: int) -> int:
+        cid = container.container_id
         obs_mem = self.metrics.observed_max(cid, "mem_util")
-        mem_target = optimize_memory(record.limits.mem, obs_mem, self.policy)
+        mem_target = optimize_memory(container.limits.mem, obs_mem, self.policy)
 
         fc_cpu_peak = max(forecast.cpu_util) if forecast.cpu_util else 0.0
         obs_cpu = self.metrics.observed_max(cid, "cpu_util")
         cpu_peak = max(fc_cpu_peak, obs_cpu)
         throttle_peak = max(forecast.throttle_pct) if forecast.throttle_pct else 0.0
-        cpu_target = optimize_cpu(record.limits.cpu, cpu_peak, throttle_peak, self.policy, self.capacity.cpu)
+        cpu_target = optimize_cpu(container.limits.cpu, cpu_peak, throttle_peak, self.policy, self.capacity.cpu)
 
         deltas: dict[str, int] = {}
         targets: dict[str, int] = {}
         for res, target_value in (("mem", mem_target), ("cpu", cpu_target)):
-            current_value = getattr(record.limits, res)
+            current_value = getattr(container.limits, res)
             delta = target_value - current_value
             if delta == 0:
                 continue
@@ -300,8 +304,8 @@ class Analyzer:
         if not deltas:
             return 0
         account_optimization(avail, deltas)
-        final = replace(record.limits, **targets)
-        change = {"container": cid, "cycle": cycle, "previous": record.limits.as_dict()}
+        final = replace(container.limits, **targets)
+        change = {"container": cid, "cycle": cycle, "previous": container.limits.as_dict()}
         self.emit(
             {
                 "type": "optimization",

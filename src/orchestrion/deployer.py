@@ -335,8 +335,6 @@ class Deployer:
                 deployment_id=admission.deployment_id,
                 owner=record.owner,
                 image=record.image,
-                limits=admission.target,
-                start_t=self.host.now,
                 attempt=admission.attempt,
             )
         )
@@ -366,9 +364,8 @@ class Deployer:
         try:
             self.host.update_limits(cid, limits)
         except KeyError:
-            logger.debug("update for unknown/stopped container %s ignored", cid)
+            logger.debug("update for unknown or dead container %s ignored", cid)
             return
-        self.knowledge.set_limits(cid, limits)
         self.emit(
             {
                 "type": "limits_updated",

@@ -12,9 +12,8 @@ uncontended: no container can take from another, so each one can be stepped
 over many seconds alone. :meth:`HostSimulator.quiet_until` finds the first
 second at which a tick could raise an event, and
 :meth:`HostSimulator.advance` steps every container up to the second before
-it in one call, with the same results as that many ticks. A contended host,
-or one with a queued ``stopped`` event, is quiet for no second: it is ticked
-second by second.
+it in one call, with the same results as that many ticks. A contended host
+is quiet for no second: it is ticked second by second.
 
 A tick reads each container's dominant demand from a table indexed by phase,
 at most one period long. A table is a list of chunks of ``1 << CHUNK_BITS``
@@ -41,7 +40,6 @@ logger = logging.getLogger(__name__)
 
 STATUS_RUNNING = "running"
 STATUS_KILLED_OOM = "killed_oom"
-STATUS_STOPPED = "stopped"
 
 # Demand of the non-dominant resource: small and flat, so memory workloads
 # never contend on CPU and vice versa.
@@ -225,7 +223,7 @@ class ContainerState:
 
 @dataclass(frozen=True)
 class SimEvent:
-    kind: str  # "oom_kill" | "stopped"
+    kind: str  # "oom_kill"
     container_id: str
     t: int
     detail: dict = field(default_factory=dict)
@@ -287,7 +285,6 @@ class HostSimulator:
         self._live: dict[str, ContainerState] = {}  # the running ones, in registration order
         self._counter = 0
         self._pending_final: dict[str, dict] = {}  # dead containers awaiting one last sample row
-        self._pending_events: list[SimEvent] = []  # raised between ticks, returned by the next one
         self._tables: dict[WorkloadSpec, list[array]] = {}  # demand tables shared per spec
 
     # -- container lifecycle ---------------------------------------------------
@@ -317,13 +314,6 @@ class HostSimulator:
         self._slack_mem += state.limits.mem - limits.mem
         state.limits = limits
 
-    def stop_container(self, cid: str) -> None:
-        """Stop a running container; the next :meth:`tick` reports it as a
-        ``stopped`` event."""
-        state = self._running(cid)
-        self._retire(state, STATUS_STOPPED)
-        self._pending_events.append(SimEvent(kind="stopped", container_id=cid, t=self.now))
-
     def container(self, cid: str) -> ContainerState:
         try:
             return self._containers[cid]
@@ -351,7 +341,6 @@ class HostSimulator:
             "status": status,
             "cpu_limit": state.limits.cpu,
             "mem_limit": state.limits.mem,
-            "backlog": state.backlog,
         }
 
     # -- simulation clock --------------------------------------------------------
@@ -359,8 +348,8 @@ class HostSimulator:
     def tick(self) -> list[SimEvent]:
         """Advance one simulated second; returns lifecycle events raised during it."""
         self.now += 1
-        events, self._pending_events = self._pending_events, []
         now = self.now
+        events: list[SimEvent] = []
         mem_budget = self._usable_mem
         cpu_budget = self._usable_cpu
         killed: list[ContainerState] = []
@@ -418,10 +407,9 @@ class HostSimulator:
         an event, or ``wake`` if none can. On an uncontended host that is the
         first second a mem-class container demands more than its memory
         limit, or ``now + 1`` if a cpu-class one is limited below its flat
-        memory. A queued ``stopped`` event, or a contended host, answers
-        ``now + 1``."""
+        memory. A contended host answers ``now + 1``."""
         now = self.now
-        if self._pending_events or self._slack_cpu < 0 or self._slack_mem < 0:
+        if self._slack_cpu < 0 or self._slack_mem < 0:
             return now + 1
         for state in self._live.values():
             limit = state.limits.mem
@@ -502,7 +490,6 @@ class HostSimulator:
                 "status": state.status,
                 "cpu_limit": state.limits.cpu,
                 "mem_limit": state.limits.mem,
-                "backlog": state.backlog,
             }
             used_cpu += cpu_util
             used_mem += state.mem_usage

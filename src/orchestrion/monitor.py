@@ -1,7 +1,7 @@
 """Monitoring loop: scrapes host metrics, publishes monitoring results, keeps
 the short-term series store, archives expired series to the registry, restarts
-prematurely stopped containers with escalated targets, and paces the
-optimization cycles for active containers.
+OOM-killed containers with escalated targets, and paces the optimization
+cycles for the host's running containers.
 
 The monitor acts only on a scrape, on an optimization cycle falling due or on
 a host event; :meth:`Monitor.next_wake_up` tells the runner when the next of
@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .bus import Action, Message, MessageBus, TOPIC_ANALYZE, TOPIC_DEPLOY, TOPIC_MONITOR
-from .hostsim import HostSimulator, SimEvent, STATUS_KILLED_OOM, STATUS_STOPPED
+from .hostsim import HostSimulator, SimEvent
 from .knowledge import Knowledge
 from .model import OptimizationPolicy, require_int
 from .registry import Registry, RegistryError
@@ -169,18 +169,14 @@ class Monitor:
         wake = (t // scrape + 1) * scrape
         warmup = self.policy.warmup_delay_s
         interval = self.policy.optimization_interval_s
-        for record in self.knowledge.active():
-            wake = min(wake, next_optimization_due(record.start_t, t, warmup, interval))
+        for state in self.host.running_containers():
+            wake = min(wake, next_optimization_due(state.start_t, t, warmup, interval))
         return wake
 
     # -- premature exits -----------------------------------------------------------
 
     def _handle_event(self, event: SimEvent) -> None:
-        if event.kind == "stopped":  # an orchestrated stop is never retried
-            self.knowledge.mark_dead(event.container_id, STATUS_STOPPED)
-            return
         record = self.knowledge.containers.get(event.container_id)
-        self.knowledge.mark_dead(event.container_id, STATUS_KILLED_OOM)
         if record is None:
             return
         deployment = self.knowledge.deployments.get(record.deployment_id)
@@ -264,11 +260,12 @@ class Monitor:
     def schedule_optimization(self, t: int) -> None:
         warmup = self.policy.warmup_delay_s
         interval = self.policy.optimization_interval_s
-        due = [rec for rec in self.knowledge.active() if optimization_due(t - rec.start_t, warmup, interval)]
+        live = self.host.running_containers()
+        due = [state for state in live if optimization_due(t - state.start_t, warmup, interval)]
         if not due:
             return
         self._cycle_seq += 1
-        for index, record in enumerate(due):
+        for index, state in enumerate(due):
             self.bus.publish(
                 TOPIC_ANALYZE,
                 Message(
@@ -277,7 +274,7 @@ class Monitor:
                         "cycle": self._cycle_seq,
                         "index": index,
                         "count": len(due),
-                        "container": record.container_id,
+                        "container": state.container_id,
                     },
                     correlation_id=f"cycle-{self._cycle_seq}@{self.bus.device}",
                 ),

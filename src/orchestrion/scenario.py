@@ -5,7 +5,7 @@ expectations). The runner builds one full orchestration stack per device over
 a shared event spine, publishes the images to the registry, and then advances
 the clock from one wake-up to the next. A wake-up is a second at which some
 device scrapes or starts an optimization cycle, a scheduled deployment request
-falls due, or a host raises an event (an OOM kill, a stop). At a wake-up every
+falls due, or a host raises an event (an OOM kill). At a wake-up every
 monitor acts, due requests are injected and the spine drains until quiescent.
 Between wake-ups nothing is published, so limits and the container set stay
 put and only the hosts move: each host is stepped over the seconds before
@@ -225,7 +225,7 @@ class SimulationRunner:
             Forecaster(bus, monitor.metrics, forecast_cfg)
             Analyzer(
                 bus,
-                knowledge,
+                host,
                 monitor.metrics,
                 policy,
                 capacity=Limits(cpu=host.config.usable_cpu, mem=host.config.usable_mem),
@@ -346,7 +346,7 @@ class SimulationRunner:
                 containers[rec.container_id] = {
                     "image": rec.image,
                     "status": host_state.status,
-                    "limits": rec.limits.as_dict(),
+                    "limits": host_state.limits.as_dict(),
                     "backlog": host_state.backlog,
                     "attempt": rec.attempt,
                     "total_demanded": host_state.total_demanded,

@@ -281,12 +281,12 @@ def test_containers_without_a_usable_forecast_have_no_samples(monkeypatch):
     unforecast = []
 
     def checked(analyzer, forecasts):
-        for record in analyzer.knowledge.active():
-            forecast = forecasts.get(record.container_id)
+        for state in analyzer.host.running_containers():
+            forecast = forecasts.get(state.container_id)
             usable = forecast is not None and not forecast.error and forecast.cpu_util and forecast.mem_util
             if not usable:
-                unforecast.append(record.container_id)
-                assert analyzer.metrics.last(record.container_id) is None, record.container_id
+                unforecast.append(state.container_id)
+                assert analyzer.metrics.last(state.container_id) is None, state.container_id
         return availability(analyzer, forecasts)
 
     monkeypatch.setattr(Analyzer, "_availability", checked)

@@ -78,7 +78,7 @@ def build_device(reserved_mem=0, reserved_cpu=0, register_image=True, request=No
     Forecaster(bus, monitor.metrics, ForecastConfig(bucket_s=60))
     Analyzer(
         bus,
-        knowledge,
+        host,
         monitor.metrics,
         policy,
         capacity=Limits(cpu=host.config.usable_cpu, mem=host.config.usable_mem),
@@ -261,7 +261,6 @@ class TestVerdictHandling:
         )
         spine.drain()
         assert host.container(cid).limits == Limits(cpu=80, mem=130)
-        assert knowledge.containers[cid].limits == Limits(cpu=80, mem=130)
         assert host.container(cid).status == "running"
         assert [c.container_id for c in host.running_containers()] == [cid]
 
@@ -274,7 +273,6 @@ class TestAdmissionCycleOrdering:
         (container,) = host.running_containers()
         for t in range(1, 31):
             host.tick()
-        knowledge.containers[container.container_id].start_t = 0
         # enqueue a full optimization batch, then an admission, before draining:
         # the verdict must come after the cycle's forecast exchange resolves
         bus.publish(

@@ -5,7 +5,7 @@ keeps behaviour must keep these bytes. A digest changes only in a change that
 alters artifacts on purpose and says why; to re-baseline, print a fresh run's
 digest for every pinned run with ``PYTHONPATH=src python tests/test_golden.py``.
 Adding ``--bench-seed 5`` also prints the digest of each benchmark workload's
-seed-5 round, the byte-identity check of a change that keeps behaviour.
+seed-5 round, which ``BENCH_GOLDEN`` pins.
 
 The runner steps quiet hosts a span at a time. Its oracle is the same runner
 with every host quiet for no second, which ticks every host every second: it
@@ -62,6 +62,14 @@ OFF_CADENCE_GOLDEN = "1fc8618b2bf050ea0563b1cfb0cf29140ef03a1219f416a9f9cc858238
 # 10.0.0.2) differs from numeric order: it pins the order in which bridged
 # copies reach the peers, which messages.jsonl records.
 CLUSTER_12_GOLDEN = "1d90ed1fcca89c8451eb4c4c35b1ba64ca73d28f5fe9197e2da2b9e28ae1c45f"
+
+# Each benchmark workload's round at seed 5, as ``bench_round_digests`` writes it.
+BENCH_SEED = 5
+BENCH_GOLDEN = {
+    "paper_builtins": "24a4cb8010be2dbc9d1dd9dd43a412f41bbf0180523b12650e5ddc4e22358f1c",
+    "forecast_heavy": "2b45a1f6618792d3b707cc1674b158d9b9cdff551e4923c9070dafcf2f6e296e",
+    "cluster_fanout": "684ec9f34ead1efd11161ca28cc3e07a8cb0e09a92e04fde865bae7c315f12dc",
+}
 
 
 def expiring_scenario() -> dict:
@@ -276,19 +284,25 @@ def test_per_second_runner_matches_on_benchmark_scenarios(workload, tmp_path, mo
     assert tree_digest(tmp_path / "spans") == tree_digest(tmp_path / "seconds")
 
 
-def bench_round_digests(seed: int) -> dict[str, str]:
-    """``tree_digest`` of each benchmark workload's round at ``seed``: every
-    scenario's ``RunReport.write`` tree, in a directory named by its index."""
+def bench_round_digests(seed: int, names=None) -> dict[str, str]:
+    """``tree_digest`` of the round at ``seed`` of each benchmark workload in
+    ``names`` (all by default): every scenario's ``RunReport.write`` tree, in a
+    directory named by its index."""
     sys.path.insert(0, str(PERFBENCH))
     from workloads import WORKLOADS
 
     digests = {}
-    for name, make in WORKLOADS.items():
+    for name in names or WORKLOADS:
         with tempfile.TemporaryDirectory() as out:
-            for index, scenario in enumerate(make(seed)):
+            for index, scenario in enumerate(WORKLOADS[name](seed)):
                 run_scenario(scenario).write(Path(out) / f"{index:03d}")
             digests[name] = tree_digest(Path(out))
     return digests
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_GOLDEN))
+def test_benchmark_round_artifacts_unchanged(workload):
+    assert bench_round_digests(BENCH_SEED, [workload]) == {workload: BENCH_GOLDEN[workload]}
 
 
 if __name__ == "__main__":

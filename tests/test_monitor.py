@@ -31,17 +31,9 @@ def build_stack(policy=None, config=None):
     return spine, bus, host, knowledge, registry, monitor, events
 
 
-def register(knowledge, host, cid, deployment="d1", attempt=1, image="memory-3"):
+def register(knowledge, cid, deployment="d1", attempt=1, image="memory-3"):
     knowledge.register_container(
-        ContainerRecord(
-            container_id=cid,
-            deployment_id=deployment,
-            owner="vendor",
-            image=image,
-            limits=Limits(cpu=100, mem=150),
-            start_t=host.now,
-            attempt=attempt,
-        )
+        ContainerRecord(container_id=cid, deployment_id=deployment, owner="vendor", image=image, attempt=attempt)
     )
     if deployment not in knowledge.deployments:
         knowledge.deployments[deployment] = DeploymentRecord(deployment, "vendor", image)
@@ -52,7 +44,7 @@ class TestScraping:
         spine, bus, host, knowledge, registry, monitor, _ = build_stack()
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
         cid = host.run_container(spec, Limits(cpu=100, mem=150))
-        register(knowledge, host, cid)
+        register(knowledge, cid)
         for t in range(1, 51):
             events = host.tick()
             monitor.on_tick(t, events)
@@ -163,7 +155,7 @@ class TestPrematureExitRetries:
         spine, bus, host, knowledge, registry, monitor, events = build_stack()
         requests = collect(bus, "deploy")
         cid = self.run_until_kill(monitor, host)
-        register(knowledge, host, cid, attempt=1)
+        register(knowledge, cid, attempt=1)
         for t in range(1, 4):
             monitor.on_tick(t, host.tick())
         spine.drain()
@@ -177,37 +169,13 @@ class TestPrematureExitRetries:
         spine, bus, host, knowledge, registry, monitor, events = build_stack()
         requests = collect(bus, "deploy")
         cid = self.run_until_kill(monitor, host)
-        register(knowledge, host, cid, attempt=3)  # max_attempts=3 in the stack
+        register(knowledge, cid, attempt=3)  # max_attempts=3 in the stack
         for t in range(1, 4):
             monitor.on_tick(t, host.tick())
         spine.drain()
         assert [m for m in requests if m.action is Action.DEPLOYMENT_REQUEST] == []
         assert any(e["type"] == "retry_exhausted" for e in events)
         assert knowledge.deployments["d1"].state == "failed"
-
-    def test_orchestrated_stop_not_retried(self):
-        spine, bus, host, knowledge, registry, monitor, events = build_stack()
-        requests = collect(bus, "deploy")
-        optimizations = collect(bus, "analyze")
-        spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
-        cid = host.run_container(spec, Limits(cpu=100, mem=150))
-        register(knowledge, host, cid)
-        monitor.on_tick(1, host.tick())
-        host.stop_container(cid)
-        monitor.on_tick(2, host.tick())
-        assert knowledge.active() == []
-        for t in range(3, 121):  # past warm-up and three optimization intervals
-            monitor.on_tick(t, host.tick())
-            spine.drain()
-        assert knowledge.containers[cid].status == "stopped"
-        assert [m for m in requests if m.action is Action.DEPLOYMENT_REQUEST] == []
-        assert [
-            m
-            for m in optimizations
-            if m.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST and m.payload["container"] == cid
-        ] == []
-        assert host.container(cid).status == "stopped"
-        assert events == []
 
 
 class TestOptimizationCadence:
@@ -218,7 +186,7 @@ class TestOptimizationCadence:
         received = collect(bus, "analyze")
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
         cid = host.run_container(spec, Limits(cpu=100, mem=150))
-        register(knowledge, host, cid)
+        register(knowledge, cid)
         sent = []
         for t in range(1, ticks + 1):
             monitor.on_tick(t, host.tick())
@@ -253,7 +221,7 @@ class TestOptimizationCadence:
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
         for i in range(2):
             cid = host.run_container(spec, Limits(cpu=100, mem=150))
-            register(knowledge, host, cid, deployment=f"d{i}")
+            register(knowledge, cid, deployment=f"d{i}")
         for t in range(1, 11):
             monitor.on_tick(t, host.tick())
         spine.drain()
@@ -295,7 +263,7 @@ class TestWakeUps:
             for index, start in enumerate(starts):
                 if start == t - 1:  # deployed in the drain of the second before
                     cid = host.run_container(spec, Limits(cpu=100, mem=150))
-                    register(knowledge, host, cid, deployment=f"d{index}")
+                    register(knowledge, cid, deployment=f"d{index}")
                     wake = min(wake, monitor.next_wake_up(t - 1))
             published = len(spine.log)
             monitor.on_tick(t, host.tick())
@@ -307,13 +275,3 @@ class TestWakeUps:
                 wake = monitor.next_wake_up(t)
         assert acted == wake_ups
 
-
-class TestKnowledge:
-    def test_active_in_registration_order_after_a_death(self):
-        knowledge = Knowledge()
-        host = HostSimulator(HostConfig())
-        for cid in ("c003", "c001", "c002"):
-            register(knowledge, host, cid)
-        knowledge.mark_dead("c003", "killed_oom")
-        register(knowledge, host, "c000")
-        assert [c.container_id for c in knowledge.active()] == ["c001", "c002", "c000"]
