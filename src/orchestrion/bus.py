@@ -111,6 +111,9 @@ class Message:
 
 Handler = Callable[[str, Message], None]
 
+# deliveries one drain may dispatch before it takes the spine to be in a storm
+MAX_DRAIN_STEPS = 1_000_000
+
 
 class EventSpine:
     """Shared FIFO of pending deliveries plus a structured message log.
@@ -150,13 +153,13 @@ class EventSpine:
         for handler in handlers:
             self._pending.append((handler, topic, msg))
 
-    def drain(self, max_steps: int = 1_000_000) -> int:
+    def drain(self) -> int:
         """Dispatch pending deliveries until quiescent; returns step count."""
         steps = 0
         while self._pending:
             handler, topic, msg = self._pending.popleft()
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_DRAIN_STEPS:
                 raise RuntimeError("message storm: drain did not quiesce")
             handler(topic, msg)
         return steps

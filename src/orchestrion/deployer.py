@@ -326,6 +326,15 @@ class Deployer:
                 ),
             )
             record.state = "failed"
+            record.detail = f"execution failed: {exc}"
+            self.emit(
+                {
+                    "type": "deployment_rejected",
+                    "deployment": admission.deployment_id,
+                    "attempt": admission.attempt,
+                    "reason": "execution_failed",
+                }
+            )
             self._active = None
             self._pump()
             return

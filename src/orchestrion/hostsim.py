@@ -7,13 +7,16 @@ work backlog, memory demand above the limit kills the container (no swap).
 Ten synthetic workloads are available: five patterns, each in a CPU-dominant
 and a memory-dominant flavor.
 
-A host whose live limits sum to no more than its usable CPU and memory is
-uncontended: no container can take from another, so each one can be stepped
-over many seconds alone. :meth:`HostSimulator.quiet_until` finds the first
-second at which a tick could raise an event, and
-:meth:`HostSimulator.advance` steps every container up to the second before
-it in one call, with the same results as that many ticks. A contended host
-is quiet for no second: it is ticked second by second.
+The host's contract is that the limits of its live containers sum to no
+more than its usable CPU and memory: :meth:`HostSimulator.run_container` and
+:meth:`HostSimulator.update_limits` raise :class:`ContractViolation`, and
+change nothing, for limits that would break it. The analyzer's
+strict-inequality admission and upscale rules never ask for such limits. So
+no container can take from another, and each one can be stepped over many
+seconds alone. :meth:`HostSimulator.quiet_until` finds the first second at
+which a tick could raise an event, and :meth:`HostSimulator.advance` steps
+every container up to the second before it in one call, with the same
+results as that many ticks.
 
 A tick reads each container's dominant demand from a table indexed by phase,
 at most one period long. A table is a list of chunks of ``1 << CHUNK_BITS``
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from itertools import repeat
 
-from .model import Limits, require_int
+from .model import ContractViolation, Limits, require_int
 
 logger = logging.getLogger(__name__)
 
@@ -241,10 +244,10 @@ class MetricsSample:
 
 def _grant(state: ContainerState, demands, total: int, count: int, within: bool) -> None:
     """Grant ``count`` seconds of CPU ``demands``, summing to ``total``, to a
-    container on an uncontended host; ``within`` tells that none is above its
-    limit. The backlog follows Lindley's recursion ``b' = max(0, b + d - L)``:
-    with no backlog and no demand above the limit ``L``, every second is
-    granted what it demands."""
+    container; ``within`` tells that none is above its limit. Deferred work
+    is demanded again: the backlog follows Lindley's recursion
+    ``b' = max(0, b + d - L)``, so with no backlog and no demand above the
+    limit ``L``, every second is granted what it demands."""
     granted = total
     if state.backlog or not within:
         limit = state.limits.cpu
@@ -277,8 +280,7 @@ class HostSimulator:
         self.now = 0
         self._usable_cpu = config.usable_cpu
         self._usable_mem = config.usable_mem
-        # usable capacity the live containers' limits leave over; below zero
-        # the host is contended
+        # usable capacity the live containers' limits leave over; never below zero
         self._slack_cpu = self._usable_cpu
         self._slack_mem = self._usable_mem
         self._containers: dict[str, ContainerState] = {}  # every container ever run
@@ -292,12 +294,11 @@ class HostSimulator:
     def run_container(self, spec: WorkloadSpec, limits: Limits) -> str:
         if limits.cpu <= 0 or limits.mem <= 0:
             raise ValueError("containers need non-zero cpu and mem limits")
+        self._reserve(limits.cpu, limits.mem)
         self._counter += 1
         cid = f"c{self._counter:03d}@{self.device}"
         # pattern 4's noise is keyed by container, so it gets a table of its own
         table = [] if spec.pattern == 4 else self._tables.setdefault(spec, [])
-        self._slack_cpu -= limits.cpu
-        self._slack_mem -= limits.mem
         self._containers[cid] = self._live[cid] = ContainerState(
             container_id=cid,
             spec=spec,
@@ -310,9 +311,19 @@ class HostSimulator:
 
     def update_limits(self, cid: str, limits: Limits) -> None:
         state = self._running(cid)
-        self._slack_cpu += state.limits.cpu - limits.cpu
-        self._slack_mem += state.limits.mem - limits.mem
+        self._reserve(limits.cpu - state.limits.cpu, limits.mem - state.limits.mem)
         state.limits = limits
+
+    def _reserve(self, cpu: int, mem: int) -> None:
+        """Take ``cpu`` and ``mem`` more of the usable capacity for live
+        limits, or raise, changing nothing, if that is more than is left."""
+        if cpu > self._slack_cpu or mem > self._slack_mem:
+            raise ContractViolation(
+                f"limits need {cpu} mCPU / {mem} MB more, "
+                f"{self._slack_cpu} mCPU / {self._slack_mem} MB of usable capacity left"
+            )
+        self._slack_cpu -= cpu
+        self._slack_mem -= mem
 
     def container(self, cid: str) -> ContainerState:
         try:
@@ -350,8 +361,6 @@ class HostSimulator:
         self.now += 1
         now = self.now
         events: list[SimEvent] = []
-        mem_budget = self._usable_mem
-        cpu_budget = self._usable_cpu
         killed: list[ContainerState] = []
         for state in self._live.values():
             spec = state.spec
@@ -366,10 +375,8 @@ class HostSimulator:
                 cpu, mem = FLAT_CPU_MCPU, amount
             limits = state.limits
 
-            # Memory first: exceeding the enforced limit (or the host slice)
-            # kills the container, it is never silently oversubscribed.
-            if mem > limits.mem or mem > mem_budget:
-                reason = "limit" if mem > limits.mem else "host_capacity"
+            # Memory first: exceeding the enforced limit kills the container.
+            if mem > limits.mem:
                 state.mem_usage = 0
                 killed.append(state)
                 events.append(
@@ -377,40 +384,24 @@ class HostSimulator:
                         kind="oom_kill",
                         container_id=state.container_id,
                         t=now,
-                        detail={"demand_mem": mem, "mem_limit": limits.mem, "reason": reason},
+                        detail={"demand_mem": mem, "mem_limit": limits.mem, "reason": "limit"},
                     )
                 )
                 continue
             state.mem_usage = mem
-            mem_budget -= mem
-
-            # CPU: deferred work from earlier throttled ticks is demanded again.
-            want = cpu + state.backlog
-            # min() of three costs a hit tick about a fifth of its time
-            granted = want if want < limits.cpu else limits.cpu
-            if granted > cpu_budget:
-                granted = cpu_budget
-            cpu_budget -= granted
-            state.backlog = want - granted
-            state.total_demanded += cpu
-            state.total_granted += granted
-            state.window_ticks += 1
-            state.window_granted += granted
-            if want > granted:
-                state.window_throttled += 1
+            _grant(state, (cpu,), cpu, 1, cpu <= limits.cpu)
         for state in killed:  # off the live set only once the loop over it is done
             self._retire(state, STATUS_KILLED_OOM)
         return events
 
     def quiet_until(self, wake: int) -> int:
         """The first second in ``(now, wake]`` at which :meth:`tick` can raise
-        an event, or ``wake`` if none can. On an uncontended host that is the
-        first second a mem-class container demands more than its memory
-        limit, or ``now + 1`` if a cpu-class one is limited below its flat
-        memory. A contended host answers ``now + 1``."""
+        an event, or ``wake`` if none can: the first second a mem-class
+        container demands more than its memory limit, or ``now + 1`` if a
+        cpu-class one is limited below its flat memory. As the live limits fit
+        in the usable capacity, no container's CPU or memory depends on
+        another's."""
         now = self.now
-        if self._slack_cpu < 0 or self._slack_mem < 0:
-            return now + 1
         for state in self._live.values():
             limit = state.limits.mem
             if state.spec.workload_class == "cpu":

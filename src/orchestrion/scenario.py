@@ -10,8 +10,7 @@ monitor acts, due requests are injected and the spine drains until quiescent.
 Between wake-ups nothing is published, so limits and the container set stay
 put and only the hosts move: each host is stepped over the seconds before
 the first one at which any host can raise an event, and every host ticks at
-that second. A contended host can raise one at any second, so while one is,
-every host ticks second by second.
+that second, which is then a wake-up too.
 """
 from __future__ import annotations
 
@@ -256,22 +255,15 @@ class SimulationRunner:
         hosts = [stack.host for stack in self.devices.values()]
         t = 0
         while t < self.duration:
-            # Until the wake-up only the hosts move; a host event makes its
-            # second a wake-up too. Every host is stepped over the seconds
-            # before the first one at which any host can raise an event, then
-            # ticked at it; every host ticks before any monitor acts, as a
-            # monitor reads its own host alone. A host's quiet second stays
-            # good until it is reached, so only those are asked again.
+            # Until the wake-up only the hosts move. Every host is stepped
+            # over the seconds before the first one at which any host can
+            # raise an event, then ticked at it; every host ticks before any
+            # monitor acts, as a monitor reads its own host alone.
             wake = min(self._next_wake_up(t), self.duration)
-            quiet = [host.quiet_until(wake) for host in hosts]
-            while True:
-                t = min(quiet)
-                for host in hosts:
-                    host.advance(t - 1)
-                events = [host.tick() for host in hosts]
-                if t == wake or any(events):
-                    break
-                quiet = [q if q > t else host.quiet_until(wake) for q, host in zip(quiet, hosts)]
+            t = min(host.quiet_until(wake) for host in hosts)
+            for host in hosts:
+                host.advance(t - 1)
+            events = [host.tick() for host in hosts]
             self.spine.now = t
             for monitor, tick_events in zip(monitors, events):
                 monitor.on_tick(t, tick_events)

@@ -1,5 +1,6 @@
 import pytest
 
+from orchestrion import bus as bus_module
 from orchestrion.bus import (
     ACTION_TOPIC,
     Action,
@@ -86,6 +87,21 @@ class TestDelivery:
         bus.publish("deploy", msg(Action.DEPLOYMENT_REQUEST, {"i": 7}))
         bus.spine.drain()
         assert seen == [("deploy", 7)]
+
+    def test_drain_that_never_quiesces_raises(self, monkeypatch):
+        monkeypatch.setattr(bus_module, "MAX_DRAIN_STEPS", 50)
+        bus = make_bus()
+        seen = []
+
+        def republish(topic, m):
+            seen.append(m.payload["i"])
+            bus.publish("deploy", msg(Action.DEPLOYMENT_REQUEST, {"i": m.payload["i"] + 1}))
+
+        bus.subscribe("deploy", republish)
+        bus.publish("deploy", msg(Action.DEPLOYMENT_REQUEST, {"i": 0}))
+        with pytest.raises(RuntimeError, match="message storm"):
+            bus.spine.drain()
+        assert seen == list(range(50))  # the guard stops the storm before its 51st delivery
 
 
 class TestBridging:

@@ -7,12 +7,16 @@ digest for every pinned run with ``PYTHONPATH=src python tests/test_golden.py``.
 Adding ``--bench-seed 5`` also prints the digest of each benchmark workload's
 seed-5 round, which ``BENCH_GOLDEN`` pins.
 
+Each pinned run must also pass the benchmark's invariant checks in
+``perfbench/checks.py``.
+
 The runner steps quiet hosts a span at a time. Its oracle is the same runner
-with every host quiet for no second, which ticks every host every second: it
-must write the same bytes.
+with every host quiet for no second, so that every second is a wake-up at
+which every host ticks: it must write the same bytes.
 """
 import argparse
 import hashlib
+import importlib.util
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +28,10 @@ from orchestrion.hostsim import HostSimulator
 from orchestrion.scenario import run_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# the benchmark's invariant checks, loaded by path: perfbench/ is no package
+_spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
 
 GOLDEN = {
     "exp1_mem": "ebe1663f14393f0d638516a80ca2328fec003fbe1f17a1d87ab69a68989cadf6",
@@ -214,32 +222,52 @@ def tree_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
+def assert_invariants_hold(report, scenario: dict) -> None:
+    """Every check of the benchmark passes on ``report``, and no deployment
+    fails. ``expectations_pass`` is left out: the acceptance tests hold the
+    built-ins to their expectations, and the expiring run's 600 s retention
+    breaks its own on purpose."""
+    failures = {name: check(report, scenario) for name, check in checks.CHECKS.items() if name != "expectations_pass"}
+    assert {name: found for name, found in failures.items() if found} == {}
+    attempted, failed = checks.count_operations(report)
+    assert attempted and not failed
+
+
 def test_golden_covers_every_builtin():
     assert set(GOLDEN) == set(BUILTIN_SCENARIOS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_builtin_artifacts_unchanged(name, tmp_path):
-    run_scenario(builtin_scenario(name)).write(tmp_path)
+    scenario = builtin_scenario(name)
+    report = run_scenario(scenario)
+    assert_invariants_hold(report, scenario)
+    report.write(tmp_path)
     assert tree_digest(tmp_path) == GOLDEN[name]
 
 
 def test_expiring_run_artifacts_unchanged(tmp_path):
-    report = run_scenario(expiring_scenario())
+    scenario = expiring_scenario()
+    report = run_scenario(scenario)
+    assert_invariants_hold(report, scenario)
     assert report.events_of("metrics_archived"), "the run must expire rows to pin them"
     report.write(tmp_path)
     assert tree_digest(tmp_path) == EXPIRING_GOLDEN
 
 
 def test_full_window_run_artifacts_unchanged(tmp_path):
-    report = run_scenario(full_window_scenario())
+    scenario = full_window_scenario()
+    report = run_scenario(scenario)
+    assert_invariants_hold(report, scenario)
     assert len(report.events_of("metrics_archived")) > 50, "rows must expire on every scrape of the second window"
     report.write(tmp_path)
     assert tree_digest(tmp_path) == FULL_WINDOW_GOLDEN
 
 
 def test_off_cadence_run_artifacts_unchanged(tmp_path):
-    report = run_scenario(off_cadence_scenario())
+    scenario = off_cadence_scenario()
+    report = run_scenario(scenario)
+    assert_invariants_hold(report, scenario)
     cycles = [e["t"] for e in report.events_of("optimization_cycle")]
     assert {t % 7 for t in cycles} == set(range(7)), "cycles must fall on every residue of the scrape interval"
     kills = [e["t"] for e in report.events_of("oom_kill")]
@@ -252,7 +280,9 @@ def test_off_cadence_run_artifacts_unchanged(tmp_path):
 
 
 def test_cluster_12_run_artifacts_unchanged(tmp_path):
-    report = run_scenario(cluster_12_scenario())
+    scenario = cluster_12_scenario()
+    report = run_scenario(scenario)
+    assert_invariants_hold(report, scenario)
     assert len(report.events_of("deployed")) == 3, "each request runs on exactly one device"
     assert any(m["bridged_from"] == "10.0.0.10" for m in report.messages)
     report.write(tmp_path)
@@ -260,7 +290,7 @@ def test_cluster_12_run_artifacts_unchanged(tmp_path):
 
 
 def tick_every_second(monkeypatch):
-    """Make every host quiet for no second, so the runner ticks it every second."""
+    """Make every host quiet for no second, so that every second is a wake-up."""
     monkeypatch.setattr(HostSimulator, "quiet_until", lambda host, wake: host.now + 1)
 
 

@@ -19,7 +19,7 @@ from orchestrion.hostsim import (
     demand_range,
     workload_demand,
 )
-from orchestrion.model import Limits
+from orchestrion.model import ContractViolation, Limits
 
 
 def mem_spec(pattern, peak=95, period=1800):
@@ -314,18 +314,58 @@ class TestBacklog:
             host.tick()
         assert host.container(cid).backlog == 0
 
-    @given(limit=st.integers(min_value=10, max_value=400), ticks=st.integers(min_value=1, max_value=300))
-    @settings(max_examples=30, deadline=None)
-    def test_grant_never_exceeds_capacity(self, limit, ticks):
-        host = HostSimulator(HostConfig(cpu_total=500), seed=7)
-        for i in range(3):
-            host.run_container(cpu_spec(3 if i % 2 else 4, peak=300), Limits(cpu=limit, mem=64))
-        for _ in range(ticks):
-            host.tick()
-            granted_this_tick = sum(s.window_granted for s in host.running_containers())
-            assert granted_this_tick <= 500 * ticks  # loose cumulative bound
-        per_window = host.sample_metrics()
-        assert sum(r["cpu_util"] for r in per_window.containers.values()) <= 500
+
+
+def footprint(host):
+    """What a refused start or update must leave as it was."""
+    live = [(s.container_id, s.limits) for s in host.running_containers()]
+    return host._counter, host._slack_cpu, host._slack_mem, live
+
+
+class TestCapacityContract:
+    """The live limits of a host never sum to more than its usable capacity."""
+
+    @pytest.mark.parametrize("limits", [Limits(cpu=301, mem=64), Limits(cpu=100, mem=401)], ids=["cpu", "mem"])
+    def test_start_over_capacity_is_refused(self, limits):
+        host = HostSimulator(HostConfig(reserved_cpu=100, reserved_mem=100))  # 900 / 900 usable
+        first = host.run_container(cpu_spec(1), Limits(cpu=600, mem=500))
+        before = footprint(host)
+        with pytest.raises(ContractViolation, match="usable capacity"):
+            host.run_container(cpu_spec(1), limits)
+        assert footprint(host) == before
+        assert host.running_containers() == [host.container(first)]
+        assert host.run_container(cpu_spec(1), Limits(cpu=300, mem=400)) == "c002@127.0.0.1"
+
+    @pytest.mark.parametrize("limits", [Limits(cpu=501, mem=100), Limits(cpu=100, mem=601)], ids=["cpu", "mem"])
+    def test_update_over_capacity_is_refused(self, limits):
+        host = HostSimulator(HostConfig(reserved_cpu=100, reserved_mem=100))
+        host.run_container(cpu_spec(1), Limits(cpu=400, mem=300))
+        cid = host.run_container(cpu_spec(1), Limits(cpu=100, mem=100))  # 400 / 500 left
+        before = footprint(host)
+        with pytest.raises(ContractViolation, match="usable capacity"):
+            host.update_limits(cid, limits)
+        assert footprint(host) == before
+        assert host.container(cid).limits == Limits(cpu=100, mem=100)
+
+    def test_limits_summing_to_usable_capacity_are_accepted(self):
+        host = HostSimulator(HostConfig(reserved_cpu=100, reserved_mem=100))
+        first = host.run_container(cpu_spec(1), Limits(cpu=600, mem=500))
+        second = host.run_container(mem_spec(1), Limits(cpu=300, mem=400))  # 900 / 900 of 900 / 900
+        host.update_limits(first, Limits(cpu=500, mem=400))
+        host.update_limits(second, Limits(cpu=400, mem=500))  # 900 / 900 again
+        assert (host._slack_cpu, host._slack_mem) == (0, 0)
+        assert host.quiet_until(host.now + 100) == host.now + 100
+        with pytest.raises(ContractViolation):
+            host.run_container(cpu_spec(1), Limits(cpu=1, mem=1))
+
+    def test_a_dead_container_gives_its_share_back(self):
+        host = HostSimulator(HostConfig())
+        host.run_container(cpu_spec(1), Limits(cpu=500, mem=990))
+        doomed = host.run_container(mem_spec(3), Limits(cpu=500, mem=10))  # on-phase demands 95
+        assert [(e.kind, e.container_id) for e in host.tick()] == [("oom_kill", doomed)]
+        host.run_container(cpu_spec(1), Limits(cpu=500, mem=10))
+        with pytest.raises(ContractViolation):
+            host.run_container(cpu_spec(1), Limits(cpu=1, mem=1))
 
 
 class TestDeterminism:
@@ -349,26 +389,24 @@ class TestDeterminism:
 class TestLiveContainers:
     @pytest.mark.parametrize("status", [STATUS_KILLED_OOM])
     def test_registration_order_survives_a_death(self, status):
-        # 500 mCPU for three containers that each want 400 while on
-        host = HostSimulator(HostConfig(cpu_total=500))
-        first, middle, last = (host.run_container(cpu_spec(3, peak=400), Limits(cpu=400, mem=64)) for _ in range(3))
-        host.update_limits(middle, Limits(cpu=400, mem=10))  # below its flat 20 MB
+        # three containers that each want 400 mCPU while on, limited to 400, 300 and 200
+        host = HostSimulator(HostConfig())
+        spec = cpu_spec(3, peak=400)
+        first, middle, last = (host.run_container(spec, Limits(cpu=cpu, mem=64)) for cpu in (400, 300, 200))
+        host.update_limits(middle, Limits(cpu=300, mem=10))  # below its flat 20 MB
         assert [(e.kind, e.container_id) for e in host.tick()] == [("oom_kill", middle)]
         assert [s.container_id for s in host.running_containers()] == [first, last]
-        # the first-registered live container is still granted first
-        assert host.container(first).window_granted == 400
-        assert host.container(last).window_granted == 100
 
         sample = host.sample_metrics()
         assert list(sample.containers) == [first, last, middle]
         assert sample.containers[middle]["status"] == status
-        assert [row["cpu_util"] for row in sample.containers.values()] == [400, 100, 0]
+        assert [row["cpu_util"] for row in sample.containers.values()] == [400, 200, 0]
 
         for _ in range(5):
             assert host.tick() == []
         sample = host.sample_metrics()
         assert list(sample.containers) == [first, last]  # the dead container appeared once
-        assert [row["cpu_util"] for row in sample.containers.values()] == [400, 100]
+        assert [row["cpu_util"] for row in sample.containers.values()] == [400, 200]
         assert host.container(middle).status == status
 
     def test_a_later_run_joins_after_the_survivors(self):
@@ -562,14 +600,6 @@ def build_span_hosts(config, seed, containers, warmup):
     return hosts, cids
 
 
-def contended(host):
-    live = host.running_containers()
-    return (
-        sum(s.limits.cpu for s in live) > host.config.usable_cpu
-        or sum(s.limits.mem for s in live) > host.config.usable_mem
-    )
-
-
 def assert_same_containers(spanned, ticked, cids):
     for cid in cids:
         a, b = spanned.container(cid), ticked.container(cid)
@@ -583,22 +613,24 @@ def assert_same_containers(spanned, ticked, cids):
 
 class TestSpanAdvance:
     @given(
-        totals=st.tuples(st.integers(100, 4000), st.integers(100, 4000)),
+        spare=st.tuples(st.one_of(st.just(0), st.integers(0, 4000)), st.one_of(st.just(0), st.integers(0, 4000))),
         seed=st.integers(0, 2**31),
         containers=st.lists(span_containers(), min_size=1, max_size=4),
         warmup=st.one_of(st.just(0), st.integers(0, 70)),
         wakes=st.lists(st.integers(1, 200), min_size=1, max_size=4),
     )
     @settings(max_examples=150, deadline=None)
-    def test_advance_then_tick_equals_per_second_ticks(self, totals, seed, containers, warmup, wakes):
-        config = HostConfig(cpu_total=totals[0], mem_total=totals[1])
+    def test_advance_then_tick_equals_per_second_ticks(self, spare, seed, containers, warmup, wakes):
+        # totals that hold every container at the larger of its two limits,
+        # and ``spare`` more: the live limits never exceed them
+        cpu = sum(max(cpu_limits) for _, _, cpu_limits, _ in containers)
+        mem = sum(max(mem_limits) for _, _, _, mem_limits in containers)
+        config = HostConfig(cpu_total=cpu + spare[0], mem_total=mem + spare[1])
         (spanned, ticked), cids = build_span_hosts(config, seed, containers, warmup)
         for offset in wakes:
             now, wake = spanned.now, spanned.now + offset
             quiet = spanned.quiet_until(wake)
             assert now < quiet <= wake
-            if contended(spanned):
-                assert quiet == now + 1
             spanned.advance(quiet - 1)
             for _ in range(quiet - now - 1):
                 assert ticked.tick() == []
@@ -607,8 +639,8 @@ class TestSpanAdvance:
 
             events = spanned.tick()
             assert ticked.tick() == events
-            if quiet < wake and not contended(ticked):
-                assert events, "an uncontended host is quiet until its first event"
+            if quiet < wake:
+                assert events, "a host is quiet until its first event"
             assert spanned.now == ticked.now == quiet
             assert_same_containers(spanned, ticked, cids)
             assert spanned.sample_metrics() == ticked.sample_metrics()
@@ -634,17 +666,6 @@ class TestSpanAdvance:
 
 
 class TestSpanFallback:
-    def test_contended_host_is_quiet_for_no_second(self):
-        host = HostSimulator(HostConfig(cpu_total=500))
-        for _ in range(2):
-            host.run_container(cpu_spec(1, peak=100), Limits(cpu=300, mem=64))  # 600 of 500 mCPU
-        for _ in range(3):
-            assert host.quiet_until(host.now + 100) == host.now + 1
-            host.tick()
-        cid = host.running_containers()[1].container_id
-        host.update_limits(cid, Limits(cpu=200, mem=64))  # 500 of 500: uncontended
-        assert host.quiet_until(host.now + 100) == host.now + 100
-
     def test_cpu_container_below_its_flat_memory_ends_the_span(self):
         host = HostSimulator(HostConfig())
         cid = host.run_container(cpu_spec(1), Limits(cpu=200, mem=FLAT_MEM_MB - 1))

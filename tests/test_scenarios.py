@@ -168,29 +168,31 @@ class TestSpanStepping:
         runner.run()
         assert counts["ticks"] == counts["wake_ups"] < runner.duration / 5
 
-    def test_a_host_quiet_for_no_second_ticks_every_host_every_second(self):
-        runner = SimulationRunner(builtin_scenario("cluster_3dev"))
-        hosts = [stack.host for stack in runner.devices.values()]
-        first, others = hosts[0], hosts[1:]
-        first.quiet_until = lambda wake: first.now + 1  # as a contended host answers
-        ticks, asked = Counter(), Counter()
-        for host in hosts:
-            host.tick = count_calls(ticks, host.device, host.tick)
-        for host in others:
-            host.quiet_until = count_calls(asked, host.device, host.quiet_until)
-        runner._next_wake_up = count_calls(asked, "wake_ups", runner._next_wake_up)
-        report = runner.run()
-        assert all(ticks[host.device] == runner.duration for host in hosts)
-        # a quiet host is asked once per wake-up, not once per second
-        assert all(asked[host.device] == asked["wake_ups"] for host in others)
-        assert asked["wake_ups"] < runner.duration / 5
-        reference = run_scenario(builtin_scenario("cluster_3dev"))
-        assert (report.events, report.messages, report.traces, report.final_state) == (
-            reference.events,
-            reference.messages,
-            reference.traces,
-            reference.final_state,
-        )
+
+class TestFailedStart:
+    def test_a_start_the_host_refuses_is_a_failed_deployment(self):
+        scenario = builtin_scenario("exp4_mem_400")
+        first = scenario["images"][0]  # admitted, as 0 mCPU fits, but no container runs on no CPU
+        first["request"] = {**first["request"], "cpu": 0}
+        first["base"] = {**first["base"], "cpu": 0}
+        report = run_scenario(scenario)
+        deployments = report.final_state["10.0.0.1"]["deployments"]
+        assert deployments["d001@10.0.0.1"]["state"] == "failed"
+        (accept,) = [e for e in report.admissions() if e["deployment"] == "d001@10.0.0.1"]
+        (rejected,) = report.events_of("deployment_rejected")
+        assert accept["verdict"] == "accept"
+        assert rejected == {
+            "t": accept["t"],
+            "device": "10.0.0.1",
+            "type": "deployment_rejected",
+            "deployment": "d001@10.0.0.1",
+            "attempt": 1,
+            "reason": "execution_failed",
+        }
+        assert report.events.index(rejected) == report.events.index(accept) + 1
+        # the deployer takes the next request as before
+        assert [e["deployment"] for e in report.events_of("deployed")] == ["d002@10.0.0.1", "d003@10.0.0.1"]
+        assert deployments["d002@10.0.0.1"]["state"] == deployments["d003@10.0.0.1"]["state"] == "running"
 
 
 class TestCli:
