@@ -3,9 +3,13 @@
 Accepts external deployment requests (a direct-call stand-in for the REST
 ingress), resolves images through the registry, drives the request-then-base
 fallback against the analyzer, executes accepted deployments on the host, and
-applies optimization updates. With cluster bridging enabled it also tracks
-every device's availability and runs the deterministic executor election:
-all deployers rank the same table the same way, and only the winner proceeds.
+applies optimization updates. Admissions run one at a time: ``_on_verdict``
+turns each verdict into the next step and frees the slot when the admission
+ends, and ``_reject`` is the one place a deployment is rejected, whether its
+image lookup, its analyses or its start failed. With cluster bridging enabled
+it also tracks every device's availability and runs the deterministic
+executor election: all deployers rank the same table the same way, and only
+the winner proceeds.
 """
 from __future__ import annotations
 
@@ -49,11 +53,7 @@ def select_executor(table: dict[str, dict], dominant: str, fallback: str) -> str
     if not table:
         return fallback
     other = "mem" if dominant == "cpu" else "cpu"
-    ranked = sorted(
-        table.items(),
-        key=lambda item: (-item[1][dominant], -item[1][other], _address_order(item[0])),
-    )
-    return ranked[0][0]
+    return min(table, key=lambda device: (-table[device][dominant], -table[device][other], _address_order(device)))
 
 
 @dataclass
@@ -102,7 +102,7 @@ class Deployer:
     # -- ingress (REST stand-in) ---------------------------------------------------
 
     def submit(self, request: dict) -> dict:
-        """POST /deploy equivalent; body: {"owner": ..., "image": ..., "requester": ...}."""
+        """POST /deploy equivalent; body: {"owner": ..., "image": ...}, other keys are ignored."""
         owner = request["owner"]
         image = request["image"]
         self._request_seq += 1
@@ -111,7 +111,6 @@ class Deployer:
             deployment_id=deployment_id,
             owner=owner,
             image=image,
-            requester=request.get("requester", ""),
         )
         self.bus.publish(
             TOPIC_DEPLOY,
@@ -221,14 +220,11 @@ class Deployer:
             image = self.registry.get_image(record.owner, record.image)
             blob = self.registry.fetch_blob(image.image_hash)
         except NotFound as exc:
-            record.state = "rejected"
-            record.detail = f"image not found: {exc}"
-            self.emit({"type": "deployment_rejected", "deployment": deployment_id, "reason": "image_not_found"})
+            self._reject(deployment_id, attempt, record, "rejected", f"image not found: {exc}", "image_not_found")
             return
         except TamperError as exc:
-            record.state = "rejected"
-            record.detail = f"image verification failed: {exc}"
-            self.emit({"type": "deployment_rejected", "deployment": deployment_id, "reason": "image_tampered"})
+            detail = f"image verification failed: {exc}"
+            self._reject(deployment_id, attempt, record, "rejected", detail, "image_tampered")
             return
         spec = WorkloadSpec.from_dict(json.loads(blob.layers[0].decode("utf-8"))["workload"])
         role, target = self._target_for_attempt(image, attempt)
@@ -272,71 +268,54 @@ class Deployer:
     # -- verdicts --------------------------------------------------------------------------
 
     def _on_verdict(self, topic: str, msg: Message) -> None:
+        """Record the in-flight analysis's verdict and take the admission's next step.
+
+        A cancel of the request role re-analyses at the base role. Any other
+        verdict ends the admission: an accept starts the container, a cancel
+        rejects the deployment. The slot then goes to the next queued request.
+        """
         admission = self._active
         if admission is None or admission.analysis_id != msg.payload.get("analysis_id", ""):
             return  # stale or duplicate verdict: analysis ids are never reused
         record = self.knowledge.deployments[admission.deployment_id]
+        accepted = msg.action is Action.DEPLOYMENT_ACCEPT
         record.decisions.append(
             {
-                "verdict": "accept" if msg.action is Action.DEPLOYMENT_ACCEPT else "reject",
+                "verdict": "accept" if accepted else "reject",
                 "role": admission.role,
                 "attempt": admission.attempt,
                 "target": admission.target.as_dict(),
             }
         )
-        if msg.action is Action.DEPLOYMENT_ACCEPT:
-            self._execute(admission, record)
-        else:
-            self._handle_cancel(admission, record)
-
-    def _handle_cancel(self, admission: _Admission, record: DeploymentRecord) -> None:
-        if admission.role == ROLE_REQUEST:
+        if not accepted and admission.role == ROLE_REQUEST:
             # second analysis with the vendor's base limits
             admission.role, admission.target = self._target_for_attempt(admission.image, 2)
             self._publish_analysis()
             return
-        record.state = "failed" if admission.attempt > 1 else "rejected"
-        record.detail = "no acceptable resource limits"
-        self.emit(
-            {
-                "type": "deployment_rejected",
-                "deployment": admission.deployment_id,
-                "attempt": admission.attempt,
-                "reason": "analysis_cancelled",
-            }
-        )
+        if accepted:
+            self._execute(admission, record)
+        else:
+            state = "failed" if admission.attempt > 1 else "rejected"
+            detail = "no acceptable resource limits"
+            self._reject(admission.deployment_id, admission.attempt, record, state, detail, "analysis_cancelled")
         self._active = None
         self._pump()
+
+    def _reject(
+        self, deployment_id: str, attempt: int, record: DeploymentRecord, state: str, detail: str, reason: str
+    ) -> None:
+        """End an admission without a container, with ``reason`` in the event."""
+        record.state = state
+        record.detail = detail
+        self.emit({"type": "deployment_rejected", "deployment": deployment_id, "attempt": attempt, "reason": reason})
 
     def _execute(self, admission: _Admission, record: DeploymentRecord) -> None:
         try:
             cid = self.host.run_container(admission.spec, admission.target)
         except ValueError as exc:
             logger.warning("execution failed for %s: %s", admission.deployment_id, exc)
-            self.bus.publish(
-                TOPIC_DEPLOY,
-                Message(
-                    action=Action.DEPLOYMENT_CANCEL,
-                    payload={
-                        "deployment_id": admission.deployment_id,
-                        "analysis_id": admission.analysis_id + ":exec",
-                        "reason": f"execution failed: {exc}",
-                    },
-                    correlation_id=admission.analysis_id,
-                ),
-            )
-            record.state = "failed"
-            record.detail = f"execution failed: {exc}"
-            self.emit(
-                {
-                    "type": "deployment_rejected",
-                    "deployment": admission.deployment_id,
-                    "attempt": admission.attempt,
-                    "reason": "execution_failed",
-                }
-            )
-            self._active = None
-            self._pump()
+            detail = f"execution failed: {exc}"
+            self._reject(admission.deployment_id, admission.attempt, record, "failed", detail, "execution_failed")
             return
         self.knowledge.register_container(
             ContainerRecord(
@@ -360,8 +339,6 @@ class Deployer:
                 "limits": admission.target.as_dict(),
             }
         )
-        self._active = None
-        self._pump()
 
     # -- optimization updates ------------------------------------------------------------------
 

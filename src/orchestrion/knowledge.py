@@ -22,7 +22,6 @@ class DeploymentRecord:
     deployment_id: str
     owner: str
     image: str
-    requester: str = ""
     state: str = "pending"  # pending|analyzing|running|rejected|failed|delegated
     attempts: int = 0
     decisions: list = field(default_factory=list)

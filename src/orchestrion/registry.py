@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -41,7 +41,11 @@ class TamperError(RegistryError):
 
 @dataclass(frozen=True)
 class ImageRecord:
-    """Ledger entry mirroring the delivery contract's image metadata."""
+    """Ledger entry mirroring the delivery contract's image metadata.
+
+    Every limit is positive and no base limit exceeds its request limit,
+    whether the record is published or reloaded from the ledger.
+    """
 
     image_hash: str
     image_name: str
@@ -51,16 +55,15 @@ class ImageRecord:
     request_limit_cpu: int
     owner: str
 
-    def as_dict(self) -> dict:
-        return {
-            "image_hash": self.image_hash,
-            "image_name": self.image_name,
-            "base_limit_memory": self.base_limit_memory,
-            "request_limit_memory": self.request_limit_memory,
-            "base_limit_cpu": self.base_limit_cpu,
-            "request_limit_cpu": self.request_limit_cpu,
-            "owner": self.owner,
-        }
+    def __post_init__(self) -> None:
+        for res, request, base in (
+            ("cpu", self.request_limit_cpu, self.base_limit_cpu),
+            ("mem", self.request_limit_memory, self.base_limit_memory),
+        ):
+            if request <= 0 or base <= 0:
+                raise RegistryError(f"{res} limits must be positive, got request {request} and base {base}")
+            if base > request:
+                raise RegistryError(f"base {res} limit {base} exceeds request limit {request}")
 
 
 class ImageBlob:
@@ -123,24 +126,19 @@ class Registry:
     ) -> str:
         """Store the blob and create/update the ledger entry; returns the hash.
 
-        Only the recorded owner can deliver updates; base limits must not
-        exceed their paired request limits.
+        Only the recorded owner can deliver updates; every limit must be
+        positive, and base limits must not exceed their paired request limits.
         """
         caller = caller if caller is not None else owner
-        for res in ("cpu", "mem"):
-            if int(base_limits[res]) > int(request_limits[res]):
-                raise RegistryError(
-                    f"base {res} limit {base_limits[res]} exceeds request limit {request_limits[res]}"
-                )
         key = (owner, name)
         existing = self._images.get(key)
         if existing is not None and existing.owner != caller:
             raise OwnershipViolation(f"{caller!r} is not the owner of ({owner!r}, {name!r})")
         if existing is None and caller != owner:
             raise OwnershipViolation(f"{caller!r} cannot publish on behalf of {owner!r}")
-        digest = self._put(blob.encode())
+        raw = blob.encode()
         record = ImageRecord(
-            image_hash=digest,
+            image_hash=content_hash(raw),
             image_name=name,
             base_limit_memory=int(base_limits["mem"]),
             request_limit_memory=int(request_limits["mem"]),
@@ -148,9 +146,10 @@ class Registry:
             request_limit_cpu=int(request_limits["cpu"]),
             owner=owner,
         )
+        self._put(raw)
         self._images[key] = record
-        self._append_ledger({"kind": "image", **record.as_dict()})
-        return digest
+        self._append_ledger({"kind": "image", **asdict(record)})
+        return record.image_hash
 
     def get_image(self, owner: str, name: str) -> ImageRecord:
         try:
@@ -222,20 +221,15 @@ class Registry:
                 self._store[path.name] = path.read_bytes()
         ledger = self._root / "ledger.jsonl"
         if ledger.is_file():
-            for line in ledger.read_text(encoding="utf-8").splitlines():
+            for number, line in enumerate(ledger.read_text(encoding="utf-8").splitlines(), start=1):
                 if not line.strip():
                     continue
                 record = json.loads(line)
                 if record.get("kind") == "image":
-                    rec = ImageRecord(
-                        image_hash=record["image_hash"],
-                        image_name=record["image_name"],
-                        base_limit_memory=record["base_limit_memory"],
-                        request_limit_memory=record["request_limit_memory"],
-                        base_limit_cpu=record["base_limit_cpu"],
-                        request_limit_cpu=record["request_limit_cpu"],
-                        owner=record["owner"],
-                    )
+                    try:
+                        rec = ImageRecord(**{f.name: record[f.name] for f in fields(ImageRecord)})
+                    except RegistryError as exc:
+                        raise RegistryError(f"{ledger} line {number}: {exc}") from None
                     self._images[(rec.owner, rec.image_name)] = rec
                 elif record.get("kind") == "metrics":
                     self._archive_index.setdefault(record["device"], []).append(record["hash"])

@@ -118,6 +118,18 @@ class TestIngressSurface:
         assert status["state"] == "rejected"
         assert "not found" in status["detail"]
 
+    def test_image_lookup_rejections_name_their_attempt(self):
+        spine, bus, host, knowledge, registry, deployer, events = build_device()
+        registry._corrupt_for_test(registry.get_image("vendor", "app").image_hash)
+        tampered = deployer.submit({"owner": "vendor", "image": "app"})["request_id"]
+        missing = deployer.submit({"owner": "vendor", "image": "ghost"})["request_id"]
+        spine.drain()
+        assert [e for e in events if e["type"] == "deployment_rejected"] == [
+            {"type": "deployment_rejected", "deployment": tampered, "attempt": 1, "reason": "image_tampered"},
+            {"type": "deployment_rejected", "deployment": missing, "attempt": 1, "reason": "image_not_found"},
+        ]
+        assert deployer.deployment_status(tampered)["state"] == "rejected"
+
     def test_unknown_request_id_status(self):
         _, _, _, _, _, deployer, _ = build_device()
         assert deployer.deployment_status("nope")["state"] == "unknown"

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -60,6 +61,23 @@ class TestPublishAndGet:
         reg = Registry()
         with pytest.raises(RegistryError):
             reg.publish_image("vendor", "app", blob_from(b"x"), {"cpu": 50, "mem": 100}, {"cpu": 100, "mem": 100})
+
+    @pytest.mark.parametrize(
+        "request_limits, base_limits",
+        [
+            ({"cpu": 0, "mem": 150}, {"cpu": 0, "mem": 100}),
+            ({"cpu": 100, "mem": 150}, {"cpu": 50, "mem": 0}),
+            ({"cpu": 100, "mem": 0}, {"cpu": 50, "mem": 0}),
+        ],
+    )
+    def test_zero_limit_rejected_before_anything_is_stored(self, request_limits, base_limits):
+        reg = Registry()
+        with pytest.raises(RegistryError, match="limits must be positive"):
+            reg.publish_image("vendor", "app", blob_from(b"x"), request_limits, base_limits)
+        with pytest.raises(NotFound):
+            reg.get_image("vendor", "app")
+        with pytest.raises(NotFound):
+            reg.fetch_blob(content_hash(blob_from(b"x").encode()))
 
     def test_publishing_for_someone_else_rejected(self):
         reg = Registry()
@@ -140,8 +158,28 @@ class TestDiskLayout:
         first = Registry(tmp_path)
         digest = first.publish_image("vendor", "app", blob_from(b"data"), REQUEST, BASE)
         reloaded = Registry(tmp_path)
+        assert reloaded.get_image("vendor", "app") == first.get_image("vendor", "app")
         assert reloaded.get_image("vendor", "app").image_hash == digest
         assert reloaded.fetch_blob(digest) == blob_from(b"data")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"base_limit_cpu": 101}, "base cpu limit 101 exceeds request limit 100"),
+            ({"request_limit_memory": 0}, "mem limits must be positive"),
+            ({"base_limit_cpu": 0}, "cpu limits must be positive"),
+        ],
+    )
+    def test_reload_refuses_a_ledger_line_that_breaks_a_limit_rule(self, tmp_path, edit, message):
+        reg = Registry(tmp_path)
+        reg.archive_metrics("10.0.0.1", [[1, 2]])
+        reg.publish_image("vendor", "app", blob_from(b"data"), REQUEST, BASE)
+        ledger = tmp_path / "ledger.jsonl"
+        lines = ledger.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), **edit}, sort_keys=True)
+        ledger.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RegistryError, match=f"ledger.jsonl line 2: {message}"):
+            Registry(tmp_path)
 
 
 class TestContentAddressingProperty:

@@ -6,6 +6,8 @@ import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
 from orchestrion.cli import main
+from orchestrion.hostsim import HostSimulator
+from orchestrion.model import ContractViolation
 from orchestrion.scenario import ScenarioError, SimulationRunner, run_scenario, validate_scenario
 
 
@@ -170,17 +172,24 @@ class TestSpanStepping:
 
 
 class TestFailedStart:
-    def test_a_start_the_host_refuses_is_a_failed_deployment(self):
-        scenario = builtin_scenario("exp4_mem_400")
-        first = scenario["images"][0]  # admitted, as 0 mCPU fits, but no container runs on no CPU
-        first["request"] = {**first["request"], "cpu": 0}
-        first["base"] = {**first["base"], "cpu": 0}
-        report = run_scenario(scenario)
+    def test_a_start_the_host_refuses_is_a_failed_deployment(self, monkeypatch):
+        run_container = HostSimulator.run_container
+        refused = []
+
+        def refuse_first_start(host, spec, limits):
+            if not refused:
+                refused.append(limits)
+                raise ContractViolation("limits need more than is left")
+            return run_container(host, spec, limits)
+
+        monkeypatch.setattr(HostSimulator, "run_container", refuse_first_start)
+        report = run_scenario(builtin_scenario("exp4_mem_400"))
         deployments = report.final_state["10.0.0.1"]["deployments"]
         assert deployments["d001@10.0.0.1"]["state"] == "failed"
         (accept,) = [e for e in report.admissions() if e["deployment"] == "d001@10.0.0.1"]
         (rejected,) = report.events_of("deployment_rejected")
         assert accept["verdict"] == "accept"
+        assert [limits.as_dict() for limits in refused] == [accept["target"]]
         assert rejected == {
             "t": accept["t"],
             "device": "10.0.0.1",
@@ -190,6 +199,10 @@ class TestFailedStart:
             "reason": "execution_failed",
         }
         assert report.events.index(rejected) == report.events.index(accept) + 1
+        assert not [
+            m for m in report.messages
+            if m["action"] == "deployment_cancel" and m["correlation_id"] == accept["analysis_id"]
+        ]
         # the deployer takes the next request as before
         assert [e["deployment"] for e in report.events_of("deployed")] == ["d002@10.0.0.1", "d003@10.0.0.1"]
         assert deployments["d002@10.0.0.1"]["state"] == deployments["d003@10.0.0.1"]["state"] == "running"
@@ -272,6 +285,7 @@ class TestCli:
             {"images": exp1_mem_images_with_first(workload={"pattern": 1.0})},
             {"images": exp1_mem_images_with_first(workload={"peak": 95.5})},
             {"images": [5]},
+            {"images": exp1_mem_images_with_first(base={"mem": 0})},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
@@ -310,6 +324,10 @@ class TestCli:
             (
                 {"duration_s": 60, "expectations": [{"type": "min_oom_per_deployment", "min": 1.5}]},
                 "expectations[0]: min must be an integer, got 1.5",
+            ),
+            (
+                {"images": exp1_mem_images_with_first(request={"cpu": 0}, base={"cpu": 0})},
+                "images[0]: cpu limits must be positive, got request 0 and base 0",
             ),
         ],
     )
