@@ -62,7 +62,7 @@ def predict_availability(
         for res, metric in _UTIL_METRICS:
             current = float(getattr(limits, res))
             series = getattr(forecast, metric) if usable else None
-            avail[res] -= max(max(current, value) for value in series) if series else current
+            avail[res] -= max(current, *series) if series else current
     return avail
 
 

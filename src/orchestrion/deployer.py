@@ -216,6 +216,7 @@ class Deployer:
     def _start_admission(self, deployment_id: str, attempt: int) -> None:
         record = self.knowledge.deployments[deployment_id]
         record.executor = self.bus.device
+        record.attempts = max(record.attempts, attempt)
         try:
             image = self.registry.get_image(record.owner, record.image)
             blob = self.registry.fetch_blob(image.image_hash)
@@ -229,7 +230,6 @@ class Deployer:
         spec = WorkloadSpec.from_dict(json.loads(blob.layers[0].decode("utf-8"))["workload"])
         role, target = self._target_for_attempt(image, attempt)
         record.state = "analyzing"
-        record.attempts = max(record.attempts, attempt)
         self._active = _Admission(
             deployment_id=deployment_id, attempt=attempt, role=role, target=target, spec=spec, image=image
         )

@@ -10,7 +10,9 @@ an exactly linear history degenerates to constant drift.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -151,13 +153,13 @@ class Forecaster:
     """Answers forecast requests on the forecast topic.
 
     Each metric's points are pulled from the monitor's local store, aggregated
-    into buckets and forecast. A forecast depends only on the stored series,
-    so results are kept per ``(container, horizon)`` for the store's current
-    :attr:`~orchestrion.monitor.MetricsStore.version` and reused until the
-    next write to the store (the next scrape or expiry); repeated requests
-    get the same :class:`ForecastResult`, which callers must not modify.
-    Containers with no stored samples get per-container error entries; the
-    response is still sent.
+    into buckets (:meth:`bucket_means`) and forecast. A forecast depends only
+    on the stored series, so results are kept per ``(container, horizon)`` for
+    the store's current :attr:`~orchestrion.monitor.MetricsStore.version` and
+    reused until the next write to the store (the next scrape or expiry);
+    repeated requests get the same :class:`ForecastResult`, which callers must
+    not modify. Containers with no stored samples get per-container error
+    entries; the response is still sent.
     """
 
     def __init__(self, bus: MessageBus, metrics_store, config: ForecastConfig) -> None:
@@ -199,8 +201,43 @@ class Forecaster:
             return ForecastResult(error="unknown container")
         result = ForecastResult()
         for metric, (lo, hi) in (("cpu_util", (0.0, None)), ("mem_util", (0.0, None)), ("throttle_pct", (0.0, 100.0))):
-            buckets = aggregate_buckets(self.store.points(cid, metric), self.config.bucket_s)
-            forecast, fell_back = ar_forecast(buckets, horizon, self.config)
+            forecast, fell_back = ar_forecast(self.bucket_means(cid, metric), horizon, self.config)
             result.fallback = result.fallback or fell_back
             setattr(result, metric, clip_series(forecast, lo, hi))
         return result
+
+    def bucket_means(self, cid: str, metric: str) -> list[float]:
+        """``aggregate_buckets(store.points(cid, metric), bucket_s)`` for a
+        container with stored samples, bucketing only what may have changed.
+
+        Every bucket but the last is finished: while the series only grows in
+        time order, no new sample can fall in it. The means are kept in the
+        store's :meth:`~orchestrion.monitor.MetricsStore.derived` slot with
+        the first sample's time and the open bucket's edge, and only the
+        points from that edge on are bucketed again, one
+        :func:`aggregate_buckets` call per bucket. Once the store drops the
+        slot (an expiry or restore moved the first sample), the whole series
+        is bucketed in one call. The returned list is the kept one: callers
+        must not modify it.
+        """
+        bucket_s = self.config.bucket_s
+        slot = self.store.derived(cid)
+        kept = slot.get(metric)
+        if kept is None:
+            points = self.store.points(cid, metric)
+            means = aggregate_buckets(points, bucket_s)
+            t0 = points[0][0]
+            slot[metric] = [t0, t0 + (points[-1][0] - t0) // bucket_s * bucket_s, means]
+            return means
+        t0, edge, means = kept
+        tail = self.store.points_since(cid, metric, edge)
+        fresh: list[float] = []
+        start = 0
+        while start < len(tail):
+            edge = t0 + (tail[start][0] - t0) // bucket_s * bucket_s
+            stop = bisect_left(tail, edge + bucket_s, start, key=itemgetter(0))
+            fresh += aggregate_buckets(tail[start:stop], bucket_s)
+            start = stop
+        means[-1:] = fresh
+        kept[1] = edge
+        return means

@@ -66,19 +66,29 @@ class MetricsStore:
     :meth:`append`, every :meth:`expire` that cuts a sample and every
     :meth:`restore`. Readers that derive results from the series (the
     forecaster) reuse them while the version stays the same.
+
+    Each stored container also has a :meth:`derived` slot for what readers
+    build from its series and extend as it grows. The store drops the slot
+    whenever a write does more than append in time order: an :meth:`expire`
+    that cuts the container's series, a :meth:`restore` that rewrites it, an
+    append older than its last sample, and the dropping of the series itself.
     """
 
     def __init__(self, retention_s: int) -> None:
         self.retention_s = retention_s
         self.version = 0
         self._series: dict[str, dict[str, list]] = {}
+        self._derived: dict[str, dict] = {}
 
     def append(self, cid: str, t: int, row: dict) -> None:
         """Store one sample; ``row`` is a host sample row carrying every metric."""
         columns = self._series.get(cid)
         if columns is None:
             columns = self._series[cid] = {"t": [], **{metric: [] for metric in METRICS}}
-        columns["t"].append(t)
+        times = columns["t"]
+        if times and t < times[-1]:
+            self._derived.pop(cid, None)
+        times.append(t)
         for metric in METRICS:
             columns[metric].append(row[metric])
         self.version += 1
@@ -87,6 +97,25 @@ class MetricsStore:
         """``(t, value)`` pairs of one metric, oldest first; empty if none are stored."""
         columns = self._series.get(cid)
         return list(zip(columns["t"], columns[metric])) if columns else []
+
+    def points_since(self, cid: str, metric: str, t: int) -> list[tuple[int, float]]:
+        """The :meth:`points` at or after time ``t``; the series must be in time order."""
+        columns = self._series.get(cid)
+        if not columns:
+            return []
+        times = columns["t"]
+        start = bisect_left(times, t)
+        return list(zip(times[start:], columns[metric][start:]))
+
+    def derived(self, cid: str) -> dict:
+        """The slot for data derived from ``cid``'s series, empty once the
+        series is cut or rewritten; ``cid`` must have stored samples."""
+        if cid not in self._series:
+            raise KeyError(cid)
+        slot = self._derived.get(cid)
+        if slot is None:
+            slot = self._derived[cid] = {}
+        return slot
 
     def observed_max(self, cid: str, metric: str) -> float:
         columns = self._series.get(cid)
@@ -106,6 +135,7 @@ class MetricsStore:
             split = bisect_left(times, cutoff)
             if not split:
                 continue
+            self._derived.pop(cid, None)
             expired[cid] = [
                 [t, {metric: columns[metric][i] for metric in METRICS}] for i, t in enumerate(times[:split])
             ]
@@ -125,6 +155,7 @@ class MetricsStore:
             for key, column in self._series.get(cid, {}).items():
                 columns[key] += column
             self._series[cid] = columns
+            self._derived.pop(cid, None)
         self.version += 1
 
 

@@ -57,6 +57,20 @@ class TestPredictAvailability:
         avail = predict_availability({}, currents, Limits(cpu=1000, mem=200))
         assert avail["mem"] == -100.0  # reported, never floored
 
+    def test_peak_is_the_running_maximum_of_limit_and_forecast(self):
+        # the peak was written max(max(current, value) for value in series);
+        # both forms replace the running maximum only with a strictly greater
+        # value, so they pick the same float, NaN and signed zeros included
+        nan, inf = float("nan"), float("inf")
+        cases = ([nan], [nan, 5.0], [5.0, nan], [0.0, -0.0], [-0.0, 0.0], [-0.0], [-inf, inf], [inf, nan], [2.0, 2.0])
+        for series in cases:
+            for current in (0.0, -0.0, 2.0, nan, inf, -inf):
+                assert repr(max(current, *series)) == repr(max(max(current, value) for value in series))
+            forecasts = {"c1": ForecastResult(cpu_util=series, mem_util=series, throttle_pct=[0.0])}
+            avail = predict_availability(forecasts, {"c1": Limits(cpu=100, mem=50)}, Limits(cpu=1000, mem=500))
+            for res, limit, total in (("cpu", 100.0, 1000.0), ("mem", 50.0, 500.0)):
+                assert repr(avail[res]) == repr(total - max(max(limit, value) for value in series))
+
 
 class TestAdmission:
     def test_accept_below_availability(self):

@@ -130,6 +130,16 @@ class TestIngressSurface:
         ]
         assert deployer.deployment_status(tampered)["state"] == "rejected"
 
+    def test_image_lookup_rejections_count_their_attempt(self):
+        spine, bus, host, knowledge, registry, deployer, events = build_device()
+        registry._corrupt_for_test(registry.get_image("vendor", "app").image_hash)
+        tampered = deployer.submit({"owner": "vendor", "image": "app"})["request_id"]
+        missing = deployer.submit({"owner": "vendor", "image": "ghost"})["request_id"]
+        spine.drain()
+        for request_id in (tampered, missing):
+            status = deployer.deployment_status(request_id)
+            assert (status["state"], status["attempts"]) == ("rejected", 1)
+
     def test_unknown_request_id_status(self):
         _, _, _, _, _, deployer, _ = build_device()
         assert deployer.deployment_status("nope")["state"] == "unknown"

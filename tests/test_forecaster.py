@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orchestrion import forecaster
 from orchestrion.bus import Action, EventSpine, Message, MessageBus
@@ -367,6 +368,78 @@ class TestForecastMemo:
         self.service.forecast_container("c1", 3)
         assert len(calls) == 12
 
+    def append(self, t):
+        self.store.append("c1", t, {"cpu_util": 60 + t % 7, "mem_util": 81, "throttle_pct": 0.1})
+
+    def assert_means_are_the_whole_series_means(self):
+        for metric in ("cpu_util", "mem_util", "throttle_pct"):
+            whole = aggregate_buckets(self.store.points("c1", metric), self.service.config.bucket_s)
+            assert repr(self.service.bucket_means("c1", metric)) == repr(whole)
+
+    def test_one_append_buckets_only_the_open_bucket(self, monkeypatch):
+        calls = self.count_bucketing(monkeypatch)
+        self.service.forecast_container("c1", 3)
+        assert calls == [40] * 3
+        # buckets are [0, 30), [30, 60), ...: the open one is [390, 420)
+        self.append(400)
+        self.service.forecast_container("c1", 3)
+        assert calls[3:] == [2] * 3  # t = 390 and 400
+        self.append(410)
+        self.service.forecast_container("c1", 3)
+        assert calls[6:] == [3] * 3
+        # [390, 420) closed since the last forecast: one call for it, one for the open bucket
+        self.append(420)
+        self.service.forecast_container("c1", 3)
+        assert calls[9:] == [3, 1] * 3
+        # a gap that skips whole buckets
+        self.append(425)
+        self.append(530)
+        self.service.forecast_container("c1", 3)
+        assert calls[15:] == [2, 1] * 3
+        self.assert_means_are_the_whole_series_means()
+
+    def test_expiry_that_cuts_a_sample_buckets_the_whole_series_once(self, monkeypatch):
+        calls = self.count_bucketing(monkeypatch)
+        self.service.forecast_container("c1", 3)
+        self.append(400)
+        self.service.forecast_container("c1", 3)
+        assert calls[3:] == [2] * 3
+        assert [t for t, _ in self.store.expire(now=self.store.retention_s + 5)["c1"]] == [0]
+        self.service.forecast_container("c1", 3)
+        assert calls[6:] == [40] * 3  # t = 10 .. 400, re-anchored at 10
+        self.assert_means_are_the_whole_series_means()
+        calls.clear()
+        # buckets are now [10, 40), ..., [400, 430)
+        self.append(410)
+        self.service.forecast_container("c1", 3)
+        assert calls == [2] * 3
+        self.assert_means_are_the_whole_series_means()
+
+    def test_out_of_order_append_buckets_the_whole_series(self, monkeypatch):
+        calls = self.count_bucketing(monkeypatch)
+        self.service.forecast_container("c1", 3)
+        self.append(385)
+        with pytest.raises(ValueError, match="monotone"):
+            self.service.forecast_container("c1", 3)
+        assert calls[3:] == [41]
+
+    def test_churn_leaves_no_bucket_means_behind(self):
+        store = MetricsStore(retention_s=60)
+        service = Forecaster(MessageBus("10.0.0.1", EventSpine()), store, ForecastConfig(bucket_s=20))
+        lifetimes = {f"c{i}": (i * 25, i * 25 + 40 + (i % 3) * 70) for i in range(12)}
+        for t in range(0, 600, 10):
+            for cid, (born, died) in lifetimes.items():
+                if born <= t < died:
+                    store.append(cid, t, {"cpu_util": t % 17, "mem_util": 40 + born % 9, "throttle_pct": 0.2})
+            store.expire(now=t)
+            for cid in list(store._series):
+                service.forecast_container(cid, 2)
+            assert set(store._derived) == set(store._series)
+            for cid, (born, died) in lifetimes.items():
+                if t >= died + store.retention_s:
+                    assert cid not in store._series and cid not in store._derived
+        assert store._derived == {} and store._series == {}
+
     def test_expiry_that_cuts_nothing_keeps_the_forecast(self, monkeypatch):
         calls = self.count_bucketing(monkeypatch)
         self.service.forecast_container("c1", 3)
@@ -391,3 +464,52 @@ class TestForecastMemo:
         fresh = Forecaster(MessageBus("10.0.0.2", EventSpine()), self.store, self.service.config)
         assert updated.as_dict() == fresh.forecast_container("c1", 3).as_dict()
         assert updated.as_dict() != memoized.as_dict()
+
+
+# -- kept bucket means equal a fresh bucketing of the stored series --------------
+
+# throttle values whose float sums depend on the order of addition
+STEP_VALUES = st.sampled_from((0.0, -0.0, 0.1, 0.2, 0.3, 1e16, 1.0, 99.9))
+SAMPLE = st.tuples(
+    st.sampled_from((0, 1, 3, 7, 10, 10, 10, 13, 60, 61, 250)),  # repeats, off-cadence steps and gaps
+    st.one_of(st.integers(0, 400), STEP_VALUES),
+    st.integers(0, 400),
+    STEP_VALUES,
+)
+STEP = st.one_of(
+    st.tuples(st.just("append"), st.sampled_from(("c1", "c2")), st.lists(SAMPLE, min_size=1, max_size=12)),
+    st.tuples(st.just("expire"), st.integers(0, 120)),
+    st.tuples(st.just("restore")),
+)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(
+    bucket_s=st.sampled_from((7, 60, 61)),
+    retention_s=st.sampled_from((40, 150, 600)),
+    steps=st.lists(STEP, min_size=1, max_size=40),
+)
+def test_bucket_means_match_a_fresh_bucketing(bucket_s, retention_s, steps):
+    store = MetricsStore(retention_s=retention_s)
+    service = Forecaster(MessageBus("10.0.0.1", EventSpine()), store, ForecastConfig(bucket_s=bucket_s))
+    now = 0
+    expired_batches = []  # restored last first, so every series stays in time order
+    for step in steps:
+        if step[0] == "append":
+            for gap, cpu, mem, throttle in step[2]:
+                now += gap
+                store.append(step[1], now, {"cpu_util": cpu, "mem_util": mem, "throttle_pct": throttle})
+        elif step[0] == "expire":
+            now += step[1]
+            expired = store.expire(now)
+            if expired:
+                expired_batches.append(expired)
+        elif expired_batches:
+            store.restore(expired_batches.pop())
+        for cid in ("c1", "c2"):
+            for metric in ("cpu_util", "mem_util", "throttle_pct"):
+                points = store.points(cid, metric)
+                if points:
+                    want = aggregate_buckets(points, bucket_s)
+                    assert repr(service.bucket_means(cid, metric)) == repr(want), (cid, metric, step)
+        assert set(store._derived) <= set(store._series)
