@@ -19,6 +19,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable
 
 logger = logging.getLogger(__name__)
@@ -163,6 +164,30 @@ class EventSpine:
                 raise RuntimeError("message storm: drain did not quiesce")
             handler(topic, msg)
         return steps
+
+
+# the keys of a log record, as :meth:`EventSpine.deliver` writes them
+LOG_KEYS = ("action", "bridged_from", "correlation_id", "device", "msg_id", "origin", "seq", "t", "topic")
+
+
+def message_line(record: dict) -> str:
+    """One ``messages.jsonl`` line for a log record: the bytes of
+    ``json.dumps(record, sort_keys=True) + "\n"``, written for the record's
+    fixed schema. Strings are quoted by the function ``json.dumps`` quotes
+    them with, ints printed by ``int.__repr__`` as ``json`` does. A record
+    without exactly the keys of :data:`LOG_KEYS` raises ``ValueError`` (a
+    missing or an extra key) or ``KeyError`` (a renamed one)."""
+    if len(record) != len(LOG_KEYS):
+        raise ValueError(f"message record has keys {sorted(record)}, not {list(LOG_KEYS)}")
+    bridged_from = record["bridged_from"]
+    return (
+        f'{{"action": {_json_str(record["action"])}, '
+        f'"bridged_from": {"null" if bridged_from is None else _json_str(bridged_from)}, '
+        f'"correlation_id": {_json_str(record["correlation_id"])}, "device": {_json_str(record["device"])}, '
+        f'"msg_id": {_json_str(record["msg_id"])}, "origin": {_json_str(record["origin"])}, '
+        f'"seq": {int.__repr__(record["seq"])}, "t": {int.__repr__(record["t"])}, '
+        f'"topic": {_json_str(record["topic"])}}}\n'
+    )
 
 
 class MessageBus:

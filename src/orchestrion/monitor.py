@@ -149,8 +149,11 @@ class MetricsStore:
         return expired
 
     def restore(self, expired: dict[str, list]) -> None:
-        """Put rows returned by :meth:`expire` back in front of the stored ones."""
+        """Put rows returned by :meth:`expire` back in front of the stored
+        ones; a container with no rows is left as it is."""
         for cid, rows in expired.items():
+            if not rows:
+                continue
             columns = {"t": [t for t, _ in rows], **{metric: [row[metric] for _, row in rows] for metric in METRICS}}
             for key, column in self._series.get(cid, {}).items():
                 columns[key] += column

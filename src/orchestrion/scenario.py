@@ -20,10 +20,11 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .analyzer import Analyzer
-from .bus import EventSpine, Message, MessageBus, TOPIC_MONITOR, bridge_all
+from .bus import EventSpine, Message, MessageBus, TOPIC_MONITOR, bridge_all, message_line
 from .deployer import Deployer
 from .expectations import check_expectation
 from .forecaster import ForecastConfig, Forecaster
@@ -95,27 +96,28 @@ class RunReport:
         out.mkdir(parents=True, exist_ok=True)
         paths: dict[str, str] = {}
 
+        # one encoder for every event, whose schemas vary by type; the same
+        # bytes as json.dumps(event, sort_keys=True) per line
+        encode_event = json.JSONEncoder(sort_keys=True).encode
         events_path = out / "events.jsonl"
         with events_path.open("w", encoding="utf-8") as fh:
-            for event in self.events:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+            fh.writelines(encode_event(event) + "\n" for event in self.events)
         paths["events"] = str(events_path)
 
         messages_path = out / "messages.jsonl"
         with messages_path.open("w", encoding="utf-8") as fh:
-            for record in self.messages:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.writelines(map(message_line, self.messages))
         paths["messages"] = str(messages_path)
 
         trace_dir = out / "traces"
         trace_dir.mkdir(exist_ok=True)
+        trace_row = itemgetter(*TRACE_COLUMNS)
         for (device, cid), rows in sorted(self.traces.items()):
             path = trace_dir / f"{device}_{cid.replace('@', '_at_')}.csv"
             with path.open("w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(TRACE_COLUMNS)
-                for row in rows:
-                    writer.writerow([row[c] for c in TRACE_COLUMNS])
+                writer.writerows(map(trace_row, rows))
             paths[f"trace:{device}/{cid}"] = str(path)
 
         summary_path = out / "summary.json"

@@ -1,15 +1,21 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orchestrion import bus as bus_module
 from orchestrion.bus import (
     ACTION_TOPIC,
+    LOG_KEYS,
     Action,
     EventSpine,
     Message,
     MessageBus,
     ProtocolError,
     bridge_all,
+    message_line,
 )
+from orchestrion.scenario import RunReport
 
 from conftest import collect
 
@@ -189,7 +195,57 @@ class TestWireFormat:
         assert decoded.correlation_id == "fc1"
 
     def test_wire_document_carries_action_field(self):
-        import json
-
         doc = json.loads(Message(action=Action.MONITORING_RESULT, payload={}).to_wire())
         assert doc["action"] == "monitoring_result"
+
+
+def json_line(record: dict) -> str:
+    """The oracle for :func:`message_line`."""
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+# strings json escapes: quotes, backslashes, control characters, non-ASCII,
+# astral characters and a lone surrogate; then any text at all
+tricky_text = st.text(alphabet='"\\/\x00\x08\x1f\x7f\xe9\u2028\ud800\U0001f600a ') | st.text()
+any_int = st.integers() | st.integers(min_value=2**63) | st.integers(max_value=-(2**63))
+
+
+class TestMessageLog:
+    def test_delivered_records_have_the_log_schema(self):
+        spine = EventSpine()
+        buses = {d: MessageBus(d, spine) for d in ("10.0.0.1", "10.0.0.2")}
+        bridge_all(buses)
+        spine.now = 7
+        buses["10.0.0.1"].publish("deploy", msg(Action.DEPLOYMENT_REQUEST, correlation='d"1\\é'))
+        assert [tuple(sorted(record)) for record in spine.log] == [LOG_KEYS, LOG_KEYS]
+        assert [message_line(record) for record in spine.log] == [json_line(record) for record in spine.log]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        strings=st.fixed_dictionaries(
+            {key: tricky_text for key in ("action", "correlation_id", "device", "msg_id", "origin", "topic")}
+        ),
+        bridged_from=st.none() | tricky_text,
+        seq=any_int,
+        t=any_int,
+    )
+    def test_line_is_what_json_dumps_writes(self, strings, bridged_from, seq, t):
+        record = {**strings, "bridged_from": bridged_from, "seq": seq, "t": t}
+        assert message_line(record) == json_line(record)
+
+    @pytest.mark.parametrize(
+        "malform, error",
+        [
+            (lambda record: record.pop("origin"), ValueError),
+            (lambda record: record.update(payload={}), ValueError),
+            (lambda record: record.update(sender=record.pop("origin")), KeyError),
+        ],
+        ids=["missing_key", "extra_key", "renamed_key"],
+    )
+    def test_write_refuses_a_malformed_record(self, malform, error, tmp_path):
+        spine = EventSpine()
+        MessageBus("10.0.0.1", spine).publish("deploy", msg(Action.DEPLOYMENT_REQUEST))
+        (record,) = spine.log
+        malform(record)
+        with pytest.raises(error):
+            RunReport("s", 0, messages=[record]).write(tmp_path)

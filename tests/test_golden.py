@@ -8,7 +8,8 @@ Adding ``--bench-seed 5`` also prints the digest of each benchmark workload's
 seed-5 round, which ``BENCH_GOLDEN`` pins.
 
 Each pinned run must also pass the benchmark's invariant checks in
-``perfbench/checks.py``.
+``perfbench/checks.py``, and each of its ``messages.jsonl`` lines must be the
+line ``json.dumps(record, sort_keys=True)`` writes.
 
 The runner steps quiet hosts a span at a time. Its oracle is the same runner
 with every host quiet for no second, so that every second is a wake-up at
@@ -17,6 +18,7 @@ which every host ticks: it must write the same bytes.
 import argparse
 import hashlib
 import importlib.util
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, CPU_PEAKS, MEM_PEAKS, builtin_scenario
+from orchestrion.bus import message_line
 from orchestrion.hostsim import HostSimulator
 from orchestrion.scenario import run_scenario
 
@@ -223,14 +226,17 @@ def tree_digest(root: Path) -> str:
 
 
 def assert_invariants_hold(report, scenario: dict) -> None:
-    """Every check of the benchmark passes on ``report``, and no deployment
-    fails. ``expectations_pass`` is left out: the acceptance tests hold the
+    """Every check of the benchmark passes on ``report``, no deployment
+    fails, and every message is written as the line ``json.dumps`` would
+    write. ``expectations_pass`` is left out: the acceptance tests hold the
     built-ins to their expectations, and the expiring run's 600 s retention
     breaks its own on purpose."""
     failures = {name: check(report, scenario) for name, check in checks.CHECKS.items() if name != "expectations_pass"}
     assert {name: found for name, found in failures.items() if found} == {}
     attempted, failed = checks.count_operations(report)
     assert attempted and not failed
+    for record in report.messages:
+        assert message_line(record) == json.dumps(record, sort_keys=True) + "\n"
 
 
 def test_golden_covers_every_builtin():

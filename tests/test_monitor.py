@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orchestrion.bus import Action, EventSpine, MessageBus
@@ -123,6 +124,17 @@ class TestRetention:
         assert [registry.fetch_metrics(digest)] == attempted
         assert [t for t, _ in monitor.metrics.points("c1", "cpu_util")] == list(range(60, 200, 10))
         assert monitor.metrics.points("c2", "cpu_util") == []
+
+    def test_restoring_no_rows_stores_nothing(self):
+        spine, bus, host, knowledge, registry, monitor, _ = build_stack()
+        store = monitor.metrics
+        store.restore({"c": []})
+        assert store.last("c") is None
+        assert store.points("c", "mem_util") == []
+        assert store.observed_max("c", "mem_util") == 0.0
+        for cid in ("c", "unknown"):
+            with pytest.raises(KeyError):
+                store.derived(cid)
 
     def test_killed_container_entry_dropped_after_retention(self):
         spine, bus, host, knowledge, registry, monitor, _ = build_stack(
