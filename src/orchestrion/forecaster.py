@@ -17,6 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from .bus import Action, Message, MessageBus, TOPIC_FORECAST
+from .model import require_int
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +33,8 @@ class ForecastConfig:
     bucket_s: int = 60
 
     def __post_init__(self) -> None:
+        for name in ("min_points", "bucket_s"):
+            require_int(name, getattr(self, name))
         if self.min_points < MODEL_MIN_POINTS:
             raise ValueError("min_points too small for the model order")
         if self.bucket_s <= 0:

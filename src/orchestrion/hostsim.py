@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation of a resource-constrained container host.
 
-The host advances in ticks of one simulated second. Per tick,
+Simulated time moves in whole seconds. Each second,
 every running container demands memory and CPU according to its workload
 pattern; CPU demand above the enforced limit is throttled and deferred into a
 work backlog, memory demand above the limit kills the container (no swap).
@@ -13,16 +13,18 @@ more than its usable CPU and memory: :meth:`HostSimulator.run_container` and
 change nothing, for limits that would break it. The analyzer's
 strict-inequality admission and upscale rules never ask for such limits. So
 no container can take from another, and each one can be stepped over many
-seconds alone. :meth:`HostSimulator.quiet_until` finds the first second at
-which a tick could raise an event, and :meth:`HostSimulator.advance` steps
-every container up to the second before it in one call, with the same
-results as that many ticks.
+seconds alone, by the one stepping path :meth:`HostSimulator.advance`. A
+tick is the OOM check at the next second followed by a one-second
+``advance``; :meth:`HostSimulator.quiet_until` finds, by the same check, the
+first second at which a tick could kill, so the seconds before it can be one
+span.
 
-A tick reads each container's dominant demand from a table indexed by phase,
-at most one period long. A table is a list of chunks of ``1 << CHUNK_BITS``
-(64) phases. The first time a container reaches a phase of a chunk not yet in
-its table, the host fills that whole chunk with one :func:`demand_range` call,
-so a container that dies early pays only for the chunks it reached.
+The host reads each container's dominant demand from a table indexed by
+phase, at most one period long. A table is a list of chunks of
+``1 << CHUNK_BITS`` (64) phases. The first time a container reaches a phase
+of a chunk not yet in its table, the host fills that whole chunk with one
+:func:`demand_range` call, so a container that dies early pays only for the
+chunks it reached.
 Containers of one :class:`WorkloadSpec` share a table, except for pattern 4,
 whose noise is keyed by container; the tables belong to the host and die
 with it.
@@ -342,6 +344,7 @@ class HostSimulator:
 
     def _retire(self, state: ContainerState, status: str) -> None:
         state.status = status
+        state.mem_usage = 0
         del self._live[state.container_id]
         self._slack_cpu += state.limits.cpu
         self._slack_mem += state.limits.mem
@@ -357,83 +360,70 @@ class HostSimulator:
     # -- simulation clock --------------------------------------------------------
 
     def tick(self) -> list[SimEvent]:
-        """Advance one simulated second; returns lifecycle events raised during it."""
-        self.now += 1
-        now = self.now
+        """Advance one simulated second; returns lifecycle events raised during
+        it. The containers whose memory demand at that second is above their
+        limit are killed; :meth:`advance` steps the rest."""
+        now = self.now + 1
         events: list[SimEvent] = []
-        killed: list[ContainerState] = []
-        for state in self._live.values():
-            spec = state.spec
-            phase = (now - state.start_t) % spec.period_s
-            try:
-                amount = state.demand[phase >> CHUNK_BITS][phase & CHUNK_MASK]
-            except IndexError:
-                amount = self._fill_demand(state, phase)
-            if spec.workload_class == "cpu":
-                cpu, mem = amount, FLAT_MEM_MB
-            else:
-                cpu, mem = FLAT_CPU_MCPU, amount
-            limits = state.limits
-
-            # Memory first: exceeding the enforced limit kills the container.
-            if mem > limits.mem:
-                state.mem_usage = 0
-                killed.append(state)
-                events.append(
-                    SimEvent(
-                        kind="oom_kill",
-                        container_id=state.container_id,
-                        t=now,
-                        detail={"demand_mem": mem, "mem_limit": limits.mem, "reason": "limit"},
-                    )
-                )
-                continue
-            state.mem_usage = mem
-            _grant(state, (cpu,), cpu, 1, cpu <= limits.cpu)
-        for state in killed:  # off the live set only once the loop over it is done
+        # listed before any is retired, as retiring takes it off the live set
+        doomed = [state for state in self._live.values() if self._first_oom(state, now) is not None]
+        for state in doomed:
+            detail = {"demand_mem": self._mem_demand(state, now), "mem_limit": state.limits.mem, "reason": "limit"}
+            events.append(SimEvent(kind="oom_kill", container_id=state.container_id, t=now, detail=detail))
             self._retire(state, STATUS_KILLED_OOM)
+        self.advance(now)
         return events
 
     def quiet_until(self, wake: int) -> int:
         """The first second in ``(now, wake]`` at which :meth:`tick` can raise
-        an event, or ``wake`` if none can: the first second a mem-class
-        container demands more than its memory limit, or ``now + 1`` if a
-        cpu-class one is limited below its flat memory. As the live limits fit
-        in the usable capacity, no container's CPU or memory depends on
-        another's."""
-        now = self.now
+        an event, or ``wake`` if none can: the first OOM kill. As the live
+        limits fit in the usable capacity, no container's CPU or memory
+        depends on another's."""
         for state in self._live.values():
-            limit = state.limits.mem
-            if state.spec.workload_class == "cpu":
-                if limit < FLAT_MEM_MB:
-                    return now + 1
-            elif limit < state.spec.peak:  # demand never exceeds the peak
-                t = now
-                for piece in self._pieces(state, wake - now):
-                    if max(piece) > limit:
-                        wake = t + next(i for i, amount in enumerate(piece, 1) if amount > limit)
-                        break
-                    t += len(piece)
+            oom = self._first_oom(state, wake)
+            if oom is not None:
+                wake = oom
         return wake
 
     def advance(self, last: int) -> None:
         """Step every live container through seconds ``now + 1`` to ``last``,
-        as that many :meth:`tick` calls would on a host that is quiet until
-        ``last + 1`` (see :meth:`quiet_until`)."""
+        on a host where none is killed before ``last + 1`` (see
+        :meth:`quiet_until`)."""
         count = last - self.now
         if count <= 0:
             return
         for state in self._live.values():
+            state.mem_usage = self._mem_demand(state, last)
             limit = state.limits.cpu
             if state.spec.workload_class == "cpu":
-                state.mem_usage = FLAT_MEM_MB
                 capped = limit >= state.spec.peak  # demand never exceeds the peak
                 for piece in self._pieces(state, count):
                     _grant(state, piece, sum(piece), len(piece), capped or max(piece) <= limit)
             else:
-                state.mem_usage = self._fill_demand(state, (last - state.start_t) % state.spec.period_s)
                 _grant(state, repeat(FLAT_CPU_MCPU, count), FLAT_CPU_MCPU * count, count, FLAT_CPU_MCPU <= limit)
         self.now = last
+
+    def _first_oom(self, state: ContainerState, last: int) -> int | None:
+        """The first second in ``(now, last]``, ``last > now``, at which the
+        memory demand of ``state`` is above its limit, or ``None``."""
+        limit = state.limits.mem
+        if state.spec.workload_class == "cpu":
+            return self.now + 1 if FLAT_MEM_MB > limit else None
+        if limit >= state.spec.peak:  # demand never exceeds the peak
+            return None
+        t = self.now
+        for piece in self._pieces(state, last - t):
+            if max(piece) > limit:
+                return t + next(i for i, amount in enumerate(piece, 1) if amount > limit)
+            t += len(piece)
+        return None
+
+    def _mem_demand(self, state: ContainerState, t: int) -> int:
+        """Memory demand of ``state`` at second ``t``: flat for a cpu-class
+        container, its table's entry for a mem-class one."""
+        if state.spec.workload_class == "cpu":
+            return FLAT_MEM_MB
+        return self._fill_demand(state, (t - state.start_t) % state.spec.period_s)
 
     def _pieces(self, state: ContainerState, count: int) -> list[array]:
         """Dominant demand of ``state`` at seconds ``now + 1`` to

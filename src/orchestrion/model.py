@@ -107,13 +107,13 @@ class OptimizationPolicy:
             raise ContractViolation(f"mem_margin must be >= 1, got {self.mem_margin}")
         if not 0.0 <= self.throttle_limit_pct <= 100.0:
             raise ContractViolation(f"throttle_limit_pct out of [0,100]: {self.throttle_limit_pct}")
+        for name in ("mem_min", "mem_max", "optimization_interval_s", "warmup_delay_s"):
+            require_int(name, getattr(self, name))
         if self.mem_min > self.mem_max:
             raise ContractViolation(f"mem_min {self.mem_min} > mem_max {self.mem_max}")
         for res in RESOURCES:
             if getattr(self.scale_up, res) <= 0 or getattr(self.scale_down, res) <= 0:
                 raise ContractViolation("scale amounts must be > 0")
-        for name in ("optimization_interval_s", "warmup_delay_s"):
-            require_int(name, getattr(self, name))
         if self.optimization_interval_s <= 0 or self.warmup_delay_s < 0:
             raise ContractViolation("intervals must be positive")
 

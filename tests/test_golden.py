@@ -13,7 +13,9 @@ line ``json.dumps(record, sort_keys=True)`` writes.
 
 The runner steps quiet hosts a span at a time. Its oracle is the same runner
 with every host quiet for no second, so that every second is a wake-up at
-which every host ticks: it must write the same bytes.
+which every host ticks, and each tick is the frozen per-second reference in
+``tests/reference_host.py``, not the host's own span path: it must write the
+same bytes.
 """
 import argparse
 import hashlib
@@ -29,6 +31,7 @@ from orchestrion.builtins import BUILTIN_SCENARIOS, CPU_PEAKS, MEM_PEAKS, builti
 from orchestrion.bus import message_line
 from orchestrion.hostsim import HostSimulator
 from orchestrion.scenario import run_scenario
+from reference_host import PerSecondHost
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the benchmark's invariant checks, loaded by path: perfbench/ is no package
@@ -296,8 +299,10 @@ def test_cluster_12_run_artifacts_unchanged(tmp_path):
 
 
 def tick_every_second(monkeypatch):
-    """Make every host quiet for no second, so that every second is a wake-up."""
+    """Make every host quiet for no second, so that every second is a wake-up,
+    and step each second with the frozen per-second reference tick."""
     monkeypatch.setattr(HostSimulator, "quiet_until", lambda host, wake: host.now + 1)
+    monkeypatch.setattr(HostSimulator, "tick", PerSecondHost.tick)
 
 
 @pytest.mark.parametrize("name", list(PINNED))

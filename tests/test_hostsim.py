@@ -20,6 +20,7 @@ from orchestrion.hostsim import (
     workload_demand,
 )
 from orchestrion.model import ContractViolation, Limits
+from reference_host import PerSecondHost
 
 
 def mem_spec(pattern, peak=95, period=1800):
@@ -582,8 +583,9 @@ def span_containers(draw):
 
 
 def build_span_hosts(config, seed, containers, warmup):
-    """Two identically built hosts, and the ids of the containers run on them."""
-    hosts = [HostSimulator(config, seed=seed, device="10.0.0.1") for _ in range(2)]
+    """A host and a :class:`PerSecondHost`, identically built, and the ids of
+    the containers run on them."""
+    hosts = [host_type(config, seed=seed, device="10.0.0.1") for host_type in (HostSimulator, PerSecondHost)]
     cids = []
     for spec, delay, (cpu, _), (mem, _) in containers:
         for host in hosts:

@@ -286,6 +286,10 @@ class TestCli:
             {"images": exp1_mem_images_with_first(workload={"peak": 95.5})},
             {"images": [5]},
             {"images": exp1_mem_images_with_first(base={"mem": 0})},
+            {"policy": {"mem_min": 32.5}},
+            {"policy": {"mem_max": 100.5}},
+            {"forecast": {"bucket_s": 60.5}},
+            {"forecast": {"min_points": 7.5}},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
