@@ -2,15 +2,17 @@
 
 Each device runs its own bus; buses in one simulation share an
 :class:`EventSpine`, a single FIFO that makes delivery order deterministic
-across the whole cluster. A subscriber is a handler: every copy of a message
-goes through :meth:`EventSpine.deliver`, which logs it and queues it for the
-handlers of its topic, and :meth:`EventSpine.drain` runs the queued handlers
-in FIFO order. Bridging re-publishes configured topics on peer buses under a
-``cluster/`` prefix, so components can tell local traffic from remote
-traffic; the bridged copies reach peers in address-string order, fixed when
-the peers are registered. Payloads are JSON-serializable dicts carrying an
-``action`` field, so the same envelope maps 1:1 onto an MQTT 3.1.1 binding
-(topic names as below, payload = the JSON document).
+across the whole cluster. A subscriber is a handler. Each publish goes out
+along its bus's cached **route** for the topic: the publishing device's own
+copy, then one bridged copy per peer. :meth:`EventSpine.deliver` logs one
+record per copy and queues the publish once, and :meth:`EventSpine.drain`
+runs the handlers of each queued route in route order. Bridging re-publishes
+configured topics on peer buses under a ``cluster/`` prefix, so components
+can tell local traffic from remote traffic; the bridged copies reach peers in
+address-string order, fixed when the peers are registered. Payloads are
+JSON-serializable dicts carrying an ``action`` field, so the same envelope
+maps 1:1 onto an MQTT 3.1.1 binding (topic names as below, payload = the JSON
+document).
 """
 from __future__ import annotations
 
@@ -112,22 +114,30 @@ class Message:
 
 Handler = Callable[[str, Message], None]
 
+# One copy of a publish: the device it reaches, the topic it arrives on, the
+# handlers subscribed there when the route was built, and the device it was
+# bridged from (None for the publisher's own copy).
+Copy = tuple[str, str, tuple[Handler, ...], str | None]
+Route = tuple[Copy, ...]
+
 # deliveries one drain may dispatch before it takes the spine to be in a storm
 MAX_DRAIN_STEPS = 1_000_000
 
 
 class EventSpine:
-    """Shared FIFO of pending deliveries plus a structured message log.
+    """Shared FIFO of pending publishes plus a structured message log.
 
-    One spine per simulation; :meth:`deliver` logs a copy and queues it,
-    :meth:`drain` pops in FIFO order and invokes handlers (which may publish
+    One spine per simulation; :meth:`deliver` logs every copy of a publish
+    and queues the publish once, along its route; :meth:`drain` pops in FIFO
+    order and invokes each route's handlers in route order (which may publish
     more). The log records one entry per copy at the simulated second
     ``now``, which the runner sets; bridged copies keep the original msg_id,
     so "one broadcast" counts as one logical message.
     """
 
     def __init__(self) -> None:
-        self._pending: deque[tuple[Handler, str, Message]] = deque()
+        self._pending: deque[tuple[Route, Message]] = deque()
+        self._buses: list["MessageBus"] = []
         self.log: list[dict] = []
         self._seq = 0
         self.now = 0
@@ -136,34 +146,72 @@ class EventSpine:
         self._seq += 1
         return f"m{self._seq:06d}@{origin}"
 
-    def deliver(self, device: str, topic: str, msg: Message, handlers: list[Handler], bridged_from: str | None) -> None:
-        """Log ``msg`` on ``device``'s ``topic`` and queue it for each handler."""
-        self.log.append(
-            {
-                "seq": len(self.log),
-                "t": self.now,
-                "device": device,
-                "topic": topic,
-                "action": msg.action.value,
-                "msg_id": msg.msg_id,
-                "correlation_id": msg.correlation_id,
-                "origin": msg.origin,
-                "bridged_from": bridged_from,
-            }
-        )
-        for handler in handlers:
-            self._pending.append((handler, topic, msg))
+    def drop_routes(self) -> None:
+        """Forget every bus's cached routes; the next publish rebuilds its own."""
+        for bus in self._buses:
+            bus._routes.clear()
+
+    def deliver(self, msg: Message, route: Route) -> None:
+        """Log one record per copy of ``msg`` along ``route`` and queue it once."""
+        log = self.log
+        seq = len(log)
+        # the fields every copy shares, read once; each copy's record is a
+        # copy of this one with its own seq, device, topic and bridged_from
+        shared = {
+            "seq": seq,
+            "t": self.now,
+            "device": None,
+            "topic": None,
+            "action": msg.action._value_,
+            "msg_id": msg.msg_id,
+            "correlation_id": msg.correlation_id,
+            "origin": msg.origin,
+            "bridged_from": None,
+        }
+        for device, topic, _, bridged_from in route:
+            record = shared.copy()
+            record["seq"] = seq
+            record["device"] = device
+            record["topic"] = topic
+            record["bridged_from"] = bridged_from
+            log.append(record)
+            seq += 1
+        self._pending.append((route, msg))
 
     def drain(self) -> int:
-        """Dispatch pending deliveries until quiescent; returns step count."""
+        """Dispatch pending deliveries until quiescent; returns the number of
+        handler calls. A handler that raises leaves the rest of its publish's
+        deliveries at the head of the queue, for a later drain."""
         steps = 0
-        while self._pending:
-            handler, topic, msg = self._pending.popleft()
-            steps += 1
-            if steps > MAX_DRAIN_STEPS:
-                raise RuntimeError("message storm: drain did not quiesce")
-            handler(topic, msg)
+        limit = MAX_DRAIN_STEPS
+        pending = self._pending
+        while pending:
+            route, msg = pending.popleft()
+            first = steps
+            try:
+                for _, topic, handlers, _ in route:
+                    for handler in handlers:
+                        steps += 1
+                        if steps > limit:
+                            raise RuntimeError("message storm: drain did not quiesce")
+                        handler(topic, msg)
+            except BaseException:
+                rest = _after(route, steps - first)
+                if rest:
+                    pending.appendleft((rest, msg))
+                raise
         return steps
+
+
+def _after(route: Route, calls: int) -> Route:
+    """What is left of ``route`` once its first ``calls`` handler calls are
+    made: the copy that was cut short, with its uncalled handlers, then every
+    later copy."""
+    for index, (device, topic, handlers, bridged_from) in enumerate(route):
+        if calls < len(handlers):
+            return ((device, topic, handlers[calls:], bridged_from),) + route[index + 1:]
+        calls -= len(handlers)
+    return ()
 
 
 # the keys of a log record, as :meth:`EventSpine.deliver` writes them
@@ -198,15 +246,20 @@ class MessageBus:
         self.spine = spine
         self._subs: dict[str, list[Handler]] = {t: [] for t in KNOWN_TOPICS}
         self._peers: dict[str, "MessageBus"] = {}
+        self._routes: dict[str, Route] = {}
+        spine._buses.append(self)
 
     def subscribe(self, topic: str, handler: Handler) -> None:
         if topic not in self._subs:
             raise ProtocolError(f"unknown topic: {topic!r}")
         self._subs[topic].append(handler)
+        # a cluster/ topic is on the routes of every bus bridged to this one
+        self.spine.drop_routes()
 
     def publish(self, topic: str, msg: Message) -> None:
-        if topic not in self._subs:
-            raise ProtocolError(f"unknown topic: {topic!r}")
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._route(topic)
         expected = ACTION_TOPIC[msg.action]
         if base_topic(topic) != expected:
             raise ProtocolError(
@@ -216,25 +269,33 @@ class MessageBus:
             msg.msg_id = self.spine.next_msg_id(self.device)
         if not msg.origin:
             msg.origin = self.device
-        deliver = self.spine.deliver
-        deliver(self.device, topic, msg, self._subs[topic], None)
-        # Re-broadcast on peers under the cluster/ prefix; no prefixed topic is
-        # in BRIDGED_TOPICS, so a bridged copy is never re-bridged (loop
-        # prevention).
-        if self._peers and topic in BRIDGED_TOPICS:
+        self.spine.deliver(msg, route)
+
+    def _route(self, topic: str) -> Route:
+        """Build and cache the route of ``topic``: this device's own copy,
+        then, for a bridged topic, one copy per peer under the cluster/
+        prefix. No prefixed topic is in BRIDGED_TOPICS, so a bridged copy is
+        never re-bridged (loop prevention)."""
+        if topic not in self._subs:
+            raise ProtocolError(f"unknown topic: {topic!r}")
+        route = [(self.device, topic, tuple(self._subs[topic]), None)]
+        if topic in BRIDGED_TOPICS:
             bridged = CLUSTER_PREFIX + topic
-            for peer in self._peers.values():
-                deliver(peer.device, bridged, msg, peer._subs[bridged], self.device)
+            route += [(peer.device, bridged, tuple(peer._subs[bridged]), self.device) for peer in self._peers.values()]
+        self._routes[topic] = route = tuple(route)
+        return route
 
     def bridge(self, peers: dict[str, "MessageBus"]) -> None:
         """Register peer buses that :data:`BRIDGED_TOPICS` are re-broadcast to,
         kept in name-string order; duplicate registration is an idempotent
-        no-op."""
-        for name, peer in peers.items():
+        no-op. A peer must be another bus on this bus's spine."""
+        for peer in peers.values():
             if peer is self:
                 raise ProtocolError("cannot bridge a bus to itself")
-            self._peers[name] = peer
-        self._peers = dict(sorted(self._peers.items()))
+            if peer.spine is not self.spine:
+                raise ProtocolError(f"cannot bridge {self.device} to {peer.device} on another spine")
+        self._peers = dict(sorted({**self._peers, **peers}.items()))
+        self._routes.clear()
 
 
 def bridge_all(buses: dict[str, MessageBus]) -> None:

@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 from orchestrion import bus as bus_module
 from orchestrion.bus import (
     ACTION_TOPIC,
+    BASE_TOPICS,
+    BRIDGED_TOPICS,
+    CLUSTER_PREFIX,
+    KNOWN_TOPICS,
     LOG_KEYS,
     Action,
     EventSpine,
@@ -18,6 +22,7 @@ from orchestrion.bus import (
 from orchestrion.scenario import RunReport
 
 from conftest import collect
+from reference_spine import PerCopyBus, PerCopySpine
 
 
 def make_bus(device="10.0.0.1"):
@@ -171,6 +176,18 @@ class TestBridging:
         buses["10.0.0.1"].publish("monitor", msg(Action.MONITORING_RESULT))
         assert [e["device"] for e in spine.log if e["bridged_from"]] == ["10.0.0.10", "10.0.0.2", "10.0.0.3"]
 
+    def test_bridge_to_a_bus_on_another_spine_rejected(self):
+        spine, buses = self.make_cluster()
+        stranger = make_bus("10.0.0.9")
+        with pytest.raises(ProtocolError, match="another spine"):
+            buses["10.0.0.1"].bridge({"10.0.0.9": stranger, "10.0.0.2": buses["10.0.0.2"]})
+        got = collect(stranger, "cluster/monitor")
+        buses["10.0.0.1"].publish("monitor", msg(Action.MONITORING_RESULT))
+        spine.drain()
+        stranger.spine.drain()
+        assert got == [] and stranger.spine.log == []
+        assert [e["device"] for e in spine.log] == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+
     def test_origin_preserved_on_bridge(self):
         spine, buses = self.make_cluster()
         got = collect(buses["10.0.0.2"], "cluster/deploy")
@@ -178,6 +195,171 @@ class TestBridging:
         spine.drain()
         (received,) = got
         assert received.origin == "10.0.0.1"
+
+
+# the bus and spine classes under test, and the frozen per-copy oracle
+SPINES = {"routes": (MessageBus, EventSpine), "per_copy": (PerCopyBus, PerCopySpine)}
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", sorted(SPINES))
+class TestDeliveryRules:
+    """Rules that hold for a spine that queues routes and for the per-copy one."""
+
+    def make_cluster(self, kind, *devices):
+        bus_type, spine_type = SPINES[kind]
+        spine = spine_type()
+        return spine, [bus_type(device, spine) for device in devices]
+
+    def test_handler_subscribed_after_a_publish_misses_it(self, kind):
+        spine, (one, two) = self.make_cluster(kind, "10.0.0.1", "10.0.0.2")
+        bridge_all({"10.0.0.1": one, "10.0.0.2": two})
+        one.publish("monitor", msg(Action.MONITORING_RESULT, {"i": 0}))
+        local, remote = collect(one, "monitor"), collect(two, "cluster/monitor")
+        spine.drain()
+        assert local == [] and remote == []
+        one.publish("monitor", msg(Action.MONITORING_RESULT, {"i": 1}))
+        spine.drain()
+        assert [m.payload["i"] for m in local + remote] == [1, 1]
+
+    def test_subscribe_and_bridge_after_the_first_publish_reach_later_publishes(self, kind):
+        spine, (one, two, three) = self.make_cluster(kind, "10.0.0.1", "10.0.0.2", "10.0.0.3")
+        one.bridge({"10.0.0.2": two})
+        third = collect(three, "cluster/deploy")  # not bridged yet
+
+        def publish(i):
+            one.publish("deploy", msg(Action.DEPLOYMENT_REQUEST, {"i": i}))
+            spine.drain()
+
+        publish(0)
+        second = collect(two, "cluster/deploy")
+        publish(1)
+        local = collect(one, "deploy")
+        publish(2)
+        one.bridge({"10.0.0.3": three})
+        publish(3)
+        assert [[m.payload["i"] for m in got] for got in (second, local, third)] == [[1, 2, 3], [2, 3], [3]]
+
+    def test_raising_handler_leaves_the_rest_of_its_publish_queued(self, kind):
+        spine, (one, two) = self.make_cluster(kind, "10.0.0.1", "10.0.0.2")
+        bridge_all({"10.0.0.1": one, "10.0.0.2": two})
+        calls = []
+
+        def handler(name, raises=False):
+            def record(topic, m):
+                calls.append((name, topic, m.payload["i"]))
+                if raises and m.payload["i"] == 0:
+                    one.publish("deploy", msg(Action.DEPLOYMENT_REQUEST, {"i": 9}))
+                    raise Boom
+
+            return record
+
+        one.subscribe("monitor", handler("a"))
+        one.subscribe("monitor", handler("b", raises=True))
+        one.subscribe("monitor", handler("c"))
+        two.subscribe("cluster/monitor", handler("d"))
+        one.subscribe("deploy", handler("e"))
+        for i in (0, 1):
+            one.publish("monitor", msg(Action.MONITORING_RESULT, {"i": i}))
+        with pytest.raises(Boom):
+            spine.drain()
+        assert spine.drain() == 7  # c and d of publish 0, publish 1, then the deploy
+        assert calls == [
+            ("a", "monitor", 0),
+            ("b", "monitor", 0),
+            ("c", "monitor", 0),
+            ("d", "cluster/monitor", 0),
+            ("a", "monitor", 1),
+            ("b", "monitor", 1),
+            ("c", "monitor", 1),
+            ("d", "cluster/monitor", 1),
+            ("e", "deploy", 9),
+        ]
+
+
+# the action a generated publish carries on each base topic
+TOPIC_ACTION = {topic: next(a for a, t in ACTION_TOPIC.items() if t == topic) for topic in BASE_TOPICS}
+MAX_DEPTH = 2  # generations of republishing a handler may start
+
+devices = st.integers(min_value=0, max_value=3)
+# every topic, the bridged ones and their cluster/ copies drawn more often
+publish_topics = st.sampled_from(BRIDGED_TOPICS) | st.sampled_from(KNOWN_TOPICS)
+handler_topics = st.sampled_from([CLUSTER_PREFIX + topic for topic in BRIDGED_TOPICS]) | st.sampled_from(KNOWN_TOPICS)
+# subscribe (bus, topic, republish to [(bus, topic)], raises at depth 0)
+operations = st.one_of(
+    st.tuples(st.just("publish"), devices, publish_topics),
+    st.tuples(
+        st.just("subscribe"),
+        devices,
+        handler_topics,
+        st.lists(st.tuples(devices, publish_topics), max_size=2),
+        st.booleans(),
+    ),
+    st.tuples(st.just("bridge"), devices, devices),
+    st.just(("drain",)),
+)
+
+
+def run_program(kind, size, mesh, program):
+    """Run ``program`` on ``size`` buses of ``kind``, bus numbers taken
+    modulo ``size``, then drain; every drain is repeated until it ends
+    without a handler's ``Boom``. Returns each handler call as
+    ``(device, topic, msg_id)``, and the spine's log."""
+    bus_type, spine_type = SPINES[kind]
+    spine = spine_type()
+    buses = [bus_type(f"10.0.0.{index + 1}", spine) for index in range(size)]
+    if mesh:
+        bridge_all({bus.device: bus for bus in buses})
+    calls = []
+
+    def publish(index, topic, depth):
+        buses[index % size].publish(topic, msg(TOPIC_ACTION[bus_module.base_topic(topic)], {"depth": depth}))
+
+    def make_handler(device, targets, raises):
+        def handler(topic, m):
+            calls.append((device, topic, m.msg_id))
+            depth = m.payload["depth"]
+            if depth < MAX_DEPTH:
+                for index, target_topic in targets:
+                    publish(index, target_topic, depth + 1)
+            if raises and depth == 0:
+                raise Boom
+
+        return handler
+
+    for op, *args in [*program, ("drain",)]:
+        if op == "publish":
+            publish(*args, 0)
+        elif op == "subscribe":
+            index, topic, targets, raises = args
+            bus = buses[index % size]
+            bus.subscribe(topic, make_handler(bus.device, targets, raises))
+        elif op == "bridge" and args[0] % size != args[1] % size:
+            peer = buses[args[1] % size]
+            buses[args[0] % size].bridge({peer.device: peer})
+        elif op == "drain":
+            while True:
+                try:
+                    spine.drain()
+                    break
+                except Boom:
+                    pass
+    return calls, spine.log
+
+
+class TestRoutesAgainstPerCopySpine:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=4),
+        mesh=st.booleans(),
+        program=st.lists(operations, min_size=4, max_size=20),
+    )
+    def test_same_handler_calls_and_log(self, size, mesh, program):
+        routes = run_program("routes", size, mesh, program)
+        assert routes == run_program("per_copy", size, mesh, program)
 
 
 class TestWireFormat:

@@ -16,6 +16,11 @@ with every host quiet for no second, so that every second is a wake-up at
 which every host ticks, and each tick is the frozen per-second reference in
 ``tests/reference_host.py``, not the host's own span path: it must write the
 same bytes.
+
+The spine sends each publish along one cached route. Its oracle is the frozen
+per-copy spine in ``tests/reference_spine.py``, which logs and queues every
+copy, and every handler, alone: every pinned run, and the benchmark's seed-5
+``cluster_fanout`` round, must write the same bytes on it.
 """
 import argparse
 import hashlib
@@ -28,10 +33,11 @@ from pathlib import Path
 import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, CPU_PEAKS, MEM_PEAKS, builtin_scenario
-from orchestrion.bus import message_line
+from orchestrion.bus import EventSpine, MessageBus, message_line
 from orchestrion.hostsim import HostSimulator
 from orchestrion.scenario import run_scenario
 from reference_host import PerSecondHost
+from reference_spine import PerCopyBus, PerCopySpine
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the benchmark's invariant checks, loaded by path: perfbench/ is no package
@@ -325,6 +331,22 @@ def test_per_second_runner_matches_on_benchmark_scenarios(workload, tmp_path, mo
     assert tree_digest(tmp_path / "spans") == tree_digest(tmp_path / "seconds")
 
 
+def deliver_per_copy(monkeypatch):
+    """Publish, log and queue every copy, and every handler, alone, with the
+    frozen per-copy reference spine."""
+    monkeypatch.setattr(MessageBus, "publish", PerCopyBus.publish)
+    monkeypatch.setattr(EventSpine, "deliver", PerCopySpine.deliver)
+    monkeypatch.setattr(EventSpine, "drain", PerCopySpine.drain)
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_per_copy_spine_writes_the_pinned_bytes(name, tmp_path, monkeypatch):
+    deliver_per_copy(monkeypatch)
+    build, digest = PINNED[name]
+    run_scenario(build()).write(tmp_path)
+    assert tree_digest(tmp_path) == digest
+
+
 def bench_round_digests(seed: int, names=None) -> dict[str, str]:
     """``tree_digest`` of the round at ``seed`` of each benchmark workload in
     ``names`` (all by default): every scenario's ``RunReport.write`` tree, in a
@@ -344,6 +366,11 @@ def bench_round_digests(seed: int, names=None) -> dict[str, str]:
 @pytest.mark.parametrize("workload", sorted(BENCH_GOLDEN))
 def test_benchmark_round_artifacts_unchanged(workload):
     assert bench_round_digests(BENCH_SEED, [workload]) == {workload: BENCH_GOLDEN[workload]}
+
+
+def test_per_copy_spine_writes_the_cluster_fanout_round(monkeypatch):
+    deliver_per_copy(monkeypatch)
+    assert bench_round_digests(BENCH_SEED, ["cluster_fanout"]) == {"cluster_fanout": BENCH_GOLDEN["cluster_fanout"]}
 
 
 if __name__ == "__main__":
