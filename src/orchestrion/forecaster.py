@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -66,6 +65,15 @@ def aggregate_buckets(points: list[tuple[int, float]], bucket_s: int) -> list[fl
         count += 1
     means.append(total / count)
     return means
+
+
+def bucket_mean(values: list) -> float:
+    """Mean of one bucket's values, summed one at a time in order as
+    :func:`aggregate_buckets` sums them, so that it is the same float."""
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total / len(values)
 
 
 def ar_forecast(values: list[float], horizon: int, config: ForecastConfig | None = None) -> tuple[list[float], bool]:
@@ -200,7 +208,7 @@ class Forecaster:
         return result
 
     def _forecast(self, cid: str, horizon: int) -> ForecastResult:
-        if self.store.last(cid) is None:
+        if cid not in self.store:
             return ForecastResult(error="unknown container")
         result = ForecastResult()
         for metric, (lo, hi) in (("cpu_util", (0.0, None)), ("mem_util", (0.0, None)), ("throttle_pct", (0.0, 100.0))):
@@ -213,34 +221,44 @@ class Forecaster:
         """``aggregate_buckets(store.points(cid, metric), bucket_s)`` for a
         container with stored samples, bucketing only what may have changed.
 
-        Every bucket but the last is finished: while the series only grows in
-        time order, no new sample can fall in it. The means are kept in the
-        store's :meth:`~orchestrion.monitor.MetricsStore.derived` slot with
-        the first sample's time and the open bucket's edge, and only the
-        points from that edge on are bucketed again, one
-        :func:`aggregate_buckets` call per bucket. Once the store drops the
-        slot (an expiry or restore moved the first sample), the whole series
-        is bucketed in one call. The returned list is the kept one: callers
-        must not modify it.
+        Buckets are anchored at the first stored sample ``t0``, so series
+        whose anchors share the phase ``t0 % bucket_s`` share one grid of
+        bucket starts. A bucket that starts at or after ``t0`` holds the same
+        samples whatever the anchor: an expiry cuts only a prefix of the
+        series, and an append in time order lands only in the last (open)
+        bucket or after it. So one ``[starts, means]`` list is kept per metric
+        and phase in the store's
+        :meth:`~orchestrion.monitor.MetricsStore.derived` slot, which survives
+        an expiry. Each call drops the kept buckets that start before ``t0``
+        and sums again, with :func:`bucket_mean`, only the samples from the
+        open bucket's start on. A phase with no kept list, or whose list ends
+        before ``t0``, buckets the whole series in one :func:`aggregate_buckets`
+        call, as does every call after a restore or an out-of-order append
+        (the store drops the slot). The returned list is the kept one:
+        callers must not modify it.
         """
         bucket_s = self.config.bucket_s
+        times, values = self.store.columns(cid, metric)
+        t0 = times[0]
         slot = self.store.derived(cid)
-        kept = slot.get(metric)
-        if kept is None:
-            points = self.store.points(cid, metric)
-            means = aggregate_buckets(points, bucket_s)
-            t0 = points[0][0]
-            slot[metric] = [t0, t0 + (points[-1][0] - t0) // bucket_s * bucket_s, means]
+        key = (metric, t0 % bucket_s)
+        kept = slot.get(key)
+        if kept is None or kept[0][-1] < t0:
+            means = aggregate_buckets(self.store.points(cid, metric), bucket_s)
+            starts = [t0 + k * bucket_s for k in dict.fromkeys((t - t0) // bucket_s for t in times)]
+            slot[key] = [starts, means]
             return means
-        t0, edge, means = kept
-        tail = self.store.points_since(cid, metric, edge)
-        fresh: list[float] = []
-        start = 0
-        while start < len(tail):
-            edge = t0 + (tail[start][0] - t0) // bucket_s * bucket_s
-            stop = bisect_left(tail, edge + bucket_s, start, key=itemgetter(0))
-            fresh += aggregate_buckets(tail[start:stop], bucket_s)
+        starts, means = kept
+        head = bisect_left(starts, t0)
+        if head:
+            del starts[:head], means[:head]
+        start = bisect_left(times, starts.pop())
+        means.pop()
+        end = len(times)
+        while start < end:
+            edge = t0 + (times[start] - t0) // bucket_s * bucket_s
+            stop = bisect_left(times, edge + bucket_s, start)
+            starts.append(edge)
+            means.append(bucket_mean(values[start:stop]))
             start = stop
-        means[-1:] = fresh
-        kept[1] = edge
         return means

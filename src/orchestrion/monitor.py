@@ -68,10 +68,12 @@ class MetricsStore:
     forecaster) reuse them while the version stays the same.
 
     Each stored container also has a :meth:`derived` slot for what readers
-    build from its series and extend as it grows. The store drops the slot
-    whenever a write does more than append in time order: an :meth:`expire`
-    that cuts the container's series, a :meth:`restore` that rewrites it, an
-    append older than its last sample, and the dropping of the series itself.
+    build from its series and extend as it grows. The slot survives an
+    :meth:`expire` that cuts only a prefix of the series, so readers must
+    drop what they built from the cut samples. The store drops the slot
+    whenever a write does more than cut a prefix or append in time order: a
+    :meth:`restore` that rewrites the series, an append older than its last
+    sample, and the dropping of the series itself.
     """
 
     def __init__(self, retention_s: int) -> None:
@@ -98,18 +100,20 @@ class MetricsStore:
         columns = self._series.get(cid)
         return list(zip(columns["t"], columns[metric])) if columns else []
 
-    def points_since(self, cid: str, metric: str, t: int) -> list[tuple[int, float]]:
-        """The :meth:`points` at or after time ``t``; the series must be in time order."""
-        columns = self._series.get(cid)
-        if not columns:
-            return []
-        times = columns["t"]
-        start = bisect_left(times, t)
-        return list(zip(times[start:], columns[metric][start:]))
+    def columns(self, cid: str, metric: str) -> tuple[list[int], list]:
+        """The stored timestamps and one metric's values, oldest first, as the
+        store's own lists: callers must not modify them. ``cid`` must have
+        stored samples."""
+        columns = self._series[cid]
+        return columns["t"], columns[metric]
+
+    def __contains__(self, cid: str) -> bool:
+        return cid in self._series
 
     def derived(self, cid: str) -> dict:
         """The slot for data derived from ``cid``'s series, empty once the
-        series is cut or rewritten; ``cid`` must have stored samples."""
+        series is rewritten (see the class docstring); ``cid`` must have
+        stored samples."""
         if cid not in self._series:
             raise KeyError(cid)
         slot = self._derived.get(cid)
@@ -121,10 +125,6 @@ class MetricsStore:
         columns = self._series.get(cid)
         return float(max(columns[metric])) if columns else 0.0
 
-    def last(self, cid: str) -> dict | None:
-        columns = self._series.get(cid)
-        return {metric: columns[metric][-1] for metric in METRICS} if columns else None
-
     def expire(self, now: int) -> dict[str, list]:
         """Drop points older than the retention window; returns what was
         dropped as ``{cid: [[t, {metric: value}], ...]}``."""
@@ -135,12 +135,12 @@ class MetricsStore:
             split = bisect_left(times, cutoff)
             if not split:
                 continue
-            self._derived.pop(cid, None)
             expired[cid] = [
                 [t, {metric: columns[metric][i] for metric in METRICS}] for i, t in enumerate(times[:split])
             ]
             if split == len(times):
                 del self._series[cid]
+                self._derived.pop(cid, None)
             else:
                 for column in columns.values():
                     del column[:split]

@@ -300,7 +300,7 @@ def test_containers_without_a_usable_forecast_have_no_samples(monkeypatch):
             usable = forecast is not None and not forecast.error and forecast.cpu_util and forecast.mem_util
             if not usable:
                 unforecast.append(state.container_id)
-                assert analyzer.metrics.last(state.container_id) is None, state.container_id
+                assert state.container_id not in analyzer.metrics, state.container_id
         return availability(analyzer, forecasts)
 
     monkeypatch.setattr(Analyzer, "_availability", checked)

@@ -328,14 +328,22 @@ class TestForecastMemo:
             self.store.append("c1", i * 10, {"cpu_util": 50 + (i * 7) % 13, "mem_util": 80 + i % 5, "throttle_pct": 0.0})
 
     def count_bucketing(self, monkeypatch):
+        """Record the number of points of each whole-series bucketing
+        (:func:`aggregate_buckets`) and of each bucket summed again
+        (:func:`bucket_mean`), in call order."""
         calls = []
-        original = forecaster.aggregate_buckets
+        whole, one = forecaster.aggregate_buckets, forecaster.bucket_mean
 
-        def counting(points, bucket_s):
+        def counting_whole(points, bucket_s):
             calls.append(len(points))
-            return original(points, bucket_s)
+            return whole(points, bucket_s)
 
-        monkeypatch.setattr(forecaster, "aggregate_buckets", counting)
+        def counting_one(values):
+            calls.append(len(values))
+            return one(values)
+
+        monkeypatch.setattr(forecaster, "aggregate_buckets", counting_whole)
+        monkeypatch.setattr(forecaster, "bucket_mean", counting_one)
         return calls
 
     def request(self):
@@ -414,6 +422,19 @@ class TestForecastMemo:
         self.service.forecast_container("c1", 3)
         assert calls == [2] * 3
         self.assert_means_are_the_whole_series_means()
+        calls.clear()
+        # anchored at 20, a phase with no kept means yet: the whole series once
+        assert [t for t, _ in self.store.expire(now=self.store.retention_s + 15)["c1"]] == [10]
+        self.service.forecast_container("c1", 3)
+        assert calls == [40] * 3  # t = 20 .. 410
+        self.assert_means_are_the_whole_series_means()
+        calls.clear()
+        # anchored at 30, the phase of the first anchor: its means from [30, 60)
+        # on are kept, and only the open bucket [390, 420) is summed again
+        assert [t for t, _ in self.store.expire(now=self.store.retention_s + 25)["c1"]] == [20]
+        self.service.forecast_container("c1", 3)
+        assert calls == [3] * 3  # t = 390, 400 and 410
+        self.assert_means_are_the_whole_series_means()
 
     def test_out_of_order_append_buckets_the_whole_series(self, monkeypatch):
         calls = self.count_bucketing(monkeypatch)
@@ -483,17 +504,48 @@ STEP = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=2000)
-@given(
-    bucket_s=st.sampled_from((7, 60, 61)),
-    retention_s=st.sampled_from((40, 150, 600)),
-    steps=st.lists(STEP, min_size=1, max_size=40),
+# any bucket size, retention and mix of writes
+RANDOM_RUN = st.tuples(
+    st.sampled_from((7, 60, 61)),  # bucket_s
+    st.sampled_from((40, 150, 600)),  # retention_s
+    st.lists(STEP, min_size=1, max_size=40),
 )
-def test_bucket_means_match_a_fresh_bucketing(bucket_s, retention_s, steps):
+
+
+@st.composite
+def regular_run(draw):
+    """A scrape every 7 or 10 s: one sample per container, then an expiry,
+    and now and then a restore of the last one to twelve expired batches.
+    Once the window is full the anchor moves at every scrape and comes back
+    to each phase of the bucket grid, so the kept means of each phase are
+    reused across many anchor moves; a restore moves it back past buckets
+    those means have dropped."""
+    cadence = draw(st.sampled_from((7, 10)))
+    scrape = st.tuples(
+        st.one_of(st.integers(0, 400), STEP_VALUES),
+        st.integers(0, 400),
+        STEP_VALUES,
+        st.one_of(st.just(0), st.just(0), st.just(0), st.integers(0, 12)),  # batches restored after it
+    )
+    steps = []
+    for cpu, mem, throttle, restores in draw(st.lists(scrape, min_size=30, max_size=120)):
+        steps.append(("append", "c1", [(cadence, cpu, mem, throttle)]))
+        steps.append(("append", "c2", [(0, mem, cpu, throttle)]))
+        steps.append(("expire", 0))
+        steps += [("restore",)] * restores
+    return draw(st.sampled_from((60, 61))), draw(st.sampled_from((150, 300))), steps
+
+
+@settings(max_examples=150, deadline=2000)
+@given(run=st.one_of(RANDOM_RUN, regular_run()))
+def test_bucket_means_match_a_fresh_bucketing(run):
+    bucket_s, retention_s, steps = run
     store = MetricsStore(retention_s=retention_s)
     service = Forecaster(MessageBus("10.0.0.1", EventSpine()), store, ForecastConfig(bucket_s=bucket_s))
     now = 0
     expired_batches = []  # restored last first, so every series stays in time order
+    phases = {"c1": set(), "c2": set()}  # anchor phases each container's means were asked at
+    most_buckets = {"c1": 0, "c2": 0}  # the most buckets its stored series has held
     for step in steps:
         if step[0] == "append":
             for gap, cpu, mem, throttle in step[2]:
@@ -512,4 +564,11 @@ def test_bucket_means_match_a_fresh_bucketing(bucket_s, retention_s, steps):
                 if points:
                     want = aggregate_buckets(points, bucket_s)
                     assert repr(service.bucket_means(cid, metric)) == repr(want), (cid, metric, step)
+                    phases[cid].add(points[0][0] % bucket_s)
+                    most_buckets[cid] = max(most_buckets[cid], len(want))
         assert set(store._derived) <= set(store._series)
+        for cid, slot in store._derived.items():
+            for metric in ("cpu_util", "mem_util", "throttle_pct"):
+                kept = [slot[key] for key in slot if key[0] == metric]
+                assert all(len(starts) == len(means) for starts, means in kept)
+                assert sum(len(starts) for starts, _ in kept) <= len(phases[cid]) * (most_buckets[cid] + 1)

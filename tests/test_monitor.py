@@ -129,7 +129,7 @@ class TestRetention:
         spine, bus, host, knowledge, registry, monitor, _ = build_stack()
         store = monitor.metrics
         store.restore({"c": []})
-        assert store.last("c") is None
+        assert "c" not in store
         assert store.points("c", "mem_util") == []
         assert store.observed_max("c", "mem_util") == 0.0
         for cid in ("c", "unknown"):
@@ -152,7 +152,7 @@ class TestRetention:
             monitor.on_tick(t, host.tick())
         spine.drain()
         assert killed not in monitor.metrics._series
-        assert monitor.metrics.last(killed) is None
+        assert killed not in monitor.metrics
         assert monitor.metrics.points(killed, "mem_util") == []
         assert kept in monitor.metrics._series
 
