@@ -66,7 +66,11 @@ def main(argv: list[str] | None = None) -> int:
         print("(scenario defines no expectations)")
 
     if args.out:
-        paths = report.write(args.out)
+        try:
+            paths = report.write(args.out)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
         print(f"report written: {paths['summary']}")
     return 0 if report.passed else 2
 

@@ -13,11 +13,14 @@ more than its usable CPU and memory: :meth:`HostSimulator.run_container` and
 change nothing, for limits that would break it. The analyzer's
 strict-inequality admission and upscale rules never ask for such limits. So
 no container can take from another, and each one can be stepped over many
-seconds alone, by the one stepping path :meth:`HostSimulator.advance`. A
-tick is the OOM check at the next second followed by a one-second
-``advance``; :meth:`HostSimulator.quiet_until` finds, by the same check, the
-first second at which a tick could kill, so the seconds before it can be one
-span.
+seconds alone. :meth:`HostSimulator.quiet_until` finds the first second at
+which a container's memory demand is above its limit, so the seconds before
+it can be one span. A tick brings the host to one second in one span: the
+host's clock, when it has one, or else the next second. A container whose
+demand at that second is above its limit is stepped to the second before and
+killed there; :meth:`HostSimulator.advance` steps the others straight to that
+second. Both grant CPU through one stepping path in integer arithmetic, so a
+span leaves a container as the seconds it covers would, stepped one by one.
 
 The host reads each container's dominant demand from a table indexed by
 phase, at most one period long. A table is a list of chunks of
@@ -79,6 +82,9 @@ _DIURNAL_POINTS = (
     (1.00, 0.40),
 )
 _DIURNAL_U = tuple(u for u, _ in _DIURNAL_POINTS)
+# Levels of the two-level patterns before and from half the period: pattern 2
+# jumps from 20% to 100%, pattern 3 is an on-off square wave, on first.
+_TWO_LEVELS = {2: (0.2, 1.0), 3: (1.0, 0.1)}
 # Pattern 4's noise is the first 7 bytes of a SHA-256 digest, scaled into [0, 1).
 _NOISE_SCALE = float(1 << 56)
 _pack_q = struct.Struct(">q").pack
@@ -141,12 +147,13 @@ def demand_range(spec: WorkloadSpec, first: int, last: int, seed: int = 0, key: 
         raise ValueError(f"phases [{first}, {last}) outside one period of {spec.period_s} s")
     period, peak, pattern = spec.period_s, spec.peak, spec.pattern
     phases = range(first, last)
+    if pattern in _TWO_LEVELS:
+        # one run of each level, split at the first phase with p / period >= 0.5
+        split = bisect_left(phases, 0.5, key=lambda p: p / period)
+        before, after = (min(round(peak * level), peak) for level in _TWO_LEVELS[pattern])
+        return [before] * split + [after] * (len(phases) - split)
     if pattern == 1:  # slow triangular ramp to peak and back
         levels = [2.0 * u if u < 0.5 else 2.0 * (1.0 - u) for u in (p / period for p in phases)]
-    elif pattern == 2:  # step jumps between 20% and 100%
-        levels = [0.2 if p / period < 0.5 else 1.0 for p in phases]
-    elif pattern == 3:  # on-off square wave, on first
-        levels = [1.0 if p / period < 0.5 else 0.1 for p in phases]
     elif pattern == 4:  # small dither below the peak; never exceeds it
         prefix = _pack_q(seed) + key.encode("utf-8")
         levels = [
@@ -275,11 +282,13 @@ def _grant(state: ContainerState, demands, total: int, count: int, within: bool)
 class HostSimulator:
     """Single-host container runtime with CPU throttling and OOM kills."""
 
-    def __init__(self, config: HostConfig, seed: int = 0, device: str = "127.0.0.1") -> None:
+    def __init__(self, config: HostConfig, seed: int = 0, device: str = "127.0.0.1", clock=None) -> None:
         self.config = config
         self.seed = seed
         self.device = device
         self.now = 0
+        # a zero-argument callable returning the simulated second a tick brings the host to
+        self._clock = clock
         self._usable_cpu = config.usable_cpu
         self._usable_mem = config.usable_mem
         # usable capacity the live containers' limits leave over; never below zero
@@ -360,18 +369,25 @@ class HostSimulator:
     # -- simulation clock --------------------------------------------------------
 
     def tick(self) -> list[SimEvent]:
-        """Advance one simulated second; returns lifecycle events raised during
-        it. The containers whose memory demand at that second is above their
-        limit are killed; :meth:`advance` steps the rest."""
-        now = self.now + 1
+        """Bring the host to ``clock()``, or one second on without a clock, in
+        one span; returns the lifecycle events raised at that second. A
+        container whose memory demand at that second is above its limit is
+        stepped to the second before and killed there; :meth:`advance` steps
+        the rest. No container may have a memory demand above its limit at an
+        earlier second of the span (see :meth:`quiet_until`)."""
+        last = self.now + 1 if self._clock is None else self._clock()
+        count = last - self.now
+        if count <= 0:
+            raise ValueError(f"tick to second {last}, but the host is at {self.now}")
         events: list[SimEvent] = []
         # listed before any is retired, as retiring takes it off the live set
-        doomed = [state for state in self._live.values() if self._first_oom(state, now) is not None]
+        doomed = [state for state in self._live.values() if self._mem_demand(state, last) > state.limits.mem]
         for state in doomed:
-            detail = {"demand_mem": self._mem_demand(state, now), "mem_limit": state.limits.mem, "reason": "limit"}
-            events.append(SimEvent(kind="oom_kill", container_id=state.container_id, t=now, detail=detail))
+            self._grant_cpu(state, count - 1)
+            detail = {"demand_mem": self._mem_demand(state, last), "mem_limit": state.limits.mem, "reason": "limit"}
+            events.append(SimEvent(kind="oom_kill", container_id=state.container_id, t=last, detail=detail))
             self._retire(state, STATUS_KILLED_OOM)
-        self.advance(now)
+        self.advance(last)
         return events
 
     def quiet_until(self, wake: int) -> int:
@@ -394,14 +410,19 @@ class HostSimulator:
             return
         for state in self._live.values():
             state.mem_usage = self._mem_demand(state, last)
-            limit = state.limits.cpu
-            if state.spec.workload_class == "cpu":
-                capped = limit >= state.spec.peak  # demand never exceeds the peak
-                for piece in self._pieces(state, count):
-                    _grant(state, piece, sum(piece), len(piece), capped or max(piece) <= limit)
-            else:
-                _grant(state, repeat(FLAT_CPU_MCPU, count), FLAT_CPU_MCPU * count, count, FLAT_CPU_MCPU <= limit)
+            self._grant_cpu(state, count)
         self.now = last
+
+    def _grant_cpu(self, state: ContainerState, count: int) -> None:
+        """Grant ``state`` its CPU demand over seconds ``now + 1`` to
+        ``now + count``, ``count >= 0``."""
+        limit = state.limits.cpu
+        if state.spec.workload_class == "cpu":
+            capped = limit >= state.spec.peak  # demand never exceeds the peak
+            for piece in self._pieces(state, count):
+                _grant(state, piece, sum(piece), len(piece), capped or max(piece) <= limit)
+        else:
+            _grant(state, repeat(FLAT_CPU_MCPU, count), FLAT_CPU_MCPU * count, count, FLAT_CPU_MCPU <= limit)
 
     def _first_oom(self, state: ContainerState, last: int) -> int | None:
         """The first second in ``(now, last]``, ``last > now``, at which the

@@ -10,6 +10,7 @@ the first two falls, so that it can skip the seconds in between.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -67,6 +68,10 @@ class MetricsStore:
     :meth:`restore`. Readers that derive results from the series (the
     forecaster) reuse them while the version stays the same.
 
+    The store keeps the timestamp of its oldest sample, so an :meth:`expire`
+    whose cutoff is at or before it returns at once: with a retention window
+    longer than the run, no expiry scans a series.
+
     Each stored container also has a :meth:`derived` slot for what readers
     build from its series and extend as it grows. The slot survives an
     :meth:`expire` that cuts only a prefix of the series, so readers must
@@ -81,6 +86,9 @@ class MetricsStore:
         self.version = 0
         self._series: dict[str, dict[str, list]] = {}
         self._derived: dict[str, dict] = {}
+        self._oldest = math.inf  # the oldest stored timestamp
+        # whether every series is in time order, so that its first sample is its oldest
+        self._in_order = True
 
     def append(self, cid: str, t: int, row: dict) -> None:
         """Store one sample; ``row`` is a host sample row carrying every metric."""
@@ -90,9 +98,12 @@ class MetricsStore:
         times = columns["t"]
         if times and t < times[-1]:
             self._derived.pop(cid, None)
+            self._in_order = False
         times.append(t)
         for metric in METRICS:
             columns[metric].append(row[metric])
+        if t < self._oldest:
+            self._oldest = t
         self.version += 1
 
     def points(self, cid: str, metric: str) -> list[tuple[int, float]]:
@@ -129,21 +140,25 @@ class MetricsStore:
         """Drop points older than the retention window; returns what was
         dropped as ``{cid: [[t, {metric: value}], ...]}``."""
         cutoff = now - self.retention_s
+        if cutoff <= self._oldest:
+            return {}
         expired: dict[str, list] = {}
+        oldest = math.inf
         for cid, columns in list(self._series.items()):
             times = columns["t"]
             split = bisect_left(times, cutoff)
-            if not split:
-                continue
-            expired[cid] = [
-                [t, {metric: columns[metric][i] for metric in METRICS}] for i, t in enumerate(times[:split])
-            ]
-            if split == len(times):
-                del self._series[cid]
-                self._derived.pop(cid, None)
-            else:
+            if split:
+                expired[cid] = [
+                    [t, {metric: columns[metric][i] for metric in METRICS}] for i, t in enumerate(times[:split])
+                ]
+                if split == len(times):
+                    del self._series[cid]
+                    self._derived.pop(cid, None)
+                    continue
                 for column in columns.values():
                     del column[:split]
+            oldest = min(oldest, times[0] if self._in_order else min(times))
+        self._oldest = oldest
         if expired:
             self.version += 1
         return expired
@@ -155,6 +170,8 @@ class MetricsStore:
             if not rows:
                 continue
             columns = {"t": [t for t, _ in rows], **{metric: [row[metric] for _, row in rows] for metric in METRICS}}
+            self._oldest = min(self._oldest, min(columns["t"]))
+            self._in_order = False  # the rows need not be older than the stored ones
             for key, column in self._series.get(cid, {}).items():
                 columns[key] += column
             self._series[cid] = columns

@@ -8,9 +8,10 @@ device scrapes or starts an optimization cycle, a scheduled deployment request
 falls due, or a host raises an event (an OOM kill). At a wake-up every
 monitor acts, due requests are injected and the spine drains until quiescent.
 Between wake-ups nothing is published, so limits and the container set stay
-put and only the hosts move: each host is stepped over the seconds before
-the first one at which any host can raise an event, and every host ticks at
-that second, which is then a wake-up too.
+put and only the hosts move. So the clock jumps from one wake-up to the next
+(next-event time advance), or to the first second before it at which any
+host can raise an event, which is then a wake-up too. Each host reads the
+spine's clock and ticks to that second in one span.
 """
 from __future__ import annotations
 
@@ -217,7 +218,7 @@ class SimulationRunner:
                     reserved_mem=dev.get("reserved_mem", 0),
                 )
             address = dev["address"]
-            host = HostSimulator(host_config, seed=self.seed, device=address)
+            host = HostSimulator(host_config, seed=self.seed, device=address, clock=lambda: self.spine.now)
             bus = MessageBus(address, self.spine)
             knowledge = Knowledge()
             emit = self._emitter(address)
@@ -257,16 +258,14 @@ class SimulationRunner:
         hosts = [stack.host for stack in self.devices.values()]
         t = 0
         while t < self.duration:
-            # Until the wake-up only the hosts move. Every host is stepped
-            # over the seconds before the first one at which any host can
-            # raise an event, then ticked at it; every host ticks before any
-            # monitor acts, as a monitor reads its own host alone.
+            # Until the wake-up only the hosts move. The clock jumps to it, or
+            # to the first second before it at which any host can raise an
+            # event, and every host ticks to that second in one span; every
+            # host ticks before any monitor acts, as a monitor reads its own
+            # host alone.
             wake = min(self._next_wake_up(t), self.duration)
-            t = min(host.quiet_until(wake) for host in hosts)
-            for host in hosts:
-                host.advance(t - 1)
+            t = self.spine.now = min(host.quiet_until(wake) for host in hosts)
             events = [host.tick() for host in hosts]
-            self.spine.now = t
             for monitor, tick_events in zip(monitors, events):
                 monitor.on_tick(t, tick_events)
             self._inject_due_schedule(t)

@@ -1,11 +1,12 @@
 """A frozen per-second reference host for the span and golden tests.
 
 :class:`HostSimulator` steps time through one path: ``tick`` is the OOM check
-at the next second followed by a one-second ``advance``. A test that checks
-``advance`` against ``tick`` would then check ``advance`` against itself, so
-the tests compare it with :class:`PerSecondHost`, whose ``tick`` steps one
-second on its own: its own demand lookup, class split, OOM comparison and
-grant. Keep its body as it is; it is the oracle, not a copy to keep in step.
+at the second it ticks to followed by an ``advance`` to that second. A test
+that checks ``advance`` against ``tick`` would then check ``advance`` against
+itself, so the tests compare it with :class:`PerSecondHost`, whose ``tick``
+steps one second on its own: its own demand lookup, class split, OOM
+comparison and grant. Keep its body as it is; it is the oracle, not a copy to
+keep in step.
 """
 from orchestrion.hostsim import (
     CHUNK_BITS,

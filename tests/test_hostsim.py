@@ -690,3 +690,104 @@ class TestSpanFallback:
         assert event.detail == {"demand_mem": 51, "mem_limit": 50, "reason": "limit"}
         assert spanned.container(cid).status == STATUS_KILLED_OOM
         assert spanned.sample_metrics() == ticked.sample_metrics()
+
+
+# -- clock-driven ticks against per-second ticks ---------------------------------
+
+
+def near_limit(spec, resource, delta):
+    """A limit ``delta`` away from what ``spec`` demands of ``resource`` at
+    most: its peak for the dominant resource, the flat demand otherwise."""
+    if spec.workload_class == resource:
+        base = spec.peak
+    else:
+        base = FLAT_CPU_MCPU if resource == "cpu" else FLAT_MEM_MB
+    return max(base + delta, 1)
+
+
+LIMIT_DELTA = st.one_of(st.integers(-2, 2), st.integers(-300, 300))
+CLOCK_STEP = st.one_of(
+    st.tuples(st.just("start"), span_containers()),
+    st.tuples(st.just("update"), st.integers(0, 7), LIMIT_DELTA, LIMIT_DELTA),
+    st.tuples(st.just("wake"), st.integers(1, 200), st.booleans()),  # the offset of the wake-up, and whether to sample
+)
+
+
+class TestClockedTick:
+    @given(seed=st.integers(0, 2**31), steps=st.lists(CLOCK_STEP, min_size=1, max_size=16))
+    @settings(max_examples=150, deadline=None)
+    def test_clocked_ticks_equal_per_second_ticks(self, seed, steps):
+        # a host ticked once per wake-up, to the second quiet_until gives,
+        # against a host ticked every second; containers start and limits
+        # change at the wake-ups, as the runner's drains do
+        clock = [0]
+        config = HostConfig(cpu_total=10**6, mem_total=10**6)
+        clocked = HostSimulator(config, seed=seed, device="10.0.0.1", clock=lambda: clock[0])
+        ticked = PerSecondHost(config, seed=seed, device="10.0.0.1")
+        cids = []
+        for step in steps:
+            if step[0] == "start":
+                spec, _, (cpu, _), (mem, _) = step[1]
+                cid = clocked.run_container(spec, Limits(cpu=cpu, mem=mem))
+                assert ticked.run_container(spec, Limits(cpu=cpu, mem=mem)) == cid
+                cids.append(cid)
+            elif step[0] == "update":
+                live = [state.container_id for state in clocked.running_containers()]
+                if live:
+                    cid = live[step[1] % len(live)]
+                    spec = clocked.container(cid).spec
+                    limits = Limits(cpu=near_limit(spec, "cpu", step[2]), mem=near_limit(spec, "mem", step[3]))
+                    clocked.update_limits(cid, limits)
+                    ticked.update_limits(cid, limits)
+            else:
+                now, wake = clocked.now, clocked.now + step[1]
+                clock[0] = clocked.quiet_until(wake)
+                assert now < clock[0] <= wake
+                events = clocked.tick()
+                for _ in range(clock[0] - now - 1):
+                    assert ticked.tick() == []
+                assert ticked.tick() == events
+                if clock[0] < wake:
+                    assert events, "a host is quiet until its first event"
+                assert all(event.t == clock[0] for event in events)
+                assert clocked.now == ticked.now == clock[0]
+                assert_same_containers(clocked, ticked, cids)
+                if step[2]:
+                    assert clocked.sample_metrics() == ticked.sample_metrics()
+        assert clocked.sample_metrics() == ticked.sample_metrics()
+
+    @pytest.mark.parametrize("span", [1, 2, 159, 160])
+    def test_kill_exactly_at_the_clock_second(self, span):
+        # the ramp demands round(95 * 2 * phase / 600), above 50 first at phase 160
+        spec = mem_spec(1, period=600)
+        clock = [0]
+        clocked = HostSimulator(HostConfig(), clock=lambda: clock[0])
+        ticked = PerSecondHost(HostConfig())
+        for host in (clocked, ticked):
+            cid = host.run_container(spec, Limits(cpu=100, mem=50))
+            survivor = host.run_container(cpu_spec(3), Limits(cpu=100, mem=50))
+        if span < 160:  # the host first ticks to the second the span starts after
+            clock[0] = 160 - span
+            assert clocked.quiet_until(clock[0]) == clock[0] and clocked.tick() == []
+        clock[0] = 160
+        assert clocked.quiet_until(160) == 160
+        events = clocked.tick()
+        while ticked.now < 159:
+            assert ticked.tick() == []
+        assert ticked.tick() == events
+        (event,) = events
+        assert (event.kind, event.container_id, event.t) == ("oom_kill", cid, 160)
+        assert event.detail == {"demand_mem": 51, "mem_limit": 50, "reason": "limit"}
+        assert clocked.container(survivor).status == STATUS_RUNNING
+        assert_same_containers(clocked, ticked, [cid, survivor])
+        assert clocked.sample_metrics() == ticked.sample_metrics()
+
+    def test_tick_needs_a_clock_ahead_of_the_host(self):
+        clock = [0]
+        host = HostSimulator(HostConfig(), clock=lambda: clock[0])
+        with pytest.raises(ValueError):
+            host.tick()
+        clock[0] = 5
+        assert host.tick() == [] and host.now == 5
+        with pytest.raises(ValueError):
+            host.tick()

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,14 @@ from orchestrion.bus import Action, EventSpine, MessageBus
 from orchestrion.hostsim import HostConfig, HostSimulator, WorkloadSpec
 from orchestrion.knowledge import ContainerRecord, DeploymentRecord, Knowledge
 from orchestrion.model import Limits, OptimizationPolicy
-from orchestrion.monitor import Monitor, MonitorConfig, next_optimization_due, optimization_due
+from orchestrion.monitor import (
+    METRICS,
+    MetricsStore,
+    Monitor,
+    MonitorConfig,
+    next_optimization_due,
+    optimization_due,
+)
 from orchestrion.registry import Registry, RegistryError
 
 from conftest import collect
@@ -125,6 +133,22 @@ class TestRetention:
         assert [t for t, _ in monitor.metrics.points("c1", "cpu_util")] == list(range(60, 200, 10))
         assert monitor.metrics.points("c2", "cpu_util") == []
 
+    @pytest.mark.parametrize("write", ["append", "restore"])
+    def test_expiry_bound_holds_for_a_series_out_of_time_order(self, write):
+        # [0, 15, 10, 20]: the cut of the 0 leaves a first sample, 15, that is not the oldest
+        store = MetricsStore(retention_s=100)
+        row = {"cpu_util": 1, "mem_util": 1, "throttle_pct": 0.0}
+        if write == "append":
+            for t in (0, 15, 10, 20):
+                store.append("c1", t, row)
+        else:
+            for t in (10, 20):
+                store.append("c1", t, row)
+            store.restore({"c1": [[0, row], [15, row]]})
+        assert [t for t, _ in store.expire(101)["c1"]] == [0]
+        assert store._oldest == 10
+        assert [t for t, _ in store.expire(111)["c1"]] == [15, 10]
+
     def test_restoring_no_rows_stores_nothing(self):
         spine, bus, host, knowledge, registry, monitor, _ = build_stack()
         store = monitor.metrics
@@ -155,6 +179,55 @@ class TestRetention:
         assert killed not in monitor.metrics
         assert monitor.metrics.points(killed, "mem_util") == []
         assert kept in monitor.metrics._series
+
+
+STORE_STEP = st.one_of(
+    st.tuples(st.just("append"), st.sampled_from(("c1", "c2", "c3")), st.integers(0, 40)),
+    st.tuples(st.just("expire"), st.integers(0, 80)),
+    st.tuples(st.just("restore")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(retention=st.sampled_from((1, 30, 100)), steps=st.lists(STORE_STEP, max_size=60))
+def test_expire_equals_a_brute_force_scan(retention, steps):
+    """Each expiry cuts exactly the stored samples older than the window, from
+    every series, and moves ``version`` only when it cuts one."""
+    store = MetricsStore(retention)
+    stored = {}  # cid -> [[t, row], ...], oldest first
+    batches = []  # expired batches, restored last first as the monitor does
+    now = value = 0
+    for step in steps:
+        if step[0] == "append":
+            now += step[2]
+            value += 1
+            row = {"cpu_util": value, "mem_util": value + 1, "throttle_pct": value / 4}
+            store.append(step[1], now, row)
+            stored.setdefault(step[1], []).append([now, row])
+        elif step[0] == "expire":
+            now += step[1]
+            cutoff = now - retention
+            want = {cid: [r for r in rows if r[0] < cutoff] for cid, rows in stored.items()}
+            want = {cid: rows for cid, rows in want.items() if rows}
+            version = store.version
+            expired = store.expire(now)
+            assert expired == want
+            assert store.version == version + bool(want)
+            stored = {cid: [r for r in rows if r[0] >= cutoff] for cid, rows in stored.items()}
+            stored = {cid: rows for cid, rows in stored.items() if rows}
+            if expired:
+                batches.append(expired)
+        elif batches:
+            batch = batches.pop()
+            store.restore(batch)
+            for cid, rows in batch.items():
+                stored[cid] = rows + stored.get(cid, [])
+        # the bound an expiry returns early by is the oldest stored timestamp
+        assert store._oldest == min((t for rows in stored.values() for t, _ in rows), default=math.inf)
+        for cid in ("c1", "c2", "c3"):
+            assert (cid in store) == (cid in stored)
+            for metric in METRICS:
+                assert store.points(cid, metric) == [(t, row[metric]) for t, row in stored.get(cid, [])]
 
 
 class TestPrematureExitRetries:

@@ -221,6 +221,16 @@ class TestCli:
         assert "[PASS] decision_sequence" in out
         assert (tmp_path / "out" / "summary.json").is_file()
 
+    def test_output_path_that_is_a_file_reports_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["run", "--builtin", "exp4_mem_400", "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS] decision_sequence" in captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(taken) in line
+        assert taken.read_text() == "not a directory"
+
     def test_run_scenario_file(self, tmp_path, capsys):
         scenario_path = tmp_path / "scenario.json"
         scenario_path.write_text(json.dumps(builtin_scenario("exp4_mem_200")))
