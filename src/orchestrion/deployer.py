@@ -87,7 +87,8 @@ class Deployer:
         self.policy = policy
         self.emit = emit
         self.cluster_mode = cluster_mode
-        self.table: dict[str, dict] = {}
+        self.table: dict[str, dict] = {}  # device -> its last {"cpu", "mem"} availability
+        self._table_t: dict[str, int] = {}  # device -> the time of that result
         self._queue: deque[tuple[str, int]] = deque()
         self._active: _Admission | None = None
         self._request_seq = 0
@@ -149,15 +150,12 @@ class Deployer:
 
     def _on_monitoring(self, topic: str, msg: Message) -> None:
         payload = msg.payload
-        device = payload["device"]
-        entry = self.table.get(device)
-        if entry is not None and payload["t"] < entry["t"]:
+        device, t = payload["device"], payload["t"]
+        if t < self._table_t.get(device, t):
             return  # stale, out-of-order result
-        self.table[device] = {
-            "cpu": payload["avail"]["cpu"],
-            "mem": payload["avail"]["mem"],
-            "t": payload["t"],
-        }
+        # each monitoring result carries an avail dict of its own, never changed
+        self.table[device] = payload["avail"]
+        self._table_t[device] = t
 
     # -- deployment requests --------------------------------------------------------------
 

@@ -16,11 +16,12 @@ no container can take from another, and each one can be stepped over many
 seconds alone. :meth:`HostSimulator.quiet_until` finds the first second at
 which a container's memory demand is above its limit, so the seconds before
 it can be one span. A tick brings the host to one second in one span: the
-host's clock, when it has one, or else the next second. A container whose
-demand at that second is above its limit is stepped to the second before and
-killed there; :meth:`HostSimulator.advance` steps the others straight to that
-second. Both grant CPU through one stepping path in integer arithmetic, so a
-span leaves a container as the seconds it covers would, stepped one by one.
+host's clock, when it has one, or else the next second. It looks up each live
+container's demand at that second once: a container above its limit is
+stepped to the second before and killed there, and every other one is stepped
+to that second. Both grant CPU through one stepping path in integer
+arithmetic, so a span leaves a container as the seconds it covers would,
+stepped one by one.
 
 The host reads each container's dominant demand from a table indexed by
 phase, at most one period long. A table is a list of chunks of
@@ -28,9 +29,10 @@ phase, at most one period long. A table is a list of chunks of
 of a chunk not yet in its table, the host fills that whole chunk with one
 :func:`demand_range` call, so a container that dies early pays only for the
 chunks it reached.
-Containers of one :class:`WorkloadSpec` share a table, except for pattern 4,
-whose noise is keyed by container; the tables belong to the host and die
-with it.
+Except for pattern 4, a table is a pure function of the :class:`WorkloadSpec`,
+so every host of the process shares one per spec (:func:`shared_table`,
+bounded to ``SHARED_TABLES`` specs). Pattern 4's noise is keyed by container:
+its table belongs to its container and dies with it.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from hashlib import sha256
 from itertools import repeat
 
@@ -125,6 +128,21 @@ class WorkloadSpec:
             period_s=data["period_s"],
             peak=data["peak"],
         )
+
+
+# Specs whose tables the process keeps: well above the few dozen any built-in
+# or benchmark round runs, and at most a few MB of tables with periods of 1800 s.
+SHARED_TABLES = 256
+
+
+@lru_cache(maxsize=SHARED_TABLES)
+def shared_table(spec: WorkloadSpec) -> list[array]:
+    """The demand table every container of ``spec``, of a pattern other than
+    4, reads, filled by the hosts as their containers reach its phases. An
+    evicted spec's table lives on with the containers that hold it; a later
+    container starts a new one. Hosts fill it without a lock, so hosts of
+    one process must not step in different threads at once."""
+    return []
 
 
 def _diurnal_level(u: float) -> float:
@@ -298,7 +316,6 @@ class HostSimulator:
         self._live: dict[str, ContainerState] = {}  # the running ones, in registration order
         self._counter = 0
         self._pending_final: dict[str, dict] = {}  # dead containers awaiting one last sample row
-        self._tables: dict[WorkloadSpec, list[array]] = {}  # demand tables shared per spec
 
     # -- container lifecycle ---------------------------------------------------
 
@@ -309,7 +326,7 @@ class HostSimulator:
         self._counter += 1
         cid = f"c{self._counter:03d}@{self.device}"
         # pattern 4's noise is keyed by container, so it gets a table of its own
-        table = [] if spec.pattern == 4 else self._tables.setdefault(spec, [])
+        table = [] if spec.pattern == 4 else shared_table(spec)
         self._containers[cid] = self._live[cid] = ContainerState(
             container_id=cid,
             spec=spec,
@@ -372,22 +389,28 @@ class HostSimulator:
         """Bring the host to ``clock()``, or one second on without a clock, in
         one span; returns the lifecycle events raised at that second. A
         container whose memory demand at that second is above its limit is
-        stepped to the second before and killed there; :meth:`advance` steps
-        the rest. No container may have a memory demand above its limit at an
-        earlier second of the span (see :meth:`quiet_until`)."""
+        stepped to the second before and killed there; every other one is
+        stepped to that second. No container may have a memory demand above
+        its limit at an earlier second of the span (see :meth:`quiet_until`)."""
         last = self.now + 1 if self._clock is None else self._clock()
         count = last - self.now
         if count <= 0:
             raise ValueError(f"tick to second {last}, but the host is at {self.now}")
         events: list[SimEvent] = []
-        # listed before any is retired, as retiring takes it off the live set
-        doomed = [state for state in self._live.values() if self._mem_demand(state, last) > state.limits.mem]
-        for state in doomed:
-            self._grant_cpu(state, count - 1)
-            detail = {"demand_mem": self._mem_demand(state, last), "mem_limit": state.limits.mem, "reason": "limit"}
-            events.append(SimEvent(kind="oom_kill", container_id=state.container_id, t=last, detail=detail))
+        killed: list[ContainerState] = []
+        for state in self._live.values():
+            mem = self._mem_demand(state, last)
+            if mem > state.limits.mem:
+                self._grant_cpu(state, count - 1)
+                detail = {"demand_mem": mem, "mem_limit": state.limits.mem, "reason": "limit"}
+                events.append(SimEvent(kind="oom_kill", container_id=state.container_id, t=last, detail=detail))
+                killed.append(state)
+            else:
+                state.mem_usage = mem
+                self._grant_cpu(state, count)
+        for state in killed:  # off the live set only once the loop over it is done
             self._retire(state, STATUS_KILLED_OOM)
-        self.advance(last)
+        self.now = last
         return events
 
     def quiet_until(self, wake: int) -> int:
@@ -400,18 +423,6 @@ class HostSimulator:
             if oom is not None:
                 wake = oom
         return wake
-
-    def advance(self, last: int) -> None:
-        """Step every live container through seconds ``now + 1`` to ``last``,
-        on a host where none is killed before ``last + 1`` (see
-        :meth:`quiet_until`)."""
-        count = last - self.now
-        if count <= 0:
-            return
-        for state in self._live.values():
-            state.mem_usage = self._mem_demand(state, last)
-            self._grant_cpu(state, count)
-        self.now = last
 
     def _grant_cpu(self, state: ContainerState, count: int) -> None:
         """Grant ``state`` its CPU demand over seconds ``now + 1`` to

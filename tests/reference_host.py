@@ -1,12 +1,17 @@
 """A frozen per-second reference host for the span and golden tests.
 
-:class:`HostSimulator` steps time through one path: ``tick`` is the OOM check
-at the second it ticks to followed by an ``advance`` to that second. A test
-that checks ``advance`` against ``tick`` would then check ``advance`` against
-itself, so the tests compare it with :class:`PerSecondHost`, whose ``tick``
-steps one second on its own: its own demand lookup, class split, OOM
+:class:`HostSimulator` steps time through one path: ``tick`` brings the host
+to its clock in one span, looking up each container's demand at that second
+once. A test that checks spans against ``tick`` would then check that path
+against itself, so the tests compare it with :class:`PerSecondHost`, whose
+``tick`` steps one second on its own: its own demand lookup, class split, OOM
 comparison and grant. Keep its body as it is; it is the oracle, not a copy to
 keep in step.
+
+Both hosts read demand from the same tables: one per workload spec for the
+whole process, and one per container for pattern 4. So this oracle checks the
+stepping, not the table entries; the tests of ``shared_table`` check those
+against ``demand_range``, whichever host filled them first.
 """
 from orchestrion.hostsim import (
     CHUNK_BITS,

@@ -402,7 +402,8 @@ class TestAvailabilityTable:
         spine, bus, host, knowledge, registry, deployer, _ = build_device(cluster_mode=True)
         bus.publish("monitor", self.monitoring("10.0.0.1", 10, 900, 800))
         spine.drain()
-        assert deployer.table["10.0.0.1"] == {"cpu": 900, "mem": 800, "t": 10}
+        assert deployer.table == {"10.0.0.1": {"cpu": 900, "mem": 800}}
+        assert deployer._table_t == {"10.0.0.1": 10}
 
     def test_stale_result_ignored(self):
         spine, bus, host, knowledge, registry, deployer, _ = build_device(cluster_mode=True)
@@ -410,6 +411,7 @@ class TestAvailabilityTable:
         bus.publish("monitor", self.monitoring("10.0.0.1", 10, 100, 100))
         spine.drain()
         assert deployer.table["10.0.0.1"]["mem"] == 800
+        assert deployer._table_t["10.0.0.1"] == 20
 
 
 class TestElectionBeforeFirstScrape:

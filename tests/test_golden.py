@@ -17,6 +17,13 @@ which every host ticks, and each tick is the frozen per-second reference in
 ``tests/reference_host.py``, not the host's own span path: it must write the
 same bytes.
 
+Hosts share one process-wide demand table per workload spec, filled by
+whichever host reaches a phase first. ``exp1_mem`` and ``cluster_3dev`` must
+write their pinned bytes whatever those tables hold: on an emptied map, after
+every other built-in, and after each other. The expectations need no such
+case: ``initial_throttle_full`` computes demand with ``workload_demand``
+itself, not through a table.
+
 The spine sends each publish along one cached route. Its oracle is the frozen
 per-copy spine in ``tests/reference_spine.py``, which logs and queues every
 copy, and every handler, alone: every pinned run, and the benchmark's seed-5
@@ -34,7 +41,7 @@ import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, CPU_PEAKS, MEM_PEAKS, builtin_scenario
 from orchestrion.bus import EventSpine, MessageBus, message_line
-from orchestrion.hostsim import HostSimulator
+from orchestrion.hostsim import HostSimulator, shared_table
 from orchestrion.scenario import run_scenario
 from reference_host import PerSecondHost
 from reference_spine import PerCopyBus, PerCopySpine
@@ -302,6 +309,39 @@ def test_cluster_12_run_artifacts_unchanged(tmp_path):
     assert any(m["bridged_from"] == "10.0.0.10" for m in report.messages)
     report.write(tmp_path)
     assert tree_digest(tmp_path) == CLUSTER_12_GOLDEN
+
+
+CACHE_STATE_RUNS = ("exp1_mem", "cluster_3dev")
+OTHER_BUILTINS = tuple(name for name in BUILTIN_SCENARIOS if name not in CACHE_STATE_RUNS)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("exp1_mem",),
+        ("cluster_3dev",),
+        (*OTHER_BUILTINS, "exp1_mem", "cluster_3dev"),
+        (*OTHER_BUILTINS, "cluster_3dev", "exp1_mem"),
+        ("exp1_mem", "cluster_3dev"),
+        ("cluster_3dev", "exp1_mem"),
+    ],
+    ids=[
+        "exp1_mem",
+        "cluster_3dev",
+        "others-exp1_mem-cluster_3dev",
+        "others-cluster_3dev-exp1_mem",
+        "exp1_mem-cluster_3dev",
+        "cluster_3dev-exp1_mem",
+    ],
+)
+def test_pinned_bytes_whatever_the_shared_tables_hold(order, tmp_path):
+    # the built-ins in ``order`` run in turn, from an emptied table map
+    shared_table.cache_clear()
+    for index, name in enumerate(order):
+        report = run_scenario(builtin_scenario(name))
+        if name in CACHE_STATE_RUNS:
+            report.write(tmp_path / f"{index:02d}")
+            assert tree_digest(tmp_path / f"{index:02d}") == GOLDEN[name], (order, name)
 
 
 def tick_every_second(monkeypatch):

@@ -13,10 +13,12 @@ from orchestrion.hostsim import (
     FLAT_MEM_MB,
     HostConfig,
     HostSimulator,
+    SHARED_TABLES,
     STATUS_KILLED_OOM,
     STATUS_RUNNING,
     WorkloadSpec,
     demand_range,
+    shared_table,
     workload_demand,
 )
 from orchestrion.model import ContractViolation, Limits
@@ -179,6 +181,11 @@ def chunk_sizes(table):
 
 
 class TestDemandTables:
+    @pytest.fixture(autouse=True)
+    def empty_shared_tables(self):
+        # the chunk counts below are those of tables no earlier test filled
+        shared_table.cache_clear()
+
     @pytest.mark.parametrize("workload_class", ["cpu", "mem"])
     @pytest.mark.parametrize("pattern", [1, 2, 3, 4, 5])
     def test_entries_equal_workload_demand(self, pattern, workload_class):
@@ -238,6 +245,105 @@ class TestDemandTables:
             assert chunk_sizes(table) == [CHUNK] * chunks
         for phase, amount in enumerate(entries(table)):
             assert amount == workload_demand(spec, phase)[1]
+
+
+SHARED_PERIODS = (1, 40, 63, 64, 65, 130, 600)
+
+
+class TestSharedTables:
+    @given(
+        spec=st.builds(
+            WorkloadSpec,
+            pattern=st.sampled_from([1, 2, 3, 5]),
+            workload_class=st.sampled_from(["cpu", "mem"]),
+            period_s=st.sampled_from(SHARED_PERIODS),
+            peak=st.integers(1, 300),
+        ),
+        empty=st.booleans(),
+        fills=st.lists(
+            st.tuples(st.integers(0, 2**31), st.integers(0, 700), st.lists(st.integers(1, 300), min_size=1, max_size=3)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shared_table_entries_equal_demand_range(self, spec, empty, fills):
+        # hosts of their own seeds and devices, as in runs of their own, start
+        # a container of ``spec`` at their own seconds and step it by their
+        # own wake-ups, onto a table that is empty or that earlier tests filled
+        if empty:
+            shared_table.cache_clear()
+        limits = Limits(cpu=max(spec.peak, FLAT_CPU_MCPU), mem=max(spec.peak, FLAT_MEM_MB))
+        reached = 0
+        states = []
+        for index, (seed, start, wakes) in enumerate(fills):
+            clock = [start]
+            host = HostSimulator(HostConfig(), seed=seed, device=f"10.0.0.{index + 1}", clock=lambda: clock[0])
+            if start:
+                host.tick()
+            states.append(host.container(host.run_container(spec, limits)))
+            for offset in wakes:
+                clock[0] += offset
+                assert host.tick() == []
+            # every tick reads the demand at the second it ticks to
+            reached = max(reached, (host.now - start) % spec.period_s)
+        table = shared_table(spec)
+        assert all(state.demand is table for state in states)
+        sizes = chunk_sizes(table)
+        assert sizes[:-1] == [CHUNK] * (len(sizes) - 1)
+        assert sizes[-1] == min(CHUNK, spec.period_s - CHUNK * (len(sizes) - 1))
+        assert len(entries(table)) > reached
+        assert entries(table) == demand_range(spec, 0, len(entries(table)))
+
+    def test_noisy_tables_are_never_shared(self):
+        spec = cpu_spec(4, peak=120, period=60)
+        before = shared_table.cache_info()
+        states = []
+        for device in ("10.0.0.1", "10.0.0.2"):
+            host = HostSimulator(HostConfig(), seed=7, device=device)
+            states += [host.container(host.run_container(spec, Limits(cpu=200, mem=100))) for _ in range(2)]
+            for _ in range(10):
+                host.tick()
+        # the map was neither read nor written, and every container has a table of its own
+        assert shared_table.cache_info() == before
+        assert len({id(state.demand) for state in states}) == 4
+        for state in states:
+            assert entries(state.demand) == demand_range(spec, 0, 60, 7, state.container_id)
+
+    def test_evicted_specs_step_exactly(self):
+        shared_table.cache_clear()
+        # a throttled ramp: its spans read every phase of its table
+        spec = cpu_spec(1, period=600)
+        clock = [0]
+        host = HostSimulator(HostConfig(), clock=lambda: clock[0])
+        ticked = PerSecondHost(HostConfig())
+        cids = [h.run_container(spec, Limits(cpu=100, mem=100)) for h in (host, ticked)][:1]
+        clock[0] = 100
+        host.tick()
+        table = host.container(cids[0]).demand
+        # more distinct specs than the bound, on a host of their own
+        other = HostSimulator(HostConfig(cpu_total=10**6, mem_total=10**6))
+        for peak in range(1, SHARED_TABLES + 6):
+            other.run_container(cpu_spec(2, peak=peak, period=65), Limits(cpu=1, mem=FLAT_MEM_MB))
+        other.tick()
+        assert shared_table.cache_info().currsize == SHARED_TABLES
+        # a new container of the evicted spec starts a table of its own
+        late = host.run_container(spec, Limits(cpu=100, mem=100))
+        while ticked.now < 100:
+            assert ticked.tick() == []
+        assert ticked.run_container(spec, Limits(cpu=100, mem=100)) == late
+        cids.append(late)
+        assert host.container(late).demand is shared_table(spec) is not table
+        for second in (700, 1300):
+            clock[0] = second
+            assert host.tick() == []
+            while ticked.now < second:
+                assert ticked.tick() == []
+            assert_same_containers(host, ticked, cids)
+            assert host.sample_metrics() == ticked.sample_metrics()
+        for state in (host.container(cid) for cid in cids):
+            assert entries(state.demand) == demand_range(spec, 0, 600)
+        assert host.container(cids[0]).demand is table
 
 
 class TestThrottling:
@@ -583,23 +689,37 @@ def span_containers(draw):
 
 
 def build_span_hosts(config, seed, containers, warmup):
-    """A host and a :class:`PerSecondHost`, identically built, and the ids of
-    the containers run on them."""
-    hosts = [host_type(config, seed=seed, device="10.0.0.1") for host_type in (HostSimulator, PerSecondHost)]
+    """A clock-driven host and a :class:`PerSecondHost`, identically built;
+    the ids of the containers run on them; and ``tick_to(second)``, which
+    sets the first host's clock to ``second`` and ticks it."""
+    clock = [0]
+    spanned = HostSimulator(config, seed=seed, device="10.0.0.1", clock=lambda: clock[0])
+    ticked = PerSecondHost(config, seed=seed, device="10.0.0.1")
+
+    def tick_to(second):
+        clock[0] = second
+        return spanned.tick()
+
+    def step(host, seconds):
+        for _ in range(seconds):
+            if host is spanned:
+                tick_to(host.now + 1)
+            else:
+                host.tick()
+
+    hosts = (spanned, ticked)
     cids = []
     for spec, delay, (cpu, _), (mem, _) in containers:
         for host in hosts:
-            for _ in range(delay):
-                host.tick()
+            step(host, delay)
             cid = host.run_container(spec, Limits(cpu=cpu, mem=mem))
         cids.append(cid)
     for host in hosts:
-        for _ in range(warmup):
-            host.tick()
+        step(host, warmup)
         for cid, (_, _, (_, cpu), (_, mem)) in zip(cids, containers):
             if host.container(cid).status == STATUS_RUNNING:
                 host.update_limits(cid, Limits(cpu=cpu, mem=mem))
-    return hosts, cids
+    return hosts, cids, tick_to
 
 
 def assert_same_containers(spanned, ticked, cids):
@@ -622,24 +742,25 @@ class TestSpanAdvance:
         wakes=st.lists(st.integers(1, 200), min_size=1, max_size=4),
     )
     @settings(max_examples=150, deadline=None)
-    def test_advance_then_tick_equals_per_second_ticks(self, spare, seed, containers, warmup, wakes):
+    def test_span_then_tick_equals_per_second_ticks(self, spare, seed, containers, warmup, wakes):
         # totals that hold every container at the larger of its two limits,
         # and ``spare`` more: the live limits never exceed them
         cpu = sum(max(cpu_limits) for _, _, cpu_limits, _ in containers)
         mem = sum(max(mem_limits) for _, _, _, mem_limits in containers)
         config = HostConfig(cpu_total=cpu + spare[0], mem_total=mem + spare[1])
-        (spanned, ticked), cids = build_span_hosts(config, seed, containers, warmup)
+        (spanned, ticked), cids, tick_to = build_span_hosts(config, seed, containers, warmup)
         for offset in wakes:
             now, wake = spanned.now, spanned.now + offset
             quiet = spanned.quiet_until(wake)
             assert now < quiet <= wake
-            spanned.advance(quiet - 1)
+            if quiet - 1 > now:
+                assert tick_to(quiet - 1) == []
             for _ in range(quiet - now - 1):
                 assert ticked.tick() == []
             assert spanned.now == ticked.now == quiet - 1
             assert_same_containers(spanned, ticked, cids)
 
-            events = spanned.tick()
+            events = tick_to(quiet)
             assert ticked.tick() == events
             if quiet < wake:
                 assert events, "a host is quiet until its first event"
@@ -654,12 +775,12 @@ class TestSpanAdvance:
         spec = WorkloadSpec(pattern=pattern, workload_class=workload_class, period_s=period, peak=150)
         # the second container is first stepped by a span, the first one on a backlog
         containers = [(spec, 0, (30, 140), (200, 200)), (spec, 61, (30, 200), (200, 200))]
-        (spanned, ticked), cids = build_span_hosts(HostConfig(), 3, containers, 0)
+        (spanned, ticked), cids, tick_to = build_span_hosts(HostConfig(), 3, containers, 0)
         for offset in (200, 2 * period + 1):
             wake = spanned.now + offset
             assert spanned.quiet_until(wake) == wake
-            spanned.advance(wake - 1)
-            events = spanned.tick()
+            assert tick_to(wake - 1) == []
+            events = tick_to(wake)
             while ticked.now < wake:
                 assert ticked.tick() == []
             assert events == []
@@ -677,11 +798,11 @@ class TestSpanFallback:
     def test_mem_demand_crossing_its_limit_mid_span_is_killed_at_that_second(self):
         # the ramp demands round(95 * 2 * phase / 600), above 50 first at phase 160
         spec = mem_spec(1, period=600)
-        (spanned, ticked), (cid,) = build_span_hosts(HostConfig(), 0, [(spec, 0, (100, 100), (50, 50))], 100)
+        (spanned, ticked), (cid,), tick_to = build_span_hosts(HostConfig(), 0, [(spec, 0, (100, 100), (50, 50))], 100)
         quiet = spanned.quiet_until(300)
         assert quiet == 160
-        spanned.advance(quiet - 1)
-        events = spanned.tick()
+        assert tick_to(quiet - 1) == []
+        events = tick_to(quiet)
         while not (ticked_events := ticked.tick()):
             pass
         assert ticked.now == quiet and events == ticked_events
