@@ -4,11 +4,14 @@ Each device runs its own bus; buses in one simulation share an
 :class:`EventSpine`, a single FIFO that makes delivery order deterministic
 across the whole cluster. A subscriber is a handler. Each publish goes out
 along its bus's cached **route** for the topic: the publishing device's own
-copy, then one bridged copy per peer. :meth:`EventSpine.deliver` logs one
-record per copy and queues the publish once, and :meth:`EventSpine.drain`
-runs the handlers of each queued route in route order. Bridging re-publishes
-configured topics on peer buses under a ``cluster/`` prefix, so components
-can tell local traffic from remote traffic; the bridged copies reach peers in
+copy, then one bridged copy per peer. :meth:`EventSpine.deliver` logs the
+publish once, as one record that names every copy, and queues it once, and
+:meth:`EventSpine.drain` runs the handlers of each queued route in route
+order. This module alone knows the record's format: :func:`copies` expands a
+log into one dict per copy, and :func:`message_lines` writes a record as the
+``messages.jsonl`` lines of its copies. Bridging re-publishes configured
+topics on peer buses under a ``cluster/`` prefix, so components can tell
+local traffic from remote traffic; the bridged copies reach peers in
 address-string order, fixed when the peers are registered. Payloads are
 JSON-serializable dicts carrying an ``action`` field, so the same envelope
 maps 1:1 onto an MQTT 3.1.1 binding (topic names as below, payload = the JSON
@@ -16,13 +19,12 @@ document).
 """
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -90,27 +92,6 @@ class Message:
     correlation_id: str = ""
     msg_id: str = ""
 
-    def to_wire(self) -> bytes:
-        doc = {
-            "action": self.action.value,
-            "origin": self.origin,
-            "correlation_id": self.correlation_id,
-            "msg_id": self.msg_id,
-            "payload": self.payload,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    @classmethod
-    def from_wire(cls, raw: bytes) -> "Message":
-        doc = json.loads(raw.decode("utf-8"))
-        return cls(
-            action=Action(doc["action"]),
-            payload=doc.get("payload", {}),
-            origin=doc.get("origin", ""),
-            correlation_id=doc.get("correlation_id", ""),
-            msg_id=doc.get("msg_id", ""),
-        )
-
 
 Handler = Callable[[str, Message], None]
 
@@ -119,6 +100,8 @@ Handler = Callable[[str, Message], None]
 # bridged from (None for the publisher's own copy).
 Copy = tuple[str, str, tuple[Handler, ...], str | None]
 Route = tuple[Copy, ...]
+# A copy as the message log names it: (device, topic, bridged_from).
+LoggedCopy = tuple[str, str, str | None]
 
 # deliveries one drain may dispatch before it takes the spine to be in a storm
 MAX_DRAIN_STEPS = 1_000_000
@@ -127,12 +110,15 @@ MAX_DRAIN_STEPS = 1_000_000
 class EventSpine:
     """Shared FIFO of pending publishes plus a structured message log.
 
-    One spine per simulation; :meth:`deliver` logs every copy of a publish
-    and queues the publish once, along its route; :meth:`drain` pops in FIFO
-    order and invokes each route's handlers in route order (which may publish
-    more). The log records one entry per copy at the simulated second
-    ``now``, which the runner sets; bridged copies keep the original msg_id,
-    so "one broadcast" counts as one logical message.
+    One spine per simulation; :meth:`deliver` logs a publish once and queues
+    it once, along its route; :meth:`drain` pops in FIFO order and invokes
+    each route's handlers in route order (which may publish more). The log
+    holds one record per publish, at the simulated second ``now``, which the
+    runner sets: the publish's shared fields and the ``(device, topic,
+    bridged_from)`` triple of each of its copies. A copy's ``seq`` counts the
+    copies logged before it, so a record's ``seq`` is its first copy's.
+    Bridged copies keep the original msg_id, so "one broadcast" counts as
+    one logical message.
     """
 
     def __init__(self) -> None:
@@ -140,6 +126,7 @@ class EventSpine:
         self._buses: list["MessageBus"] = []
         self.log: list[dict] = []
         self._seq = 0
+        self._copies_logged = 0
         self.now = 0
 
     def next_msg_id(self, origin: str) -> str:
@@ -151,31 +138,21 @@ class EventSpine:
         for bus in self._buses:
             bus._routes.clear()
 
-    def deliver(self, msg: Message, route: Route) -> None:
-        """Log one record per copy of ``msg`` along ``route`` and queue it once."""
-        log = self.log
-        seq = len(log)
-        # the fields every copy shares, read once; each copy's record is a
-        # copy of this one with its own seq, device, topic and bridged_from
-        shared = {
-            "seq": seq,
-            "t": self.now,
-            "device": None,
-            "topic": None,
-            "action": msg.action._value_,
-            "msg_id": msg.msg_id,
-            "correlation_id": msg.correlation_id,
-            "origin": msg.origin,
-            "bridged_from": None,
-        }
-        for device, topic, _, bridged_from in route:
-            record = shared.copy()
-            record["seq"] = seq
-            record["device"] = device
-            record["topic"] = topic
-            record["bridged_from"] = bridged_from
-            log.append(record)
-            seq += 1
+    def deliver(self, msg: Message, route: Route, logged: tuple[LoggedCopy, ...]) -> None:
+        """Log ``msg`` once, as one record naming the ``logged`` copies of its
+        ``route``, and queue it once along the route."""
+        self.log.append(
+            {
+                "seq": self._copies_logged,
+                "t": self.now,
+                "action": msg.action._value_,
+                "msg_id": msg.msg_id,
+                "correlation_id": msg.correlation_id,
+                "origin": msg.origin,
+                "copies": logged,
+            }
+        )
+        self._copies_logged += len(logged)
         self._pending.append((route, msg))
 
     def drain(self) -> int:
@@ -214,28 +191,66 @@ def _after(route: Route, calls: int) -> Route:
     return ()
 
 
-# the keys of a log record, as :meth:`EventSpine.deliver` writes them
-LOG_KEYS = ("action", "bridged_from", "correlation_id", "device", "msg_id", "origin", "seq", "t", "topic")
+# the keys of a publish record, as :meth:`EventSpine.deliver` writes them
+RECORD_KEYS = ("seq", "t", "action", "msg_id", "correlation_id", "origin", "copies")
 
 
-def message_line(record: dict) -> str:
-    """One ``messages.jsonl`` line for a log record: the bytes of
-    ``json.dumps(record, sort_keys=True) + "\n"``, written for the record's
-    fixed schema. Strings are quoted by the function ``json.dumps`` quotes
-    them with, ints printed by ``int.__repr__`` as ``json`` does. A record
-    without exactly the keys of :data:`LOG_KEYS` raises ``ValueError`` (a
-    missing or an extra key) or ``KeyError`` (a renamed one)."""
-    if len(record) != len(LOG_KEYS):
-        raise ValueError(f"message record has keys {sorted(record)}, not {list(LOG_KEYS)}")
-    bridged_from = record["bridged_from"]
-    return (
-        f'{{"action": {_json_str(record["action"])}, '
-        f'"bridged_from": {"null" if bridged_from is None else _json_str(bridged_from)}, '
-        f'"correlation_id": {_json_str(record["correlation_id"])}, "device": {_json_str(record["device"])}, '
-        f'"msg_id": {_json_str(record["msg_id"])}, "origin": {_json_str(record["origin"])}, '
-        f'"seq": {int.__repr__(record["seq"])}, "t": {int.__repr__(record["t"])}, '
-        f'"topic": {_json_str(record["topic"])}}}\n'
-    )
+def copies(log: Iterable[dict]) -> Iterator[dict]:
+    """Each copy of each publish record in ``log`` as its own dict, in seq
+    order: the record's shared fields with the copy's seq, device, topic and
+    bridged_from."""
+    for record in log:
+        seq, t, action = record["seq"], record["t"], record["action"]
+        msg_id, correlation_id, origin = record["msg_id"], record["correlation_id"], record["origin"]
+        for device, topic, bridged_from in record["copies"]:
+            yield {
+                "seq": seq,
+                "t": t,
+                "device": device,
+                "topic": topic,
+                "action": action,
+                "msg_id": msg_id,
+                "correlation_id": correlation_id,
+                "origin": origin,
+                "bridged_from": bridged_from,
+            }
+            seq += 1
+
+
+def message_lines(record: dict) -> list[str]:
+    """The ``messages.jsonl`` lines of a publish record, one per copy: for
+    each dict :func:`copies` expands it into, the bytes of
+    ``json.dumps(copy, sort_keys=True) + "\n"``. The fields every copy shares
+    are encoded once. Strings are quoted by the function ``json.dumps``
+    quotes them with, ints printed by ``int.__repr__`` as ``json`` does. A
+    record without exactly the keys of :data:`RECORD_KEYS` raises
+    ``ValueError`` (a missing or an extra key) or ``KeyError`` (a renamed
+    one)."""
+    if len(record) != len(RECORD_KEYS):
+        raise ValueError(f"message record has keys {sorted(record)}, not {sorted(RECORD_KEYS)}")
+    logged = record["copies"]
+    seq = record["seq"]
+    if len(logged) == 1:  # most publishes: one line, built in one step
+        ((device, topic, bridged_from),) = logged
+        return [
+            f'{{"action": {_json_str(record["action"])}, '
+            f'"bridged_from": {"null" if bridged_from is None else _json_str(bridged_from)}, '
+            f'"correlation_id": {_json_str(record["correlation_id"])}, "device": {_json_str(device)}, '
+            f'"msg_id": {_json_str(record["msg_id"])}, "origin": {_json_str(record["origin"])}, '
+            f'"seq": {int.__repr__(seq)}, "t": {int.__repr__(record["t"])}, "topic": {_json_str(topic)}}}\n'
+        ]
+    head = f'{{"action": {_json_str(record["action"])}, "bridged_from": '
+    before_device = f', "correlation_id": {_json_str(record["correlation_id"])}, "device": '
+    before_seq = f', "msg_id": {_json_str(record["msg_id"])}, "origin": {_json_str(record["origin"])}, "seq": '
+    before_topic = f', "t": {int.__repr__(record["t"])}, "topic": '
+    lines = []
+    for device, topic, bridged_from in logged:
+        lines.append(
+            f'{head}{"null" if bridged_from is None else _json_str(bridged_from)}{before_device}{_json_str(device)}'
+            f'{before_seq}{int.__repr__(seq)}{before_topic}{_json_str(topic)}}}\n'
+        )
+        seq += 1
+    return lines
 
 
 class MessageBus:
@@ -246,7 +261,8 @@ class MessageBus:
         self.spine = spine
         self._subs: dict[str, list[Handler]] = {t: [] for t in KNOWN_TOPICS}
         self._peers: dict[str, "MessageBus"] = {}
-        self._routes: dict[str, Route] = {}
+        # topic -> its route and the route's copies as the log names them
+        self._routes: dict[str, tuple[Route, tuple[LoggedCopy, ...]]] = {}
         spine._buses.append(self)
 
     def subscribe(self, topic: str, handler: Handler) -> None:
@@ -257,9 +273,10 @@ class MessageBus:
         self.spine.drop_routes()
 
     def publish(self, topic: str, msg: Message) -> None:
-        route = self._routes.get(topic)
-        if route is None:
-            route = self._route(topic)
+        cached = self._routes.get(topic)
+        if cached is None:
+            cached = self._route(topic)
+        route, logged = cached
         expected = ACTION_TOPIC[msg.action]
         if base_topic(topic) != expected:
             raise ProtocolError(
@@ -269,21 +286,24 @@ class MessageBus:
             msg.msg_id = self.spine.next_msg_id(self.device)
         if not msg.origin:
             msg.origin = self.device
-        self.spine.deliver(msg, route)
+        self.spine.deliver(msg, route, logged)
 
-    def _route(self, topic: str) -> Route:
+    def _route(self, topic: str) -> tuple[Route, tuple[LoggedCopy, ...]]:
         """Build and cache the route of ``topic``: this device's own copy,
         then, for a bridged topic, one copy per peer under the cluster/
-        prefix. No prefixed topic is in BRIDGED_TOPICS, so a bridged copy is
-        never re-bridged (loop prevention)."""
+        prefix; beside it, the (device, topic, bridged_from) triple of each
+        copy, which the log keeps. No prefixed topic is in BRIDGED_TOPICS, so
+        a bridged copy is never re-bridged (loop prevention)."""
         if topic not in self._subs:
             raise ProtocolError(f"unknown topic: {topic!r}")
         route = [(self.device, topic, tuple(self._subs[topic]), None)]
         if topic in BRIDGED_TOPICS:
             bridged = CLUSTER_PREFIX + topic
             route += [(peer.device, bridged, tuple(peer._subs[bridged]), self.device) for peer in self._peers.values()]
-        self._routes[topic] = route = tuple(route)
-        return route
+        route = tuple(route)
+        logged = tuple((device, copy_topic, bridged_from) for device, copy_topic, _, bridged_from in route)
+        self._routes[topic] = cached = (route, logged)
+        return cached
 
     def bridge(self, peers: dict[str, "MessageBus"]) -> None:
         """Register peer buses that :data:`BRIDGED_TOPICS` are re-broadcast to,

@@ -242,16 +242,17 @@ def _cluster_message_overhead(report, scenario, params, policy, monitor):
         deployment_of.setdefault(event["analysis_id"], event["deployment"])
     bridged_ids: dict[str, set] = defaultdict(set)
     analysis_counts: dict[str, int] = defaultdict(int)
-    for m in report.messages:
-        if m["topic"] == "cluster/deploy" and m["action"] == "deployment_request":
-            bridged_ids[m["correlation_id"]].add(m["msg_id"])
+    # one record per publish, so a broadcast counts once whatever its copies
+    for record in report.log:
+        action, correlation_id = record["action"], record["correlation_id"]
+        if action == "deployment_request" and any(topic == "cluster/deploy" for _, topic, _ in record["copies"]):
+            bridged_ids[correlation_id].add(record["msg_id"])
         elif (
-            m["action"] == "deployment_analysis_request"
-            and m["bridged_from"] is None
-            and m["correlation_id"].startswith("a")
-            and m["correlation_id"] in deployment_of
+            action == "deployment_analysis_request"
+            and correlation_id.startswith("a")
+            and correlation_id in deployment_of
         ):
-            analysis_counts[deployment_of[m["correlation_id"]]] += 1
+            analysis_counts[deployment_of[correlation_id]] += 1
     failures = []
     details = {}
     for dep in (e["deployment"] for e in report.events_of("request_submitted")):

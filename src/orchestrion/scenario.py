@@ -21,11 +21,13 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
 from .analyzer import Analyzer
-from .bus import EventSpine, Message, MessageBus, TOPIC_MONITOR, bridge_all, message_line
+from .bus import EventSpine, Message, MessageBus, TOPIC_MONITOR, bridge_all, copies, message_lines
 from .deployer import Deployer
 from .expectations import check_expectation
 from .forecaster import ForecastConfig, Forecaster
@@ -67,15 +69,23 @@ def _reading(where: str):
 
 @dataclass
 class RunReport:
-    """Everything a run produced: events, messages, traces, final state."""
+    """Everything a run produced: events, the spine's message log (one
+    record per publish), traces, final state."""
 
     scenario_name: str
     seed: int
     events: list[dict] = field(default_factory=list)
-    messages: list[dict] = field(default_factory=list)
+    log: list[dict] = field(default_factory=list)
     traces: dict[tuple[str, str], list[dict]] = field(default_factory=dict)
     final_state: dict = field(default_factory=dict)
     expectation_results: list[dict] = field(default_factory=list)
+
+    @cached_property
+    def messages(self) -> list[dict]:
+        """One dict per delivered copy, expanded from :attr:`log` on the
+        first read. Every read returns the same list, so edits to it persist;
+        :meth:`write` does not read it."""
+        return list(copies(self.log))
 
     @property
     def passed(self) -> bool:
@@ -107,7 +117,7 @@ class RunReport:
 
         messages_path = out / "messages.jsonl"
         with messages_path.open("w", encoding="utf-8") as fh:
-            fh.writelines(map(message_line, self.messages))
+            fh.writelines(chain.from_iterable(map(message_lines, self.log)))
         paths["messages"] = str(messages_path)
 
         trace_dir = out / "traces"
@@ -270,7 +280,7 @@ class SimulationRunner:
                 monitor.on_tick(t, tick_events)
             self._inject_due_schedule(t)
             self.spine.drain()
-        self.report.messages = self.spine.log
+        self.report.log = self.spine.log
         self._capture_final_state()
         self.report.expectation_results = evaluate_expectations(self.report, self.scenario, self.policy, self.monitor_cfg)
         return self.report

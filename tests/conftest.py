@@ -1,4 +1,6 @@
+import importlib.util
 import time
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,17 @@ from orchestrion.builtins import builtin_scenario
 from orchestrion.scenario import run_scenario
 
 _CACHE: dict[str, tuple] = {}
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """The module ``name`` of the benchmark, loaded by path: perfbench/ is
+    no package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def collect(bus, topic: str) -> list:

@@ -1,11 +1,13 @@
 """A frozen per-copy reference spine for the bus and golden tests.
 
 :class:`MessageBus` sends each publish along one cached route, which
-:class:`EventSpine` logs copy by copy and queues once. The tests compare it
-with :class:`PerCopyBus` on a :class:`PerCopySpine`: its ``publish`` hands
-every copy to ``deliver`` on its own, which builds the copy's log record and
-queues one entry per handler, and ``drain`` pops one handler at a time. Keep
-their bodies as they are; they are the oracle, not a copy to keep in step.
+:class:`EventSpine` logs once and queues once. The tests compare it with
+:class:`PerCopyBus` on a :class:`PerCopySpine`: its ``publish`` hands every
+copy to ``deliver`` on its own, which logs the copy as a one-copy publish
+record and queues one entry per handler, and ``drain`` pops one handler at a
+time. Keep their bodies as they are; they are the oracle, not a copy to keep
+in step. Only the record's schema follows the spine's, so that both logs go
+through the one writer and ``copies`` expands both.
 """
 from orchestrion.bus import (
     ACTION_TOPIC,
@@ -25,18 +27,17 @@ class PerCopySpine(EventSpine):
     """A spine that logs and queues each copy, and each handler, alone."""
 
     def deliver(self, device: str, topic: str, msg: Message, handlers: list[Handler], bridged_from: str | None) -> None:
-        """Log ``msg`` on ``device``'s ``topic`` and queue it for each handler."""
+        """Log ``msg`` on ``device``'s ``topic`` as a one-copy publish record
+        and queue it for each handler."""
         self.log.append(
             {
                 "seq": len(self.log),
                 "t": self.now,
-                "device": device,
-                "topic": topic,
                 "action": msg.action.value,
                 "msg_id": msg.msg_id,
                 "correlation_id": msg.correlation_id,
                 "origin": msg.origin,
-                "bridged_from": bridged_from,
+                "copies": ((device, topic, bridged_from),),
             }
         )
         for handler in handlers:

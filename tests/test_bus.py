@@ -10,14 +10,15 @@ from orchestrion.bus import (
     BRIDGED_TOPICS,
     CLUSTER_PREFIX,
     KNOWN_TOPICS,
-    LOG_KEYS,
+    RECORD_KEYS,
     Action,
     EventSpine,
     Message,
     MessageBus,
     ProtocolError,
     bridge_all,
-    message_line,
+    copies,
+    message_lines,
 )
 from orchestrion.scenario import RunReport
 
@@ -138,7 +139,7 @@ class TestBridging:
         spine.drain()
         assert len(first_hop) == 1
         # the bridged copy arriving at device 2 must not be re-broadcast to 3
-        topics = [entry["topic"] for entry in spine.log]
+        topics = [entry["topic"] for entry in copies(spine.log)]
         assert all(t.count("cluster/") <= 1 for t in topics)
         assert topics.count("cluster/deploy") == 2  # one bridged copy per peer
 
@@ -146,7 +147,7 @@ class TestBridging:
         spine, buses = self.make_cluster()
         buses["10.0.0.1"].publish("deploy", msg(Action.DEPLOYMENT_REQUEST))
         spine.drain()
-        ids = {entry["msg_id"] for entry in spine.log}
+        ids = {entry["msg_id"] for entry in copies(spine.log)}
         assert len(ids) == 1  # a broadcast is one logical message
 
     def test_duplicate_peer_registration_idempotent(self):
@@ -162,7 +163,7 @@ class TestBridging:
         bus.bridge({})
         bus.publish("monitor", msg(Action.MONITORING_RESULT))
         bus.spine.drain()
-        assert all(not e["topic"].startswith("cluster/") for e in bus.spine.log)
+        assert all(not e["topic"].startswith("cluster/") for e in copies(bus.spine.log))
 
     def test_self_bridge_rejected(self):
         bus = make_bus()
@@ -174,7 +175,7 @@ class TestBridging:
         buses = {a: MessageBus(a, spine) for a in ("10.0.0.1", "10.0.0.3", "10.0.0.10", "10.0.0.2")}
         bridge_all(buses)
         buses["10.0.0.1"].publish("monitor", msg(Action.MONITORING_RESULT))
-        assert [e["device"] for e in spine.log if e["bridged_from"]] == ["10.0.0.10", "10.0.0.2", "10.0.0.3"]
+        assert [e["device"] for e in copies(spine.log) if e["bridged_from"]] == ["10.0.0.10", "10.0.0.2", "10.0.0.3"]
 
     def test_bridge_to_a_bus_on_another_spine_rejected(self):
         spine, buses = self.make_cluster()
@@ -186,7 +187,7 @@ class TestBridging:
         spine.drain()
         stranger.spine.drain()
         assert got == [] and stranger.spine.log == []
-        assert [e["device"] for e in spine.log] == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+        assert [e["device"] for e in copies(spine.log)] == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
 
     def test_origin_preserved_on_bridge(self):
         spine, buses = self.make_cluster()
@@ -307,7 +308,7 @@ def run_program(kind, size, mesh, program):
     """Run ``program`` on ``size`` buses of ``kind``, bus numbers taken
     modulo ``size``, then drain; every drain is repeated until it ends
     without a handler's ``Boom``. Returns each handler call as
-    ``(device, topic, msg_id)``, and the spine's log."""
+    ``(device, topic, msg_id)``, and the spine's log expanded copy by copy."""
     bus_type, spine_type = SPINES[kind]
     spine = spine_type()
     buses = [bus_type(f"10.0.0.{index + 1}", spine) for index in range(size)]
@@ -347,7 +348,7 @@ def run_program(kind, size, mesh, program):
                     break
                 except Boom:
                     pass
-    return calls, spine.log
+    return calls, list(copies(spine.log))
 
 
 class TestRoutesAgainstPerCopySpine:
@@ -362,27 +363,8 @@ class TestRoutesAgainstPerCopySpine:
         assert routes == run_program("per_copy", size, mesh, program)
 
 
-class TestWireFormat:
-    def test_round_trip(self):
-        original = Message(
-            action=Action.FORECAST_REQUEST,
-            payload={"containers": ["c1"], "horizon": 5},
-            origin="10.0.0.1",
-            correlation_id="fc1",
-            msg_id="m1",
-        )
-        decoded = Message.from_wire(original.to_wire())
-        assert decoded.action is Action.FORECAST_REQUEST
-        assert decoded.payload == original.payload
-        assert decoded.correlation_id == "fc1"
-
-    def test_wire_document_carries_action_field(self):
-        doc = json.loads(Message(action=Action.MONITORING_RESULT, payload={}).to_wire())
-        assert doc["action"] == "monitoring_result"
-
-
 def json_line(record: dict) -> str:
-    """The oracle for :func:`message_line`."""
+    """The oracle for each line :func:`message_lines` writes."""
     return json.dumps(record, sort_keys=True) + "\n"
 
 
@@ -390,6 +372,9 @@ def json_line(record: dict) -> str:
 # astral characters and a lone surrogate; then any text at all
 tricky_text = st.text(alphabet='"\\/\x00\x08\x1f\x7f\xe9\u2028\ud800\U0001f600a ') | st.text()
 any_int = st.integers() | st.integers(min_value=2**63) | st.integers(max_value=-(2**63))
+
+# the keys of each copy that copies() expands a record into
+COPY_KEYS = ("action", "bridged_from", "correlation_id", "device", "msg_id", "origin", "seq", "t", "topic")
 
 
 class TestMessageLog:
@@ -399,21 +384,40 @@ class TestMessageLog:
         bridge_all(buses)
         spine.now = 7
         buses["10.0.0.1"].publish("deploy", msg(Action.DEPLOYMENT_REQUEST, correlation='d"1\\é'))
-        assert [tuple(sorted(record)) for record in spine.log] == [LOG_KEYS, LOG_KEYS]
-        assert [message_line(record) for record in spine.log] == [json_line(record) for record in spine.log]
+        buses["10.0.0.2"].publish("analyze", msg(Action.DEPLOYMENT_ANALYSIS_REQUEST))
+        first, second = spine.log
+        assert list(first) == list(second) == list(RECORD_KEYS)
+        assert first["copies"] == (("10.0.0.1", "deploy", None), ("10.0.0.2", "cluster/deploy", "10.0.0.1"))
+        assert second["copies"] == (("10.0.0.2", "analyze", None),)
+        # a record's seq is its first copy's: it counts the copies logged before it
+        assert [first["seq"], second["seq"]] == [0, 2]
+        expanded = list(copies(spine.log))
+        assert [tuple(sorted(copy)) for copy in expanded] == [COPY_KEYS] * 3
+        assert [copy["seq"] for copy in expanded] == [0, 1, 2]
+        assert message_lines(first) + message_lines(second) == [json_line(copy) for copy in expanded]
+
+    def test_a_route_logs_one_copies_tuple_until_it_is_rebuilt(self):
+        spine = EventSpine()
+        one, two = MessageBus("10.0.0.1", spine), MessageBus("10.0.0.2", spine)
+        one.publish("monitor", msg(Action.MONITORING_RESULT))
+        one.publish("monitor", msg(Action.MONITORING_RESULT))
+        one.bridge({"10.0.0.2": two})
+        one.publish("monitor", msg(Action.MONITORING_RESULT))
+        first, second, bridged = (record["copies"] for record in spine.log)
+        assert first is second
+        assert bridged == (("10.0.0.1", "monitor", None), ("10.0.0.2", "cluster/monitor", "10.0.0.1"))
 
     @settings(max_examples=150, deadline=None)
     @given(
-        strings=st.fixed_dictionaries(
-            {key: tricky_text for key in ("action", "correlation_id", "device", "msg_id", "origin", "topic")}
-        ),
-        bridged_from=st.none() | tricky_text,
+        strings=st.fixed_dictionaries({key: tricky_text for key in ("action", "correlation_id", "msg_id", "origin")}),
+        logged=st.lists(st.tuples(tricky_text, tricky_text, st.none() | tricky_text), min_size=1, max_size=17),
         seq=any_int,
         t=any_int,
     )
-    def test_line_is_what_json_dumps_writes(self, strings, bridged_from, seq, t):
-        record = {**strings, "bridged_from": bridged_from, "seq": seq, "t": t}
-        assert message_line(record) == json_line(record)
+    def test_line_is_what_json_dumps_writes(self, strings, logged, seq, t):
+        record = {**strings, "seq": seq, "t": t, "copies": tuple(logged)}
+        assert message_lines(record) == [json_line(copy) for copy in copies([record])]
+        assert len(message_lines(record)) == len(logged)
 
     @pytest.mark.parametrize(
         "malform, error",
@@ -426,8 +430,13 @@ class TestMessageLog:
     )
     def test_write_refuses_a_malformed_record(self, malform, error, tmp_path):
         spine = EventSpine()
-        MessageBus("10.0.0.1", spine).publish("deploy", msg(Action.DEPLOYMENT_REQUEST))
-        (record,) = spine.log
-        malform(record)
-        with pytest.raises(error):
-            RunReport("s", 0, messages=[record]).write(tmp_path)
+        buses = {d: MessageBus(d, spine) for d in ("10.0.0.1", "10.0.0.2")}
+        bridge_all(buses)
+        buses["10.0.0.1"].publish("analyze", msg(Action.DEPLOYMENT_ANALYSIS_REQUEST))
+        buses["10.0.0.1"].publish("deploy", msg(Action.DEPLOYMENT_REQUEST))
+        # a one-copy record, then a bridged one
+        assert [len(record["copies"]) for record in spine.log] == [1, 2]
+        for index, record in enumerate(spine.log):
+            malform(record)
+            with pytest.raises(error):
+                RunReport("s", 0, log=[record]).write(tmp_path / str(index))

@@ -9,7 +9,7 @@ seed-5 round, which ``BENCH_GOLDEN`` pins.
 
 Each pinned run must also pass the benchmark's invariant checks in
 ``perfbench/checks.py``, and each of its ``messages.jsonl`` lines must be the
-line ``json.dumps(record, sort_keys=True)`` writes.
+line ``json.dumps(copy, sort_keys=True)`` writes for the copy it records.
 
 The runner steps quiet hosts a span at a time. Its oracle is the same runner
 with every host quiet for no second, so that every second is a wake-up at
@@ -26,12 +26,12 @@ itself, not through a table.
 
 The spine sends each publish along one cached route. Its oracle is the frozen
 per-copy spine in ``tests/reference_spine.py``, which logs and queues every
-copy, and every handler, alone: every pinned run, and the benchmark's seed-5
-``cluster_fanout`` round, must write the same bytes on it.
+copy, and every handler, alone, logging each copy as a one-copy publish:
+every pinned run, and the benchmark's seed-5 ``cluster_fanout`` round, must
+write the same bytes on it.
 """
 import argparse
 import hashlib
-import importlib.util
 import json
 import sys
 import tempfile
@@ -40,17 +40,15 @@ from pathlib import Path
 import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, CPU_PEAKS, MEM_PEAKS, builtin_scenario
-from orchestrion.bus import EventSpine, MessageBus, message_line
+from orchestrion.bus import EventSpine, MessageBus, copies, message_lines
 from orchestrion.hostsim import HostSimulator, shared_table
 from orchestrion.scenario import run_scenario
+from conftest import PERFBENCH, load_perfbench
 from reference_host import PerSecondHost
 from reference_spine import PerCopyBus, PerCopySpine
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-# the benchmark's invariant checks, loaded by path: perfbench/ is no package
-_spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
-checks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checks)
+# the benchmark's invariant checks
+checks = load_perfbench("checks")
 
 GOLDEN = {
     "exp1_mem": "ebe1663f14393f0d638516a80ca2328fec003fbe1f17a1d87ab69a68989cadf6",
@@ -251,8 +249,8 @@ def assert_invariants_hold(report, scenario: dict) -> None:
     assert {name: found for name, found in failures.items() if found} == {}
     attempted, failed = checks.count_operations(report)
     assert attempted and not failed
-    for record in report.messages:
-        assert message_line(record) == json.dumps(record, sort_keys=True) + "\n"
+    for record in report.log:
+        assert message_lines(record) == [json.dumps(copy, sort_keys=True) + "\n" for copy in copies([record])]
 
 
 def test_golden_covers_every_builtin():

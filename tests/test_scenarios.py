@@ -5,10 +5,16 @@ from pathlib import Path
 import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
+from orchestrion.bus import copies
 from orchestrion.cli import main
 from orchestrion.hostsim import HostSimulator
 from orchestrion.model import ContractViolation
 from orchestrion.scenario import ScenarioError, SimulationRunner, run_scenario, validate_scenario
+
+from conftest import load_perfbench
+
+# the benchmark's invariant checks
+checks = load_perfbench("checks")
 
 
 def exp1_mem_images_with_first(**fields):
@@ -148,6 +154,46 @@ class TestTraceEmission:
             return [r for (_, cid), rows in report.traces.items() if cid in cids for r in rows]
 
         assert rows_for(base, "cpu-4") != rows_for(other, "cpu-4")
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestMessageView:
+    """``RunReport.messages`` is a view of the publish log, one dict per copy."""
+
+    @pytest.fixture
+    def cluster(self):
+        scenario = builtin_scenario("cluster_3dev")
+        return run_scenario(scenario), scenario
+
+    def test_messages_is_one_list_expanded_from_the_log(self, cluster):
+        report, _ = cluster
+        assert report.messages is report.messages
+        assert report.messages == list(copies(report.log))
+        assert len(report.messages) > len(report.log)
+
+    @pytest.mark.parametrize("edit", ["delete", "append"])
+    def test_edits_to_messages_reach_the_checks(self, cluster, edit):
+        report, scenario = cluster
+        assert checks.check_report(report, scenario) == []
+        index = next(i for i, m in enumerate(report.messages) if m["topic"] == "cluster/monitor")
+        if edit == "delete":
+            del report.messages[index]
+        else:
+            report.messages.append(dict(report.messages[index]))
+        failures = checks.check_report(report, scenario)
+        assert failures and all(f.startswith("monitoring_fanout: ") for f in failures)
+
+    def test_write_does_not_depend_on_reading_messages(self, tmp_path):
+        unread = run_scenario(builtin_scenario("cluster_3dev"))
+        unread.write(tmp_path / "unread")
+        assert "messages" not in vars(unread)
+        read = run_scenario(builtin_scenario("cluster_3dev"))
+        assert read.messages
+        read.write(tmp_path / "read")
+        assert tree_bytes(tmp_path / "unread") == tree_bytes(tmp_path / "read")
 
 
 def count_calls(counts, key, function):
