@@ -225,17 +225,15 @@ class Forecaster:
         whose anchors share the phase ``t0 % bucket_s`` share one grid of
         bucket starts. A bucket that starts at or after ``t0`` holds the same
         samples whatever the anchor: an expiry cuts only a prefix of the
-        series, and an append in time order lands only in the last (open)
-        bucket or after it. So one ``[starts, means]`` list is kept per metric
-        and phase in the store's
+        series, and an append, which the store keeps in time order, lands
+        only in the last (open) bucket or after it. So one ``[starts, means]``
+        list is kept per metric and phase in the store's
         :meth:`~orchestrion.monitor.MetricsStore.derived` slot, which survives
         an expiry. Each call drops the kept buckets that start before ``t0``
         and sums again, with :func:`bucket_mean`, only the samples from the
         open bucket's start on. A phase with no kept list, or whose list ends
         before ``t0``, buckets the whole series in one :func:`aggregate_buckets`
-        call, as does every call after a restore or an out-of-order append
-        (the store drops the slot). The returned list is the kept one:
-        callers must not modify it.
+        call. The returned list is the kept one: callers must not modify it.
         """
         bucket_s = self.config.bucket_s
         times, values = self.store.columns(cid, metric)

@@ -9,7 +9,6 @@ the first two falls, so that it can skip the seconds in between.
 """
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -18,9 +17,7 @@ from .bus import Action, Message, MessageBus, TOPIC_ANALYZE, TOPIC_DEPLOY, TOPIC
 from .hostsim import HostSimulator, SimEvent
 from .knowledge import Knowledge
 from .model import OptimizationPolicy, require_int
-from .registry import Registry, RegistryError
-
-logger = logging.getLogger(__name__)
+from .registry import Registry
 
 # The metrics the store keeps per sample, as named in the host's sample rows.
 METRICS = ("cpu_util", "mem_util", "throttle_pct")
@@ -63,10 +60,13 @@ class MetricsStore:
     series of dead containers are gone one retention window after their last
     sample.
 
+    Each series is in time order: :meth:`append` refuses a sample older
+    than the container's last one, and :meth:`expire` cuts only a prefix.
+
     ``version`` counts the writes that change what is stored: every
-    :meth:`append`, every :meth:`expire` that cuts a sample and every
-    :meth:`restore`. Readers that derive results from the series (the
-    forecaster) reuse them while the version stays the same.
+    :meth:`append` and every :meth:`expire` that cuts a sample. Readers that
+    derive results from the series (the forecaster) reuse them while the
+    version stays the same.
 
     The store keeps the timestamp of its oldest sample, so an :meth:`expire`
     whose cutoff is at or before it returns at once: with a retention window
@@ -75,10 +75,8 @@ class MetricsStore:
     Each stored container also has a :meth:`derived` slot for what readers
     build from its series and extend as it grows. The slot survives an
     :meth:`expire` that cuts only a prefix of the series, so readers must
-    drop what they built from the cut samples. The store drops the slot
-    whenever a write does more than cut a prefix or append in time order: a
-    :meth:`restore` that rewrites the series, an append older than its last
-    sample, and the dropping of the series itself.
+    drop what they built from the cut samples. The slot goes with the
+    series when all of its samples expire.
     """
 
     def __init__(self, retention_s: int) -> None:
@@ -87,18 +85,18 @@ class MetricsStore:
         self._series: dict[str, dict[str, list]] = {}
         self._derived: dict[str, dict] = {}
         self._oldest = math.inf  # the oldest stored timestamp
-        # whether every series is in time order, so that its first sample is its oldest
-        self._in_order = True
 
     def append(self, cid: str, t: int, row: dict) -> None:
-        """Store one sample; ``row`` is a host sample row carrying every metric."""
+        """Store one sample; ``row`` is a host sample row carrying every metric.
+
+        Raises ``ValueError``, storing nothing, if ``t`` is older than the
+        container's last stored sample."""
         columns = self._series.get(cid)
         if columns is None:
             columns = self._series[cid] = {"t": [], **{metric: [] for metric in METRICS}}
         times = columns["t"]
         if times and t < times[-1]:
-            self._derived.pop(cid, None)
-            self._in_order = False
+            raise ValueError(f"sample of {cid!r} at t={t} is older than its last one at t={times[-1]}")
         times.append(t)
         for metric in METRICS:
             columns[metric].append(row[metric])
@@ -122,9 +120,8 @@ class MetricsStore:
         return cid in self._series
 
     def derived(self, cid: str) -> dict:
-        """The slot for data derived from ``cid``'s series, empty once the
-        series is rewritten (see the class docstring); ``cid`` must have
-        stored samples."""
+        """The slot for data derived from ``cid``'s series (see the class
+        docstring); ``cid`` must have stored samples."""
         if cid not in self._series:
             raise KeyError(cid)
         slot = self._derived.get(cid)
@@ -157,26 +154,11 @@ class MetricsStore:
                     continue
                 for column in columns.values():
                     del column[:split]
-            oldest = min(oldest, times[0] if self._in_order else min(times))
+            oldest = min(oldest, times[0])
         self._oldest = oldest
         if expired:
             self.version += 1
         return expired
-
-    def restore(self, expired: dict[str, list]) -> None:
-        """Put rows returned by :meth:`expire` back in front of the stored
-        ones; a container with no rows is left as it is."""
-        for cid, rows in expired.items():
-            if not rows:
-                continue
-            columns = {"t": [t for t, _ in rows], **{metric: [row[metric] for _, row in rows] for metric in METRICS}}
-            self._oldest = min(self._oldest, min(columns["t"]))
-            self._in_order = False  # the rows need not be older than the stored ones
-            for key, column in self._series.get(cid, {}).items():
-                columns[key] += column
-            self._series[cid] = columns
-            self._derived.pop(cid, None)
-        self.version += 1
 
 
 class Monitor:
@@ -297,12 +279,7 @@ class Monitor:
         expired = self.metrics.expire(self.host.now)
         if not expired:
             return None
-        try:
-            digest = self.registry.archive_metrics(self.bus.device, expired)
-        except RegistryError:
-            logger.warning("metrics archive failed; will retry next cycle")
-            self.metrics.restore(expired)  # nothing is lost
-            return None
+        digest = self.registry.archive_metrics(expired)
         self.emit({"type": "metrics_archived", "hash": digest, "containers": sorted(expired)})
         return digest
 

@@ -1,23 +1,17 @@
 """Decentralized application delivery: content-addressed store plus ownership ledger.
 
-Blobs are stored under the SHA-256 of their framed bytes, which makes records
-tamper-evident: a fetch re-hashes and compares. The ledger binds
+Blobs are stored in memory under the SHA-256 of their framed bytes, which
+makes records tamper-evident: a fetch re-hashes and compares. The ledger binds
 ``(owner, image name)`` to image metadata and only the recorded owner may
 update an entry. The same store doubles as the long-term archive for
 monitoring series.
-
-On-disk layout (optional, enabled by passing a directory):
-
-    store/<hash>     raw framed blob bytes
-    ledger.jsonl     append-only ledger records, one JSON object per line
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Optional
 
 HASH_ALGORITHM = "sha256"
@@ -43,8 +37,7 @@ class TamperError(RegistryError):
 class ImageRecord:
     """Ledger entry mirroring the delivery contract's image metadata.
 
-    Every limit is positive and no base limit exceeds its request limit,
-    whether the record is published or reloaded from the ledger.
+    Every limit is positive and no base limit exceeds its request limit.
     """
 
     image_hash: str
@@ -103,15 +96,11 @@ def content_hash(raw: bytes) -> str:
 
 
 class Registry:
-    """Content store + ownership ledger + per-device metrics archive index."""
+    """Content store + ownership ledger + metrics archive."""
 
-    def __init__(self, root: Optional[str | Path] = None) -> None:
+    def __init__(self) -> None:
         self._store: dict[str, bytes] = {}
         self._images: dict[tuple[str, str], ImageRecord] = {}
-        self._archive_index: dict[str, list[str]] = {}
-        self._root = Path(root) if root is not None else None
-        if self._root is not None:
-            self._load_disk()
 
     # -- application delivery ------------------------------------------------
 
@@ -148,7 +137,6 @@ class Registry:
         )
         self._put(raw)
         self._images[key] = record
-        self._append_ledger({"kind": "image", **asdict(record)})
         return record.image_hash
 
     def get_image(self, owner: str, name: str) -> ImageRecord:
@@ -161,30 +149,17 @@ class Registry:
         raw = self._get(digest)
         return ImageBlob.decode(raw)
 
-    def fetch_layer(self, digest: str, index: int) -> bytes:
-        blob = self.fetch_blob(digest)
-        try:
-            return blob.layers[index]
-        except IndexError:
-            raise NotFound(f"blob {digest[:12]} has no layer {index}") from None
-
     # -- metrics archive -----------------------------------------------------
 
-    def archive_metrics(self, device: str, series: list | dict) -> str:
-        """Serialize a metrics series content-addressed; index the hash per device."""
+    def archive_metrics(self, series: list | dict) -> str:
+        """Serialize a metrics series content-addressed; returns its hash."""
         if not series:
             raise RegistryError("refusing to archive an empty series")
         raw = json.dumps(series, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        digest = self._put(raw)
-        self._archive_index.setdefault(device, []).append(digest)
-        self._append_ledger({"kind": "metrics", "device": device, "hash": digest})
-        return digest
+        return self._put(raw)
 
     def fetch_metrics(self, digest: str) -> list | dict:
         return json.loads(self._get(digest).decode("utf-8"))
-
-    def archived_hashes(self, device: str) -> list[str]:
-        return list(self._archive_index.get(device, []))
 
     # -- store plumbing ------------------------------------------------------
 
@@ -192,10 +167,6 @@ class Registry:
         digest = content_hash(raw)
         if digest not in self._store:
             self._store[digest] = raw
-            if self._root is not None:
-                store_dir = self._root / "store"
-                store_dir.mkdir(parents=True, exist_ok=True)
-                (store_dir / digest).write_bytes(raw)
         return digest
 
     def _get(self, digest: str) -> bytes:
@@ -206,33 +177,6 @@ class Registry:
         if content_hash(raw) != digest:
             raise TamperError(f"stored bytes for {digest[:12]}... fail verification")
         return raw
-
-    def _append_ledger(self, record: dict) -> None:
-        if self._root is not None:
-            self._root.mkdir(parents=True, exist_ok=True)
-            with (self._root / "ledger.jsonl").open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"hash_algorithm": HASH_ALGORITHM, **record}, sort_keys=True) + "\n")
-
-    def _load_disk(self) -> None:
-        assert self._root is not None
-        store_dir = self._root / "store"
-        if store_dir.is_dir():
-            for path in store_dir.iterdir():
-                self._store[path.name] = path.read_bytes()
-        ledger = self._root / "ledger.jsonl"
-        if ledger.is_file():
-            for number, line in enumerate(ledger.read_text(encoding="utf-8").splitlines(), start=1):
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record.get("kind") == "image":
-                    try:
-                        rec = ImageRecord(**{f.name: record[f.name] for f in fields(ImageRecord)})
-                    except RegistryError as exc:
-                        raise RegistryError(f"{ledger} line {number}: {exc}") from None
-                    self._images[(rec.owner, rec.image_name)] = rec
-                elif record.get("kind") == "metrics":
-                    self._archive_index.setdefault(record["device"], []).append(record["hash"])
 
     # test hook: deliberately corrupt a stored byte to exercise tamper detection
     def _corrupt_for_test(self, digest: str, offset: int = 0) -> None:

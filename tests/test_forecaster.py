@@ -368,13 +368,9 @@ class TestForecastMemo:
         self.store.append("c1", 400, {"cpu_util": 70, "mem_util": 81, "throttle_pct": 0.0})
         self.service.forecast_container("c1", 3)
         assert len(calls) == 6
-        expired = self.store.expire(now=self.store.retention_s + 35)
-        assert [t for t, _ in expired["c1"]] == [0, 10, 20, 30]
+        assert [t for t, _ in self.store.expire(now=self.store.retention_s + 35)["c1"]] == [0, 10, 20, 30]
         self.service.forecast_container("c1", 3)
         assert len(calls) == 9
-        self.store.restore(expired)
-        self.service.forecast_container("c1", 3)
-        assert len(calls) == 12
 
     def append(self, t):
         self.store.append("c1", t, {"cpu_util": 60 + t % 7, "mem_util": 81, "throttle_pct": 0.1})
@@ -436,13 +432,18 @@ class TestForecastMemo:
         assert calls == [3] * 3  # t = 390, 400 and 410
         self.assert_means_are_the_whole_series_means()
 
-    def test_out_of_order_append_buckets_the_whole_series(self, monkeypatch):
+    def test_out_of_order_append_is_refused_and_the_kept_means_stand(self, monkeypatch):
         calls = self.count_bucketing(monkeypatch)
+        first = self.service.forecast_container("c1", 3)
+        with pytest.raises(ValueError, match="older than its last one"):
+            self.append(385)
+        assert self.service.forecast_container("c1", 3) == first
+        assert calls == [40] * 3  # the refused sample buckets nothing
+        # the next sample in time order buckets only the open bucket [390, 420)
+        self.append(400)
         self.service.forecast_container("c1", 3)
-        self.append(385)
-        with pytest.raises(ValueError, match="monotone"):
-            self.service.forecast_container("c1", 3)
-        assert calls[3:] == [41]
+        assert calls[3:] == [2] * 3
+        self.assert_means_are_the_whole_series_means()
 
     def test_churn_leaves_no_bucket_means_behind(self):
         store = MetricsStore(retention_s=60)
@@ -500,7 +501,6 @@ SAMPLE = st.tuples(
 STEP = st.one_of(
     st.tuples(st.just("append"), st.sampled_from(("c1", "c2")), st.lists(SAMPLE, min_size=1, max_size=12)),
     st.tuples(st.just("expire"), st.integers(0, 120)),
-    st.tuples(st.just("restore")),
 )
 
 
@@ -514,25 +514,17 @@ RANDOM_RUN = st.tuples(
 
 @st.composite
 def regular_run(draw):
-    """A scrape every 7 or 10 s: one sample per container, then an expiry,
-    and now and then a restore of the last one to twelve expired batches.
+    """A scrape every 7 or 10 s: one sample per container, then an expiry.
     Once the window is full the anchor moves at every scrape and comes back
     to each phase of the bucket grid, so the kept means of each phase are
-    reused across many anchor moves; a restore moves it back past buckets
-    those means have dropped."""
+    reused across many anchor moves."""
     cadence = draw(st.sampled_from((7, 10)))
-    scrape = st.tuples(
-        st.one_of(st.integers(0, 400), STEP_VALUES),
-        st.integers(0, 400),
-        STEP_VALUES,
-        st.one_of(st.just(0), st.just(0), st.just(0), st.integers(0, 12)),  # batches restored after it
-    )
+    scrape = st.tuples(st.one_of(st.integers(0, 400), STEP_VALUES), st.integers(0, 400), STEP_VALUES)
     steps = []
-    for cpu, mem, throttle, restores in draw(st.lists(scrape, min_size=30, max_size=120)):
+    for cpu, mem, throttle in draw(st.lists(scrape, min_size=30, max_size=120)):
         steps.append(("append", "c1", [(cadence, cpu, mem, throttle)]))
         steps.append(("append", "c2", [(0, mem, cpu, throttle)]))
         steps.append(("expire", 0))
-        steps += [("restore",)] * restores
     return draw(st.sampled_from((60, 61))), draw(st.sampled_from((150, 300))), steps
 
 
@@ -543,7 +535,6 @@ def test_bucket_means_match_a_fresh_bucketing(run):
     store = MetricsStore(retention_s=retention_s)
     service = Forecaster(MessageBus("10.0.0.1", EventSpine()), store, ForecastConfig(bucket_s=bucket_s))
     now = 0
-    expired_batches = []  # restored last first, so every series stays in time order
     phases = {"c1": set(), "c2": set()}  # anchor phases each container's means were asked at
     most_buckets = {"c1": 0, "c2": 0}  # the most buckets its stored series has held
     for step in steps:
@@ -551,13 +542,9 @@ def test_bucket_means_match_a_fresh_bucketing(run):
             for gap, cpu, mem, throttle in step[2]:
                 now += gap
                 store.append(step[1], now, {"cpu_util": cpu, "mem_util": mem, "throttle_pct": throttle})
-        elif step[0] == "expire":
+        else:
             now += step[1]
-            expired = store.expire(now)
-            if expired:
-                expired_batches.append(expired)
-        elif expired_batches:
-            store.restore(expired_batches.pop())
+            store.expire(now)
         for cid in ("c1", "c2"):
             for metric in ("cpu_util", "mem_util", "throttle_pct"):
                 points = store.points(cid, metric)

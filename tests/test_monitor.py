@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -16,7 +15,7 @@ from orchestrion.monitor import (
     next_optimization_due,
     optimization_due,
 )
-from orchestrion.registry import Registry, RegistryError
+from orchestrion.registry import Registry
 
 from conftest import collect
 
@@ -85,7 +84,7 @@ class TestRetention:
         assert list(archived) == ["c1"]
         assert len(archived["c1"]) == 1  # exactly the oldest hour fell out
         assert archived["c1"][0][0] == 0
-        assert registry.archived_hashes("10.0.0.1") == [digest]
+        assert events == [{"type": "metrics_archived", "hash": digest, "containers": ["c1"]}]
 
     def test_young_data_is_noop(self):
         spine, bus, host, knowledge, registry, monitor, _ = build_stack()
@@ -103,62 +102,28 @@ class TestRetention:
         assert monitor.enforce_retention() is not None
         assert monitor.enforce_retention() is None
 
-    def test_failed_archive_keeps_rows_for_the_next_enforcement(self, monkeypatch):
-        spine, bus, host, knowledge, registry, monitor, events = build_stack(
-            config=MonitorConfig(scrape_interval_s=10, retention_s=100, max_attempts=3)
-        )
-        rows = [(t, {"cpu_util": t, "mem_util": t + 1, "throttle_pct": t / 4}) for t in range(0, 200, 10)]
-        for t, row in rows:
-            monitor.metrics.append("c1", t, row)
-            if t < 60:  # a container whose samples all expire
-                monitor.metrics.append("c2", t, row)
-        attempted = []
-
-        def failing_archive(device, series):
-            attempted.append(json.loads(json.dumps(series)))
-            raise RegistryError("store unavailable")
-
-        monkeypatch.setattr(registry, "archive_metrics", failing_archive)
-        host.now = 160
-        assert monitor.enforce_retention() is None
-        for metric in ("cpu_util", "mem_util", "throttle_pct"):
-            assert monitor.metrics.points("c1", metric) == [(t, row[metric]) for t, row in rows]
-            assert monitor.metrics.points("c2", metric) == [(t, row[metric]) for t, row in rows[:6]]
-        assert events == []
-
-        monkeypatch.undo()
-        digest = monitor.enforce_retention()
-        assert digest is not None
-        assert [registry.fetch_metrics(digest)] == attempted
-        assert [t for t, _ in monitor.metrics.points("c1", "cpu_util")] == list(range(60, 200, 10))
-        assert monitor.metrics.points("c2", "cpu_util") == []
-
-    @pytest.mark.parametrize("write", ["append", "restore"])
-    def test_expiry_bound_holds_for_a_series_out_of_time_order(self, write):
-        # [0, 15, 10, 20]: the cut of the 0 leaves a first sample, 15, that is not the oldest
+    def test_append_older_than_the_last_sample_raises_and_stores_nothing(self):
         store = MetricsStore(retention_s=100)
-        row = {"cpu_util": 1, "mem_util": 1, "throttle_pct": 0.0}
-        if write == "append":
-            for t in (0, 15, 10, 20):
-                store.append("c1", t, row)
-        else:
-            for t in (10, 20):
-                store.append("c1", t, row)
-            store.restore({"c1": [[0, row], [15, row]]})
-        assert [t for t, _ in store.expire(101)["c1"]] == [0]
-        assert store._oldest == 10
-        assert [t for t, _ in store.expire(111)["c1"]] == [15, 10]
+        for t in (0, 10, 20):
+            store.append("c1", t, {"cpu_util": t, "mem_util": t + 1, "throttle_pct": t / 4})
+        store.derived("c1")["kept"] = [0, 10, 20]
+        stored = {metric: store.points("c1", metric) for metric in METRICS}
+        version = store.version
+        with pytest.raises(ValueError, match="older than its last one"):
+            store.append("c1", 15, {"cpu_util": 99, "mem_util": 99, "throttle_pct": 99.0})
+        assert {metric: store.points("c1", metric) for metric in METRICS} == stored
+        assert store.version == version
+        assert store.derived("c1") == {"kept": [0, 10, 20]}
+        store.append("c1", 20, {"cpu_util": 1, "mem_util": 1, "throttle_pct": 0.0})  # a tie is in order
+        assert [t for t, _ in store.points("c1", "cpu_util")] == [0, 10, 20, 20]
 
-    def test_restoring_no_rows_stores_nothing(self):
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack()
-        store = monitor.metrics
-        store.restore({"c": []})
+    def test_unknown_container_has_no_series(self):
+        store = MetricsStore(retention_s=100)
         assert "c" not in store
         assert store.points("c", "mem_util") == []
         assert store.observed_max("c", "mem_util") == 0.0
-        for cid in ("c", "unknown"):
-            with pytest.raises(KeyError):
-                store.derived(cid)
+        with pytest.raises(KeyError):
+            store.derived("c")
 
     def test_killed_container_entry_dropped_after_retention(self):
         spine, bus, host, knowledge, registry, monitor, _ = build_stack(
@@ -184,7 +149,6 @@ class TestRetention:
 STORE_STEP = st.one_of(
     st.tuples(st.just("append"), st.sampled_from(("c1", "c2", "c3")), st.integers(0, 40)),
     st.tuples(st.just("expire"), st.integers(0, 80)),
-    st.tuples(st.just("restore")),
 )
 
 
@@ -195,7 +159,6 @@ def test_expire_equals_a_brute_force_scan(retention, steps):
     every series, and moves ``version`` only when it cuts one."""
     store = MetricsStore(retention)
     stored = {}  # cid -> [[t, row], ...], oldest first
-    batches = []  # expired batches, restored last first as the monitor does
     now = value = 0
     for step in steps:
         if step[0] == "append":
@@ -204,7 +167,7 @@ def test_expire_equals_a_brute_force_scan(retention, steps):
             row = {"cpu_util": value, "mem_util": value + 1, "throttle_pct": value / 4}
             store.append(step[1], now, row)
             stored.setdefault(step[1], []).append([now, row])
-        elif step[0] == "expire":
+        else:
             now += step[1]
             cutoff = now - retention
             want = {cid: [r for r in rows if r[0] < cutoff] for cid, rows in stored.items()}
@@ -215,13 +178,6 @@ def test_expire_equals_a_brute_force_scan(retention, steps):
             assert store.version == version + bool(want)
             stored = {cid: [r for r in rows if r[0] >= cutoff] for cid, rows in stored.items()}
             stored = {cid: rows for cid, rows in stored.items() if rows}
-            if expired:
-                batches.append(expired)
-        elif batches:
-            batch = batches.pop()
-            store.restore(batch)
-            for cid, rows in batch.items():
-                stored[cid] = rows + stored.get(cid, [])
         # the bound an expiry returns early by is the oldest stored timestamp
         assert store._oldest == min((t for rows in stored.values() for t, _ in rows), default=math.inf)
         for cid in ("c1", "c2", "c3"):

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -92,13 +91,6 @@ class TestBlobStore:
         digest = reg.publish_image("vendor", "app", blob, REQUEST, BASE)
         assert reg.fetch_blob(digest) == blob
 
-    def test_layerwise_fetch(self):
-        reg = Registry()
-        digest = reg.publish_image("vendor", "app", blob_from(b"one", b"two"), REQUEST, BASE)
-        assert reg.fetch_layer(digest, 1) == b"two"
-        with pytest.raises(NotFound):
-            reg.fetch_layer(digest, 5)
-
     def test_unknown_hash_not_found(self):
         with pytest.raises(NotFound):
             Registry().fetch_blob("ab" * 32)
@@ -125,61 +117,17 @@ class TestMetricsArchive:
     def test_round_trip(self):
         reg = Registry()
         series = {"c1": [[10, {"cpu_util": 5}], [20, {"cpu_util": 7}]]}
-        digest = reg.archive_metrics("10.0.0.1", series)
+        digest = reg.archive_metrics(series)
         assert reg.fetch_metrics(digest) == series
 
     def test_identical_series_identical_hash(self):
         reg = Registry()
         series = [[10, 1], [20, 2]]
-        assert reg.archive_metrics("d", series) == reg.archive_metrics("d", series)
-
-    def test_ledger_grows_per_archive(self):
-        reg = Registry()
-        assert reg.archived_hashes("d") == []
-        reg.archive_metrics("d", [[1, 1]])
-        reg.archive_metrics("d", [[2, 2]])
-        assert len(reg.archived_hashes("d")) == 2
+        assert reg.archive_metrics(series) == reg.archive_metrics(series)
 
     def test_empty_series_rejected(self):
         with pytest.raises(RegistryError):
-            Registry().archive_metrics("d", [])
-
-
-class TestDiskLayout:
-    def test_store_and_ledger_files(self, tmp_path):
-        reg = Registry(tmp_path)
-        digest = reg.publish_image("vendor", "app", blob_from(b"data"), REQUEST, BASE)
-        reg.archive_metrics("10.0.0.1", [[1, 2]])
-        assert (tmp_path / "store" / digest).is_file()
-        ledger = (tmp_path / "ledger.jsonl").read_text().splitlines()
-        assert len(ledger) == 2
-
-    def test_reload_from_disk(self, tmp_path):
-        first = Registry(tmp_path)
-        digest = first.publish_image("vendor", "app", blob_from(b"data"), REQUEST, BASE)
-        reloaded = Registry(tmp_path)
-        assert reloaded.get_image("vendor", "app") == first.get_image("vendor", "app")
-        assert reloaded.get_image("vendor", "app").image_hash == digest
-        assert reloaded.fetch_blob(digest) == blob_from(b"data")
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            ({"base_limit_cpu": 101}, "base cpu limit 101 exceeds request limit 100"),
-            ({"request_limit_memory": 0}, "mem limits must be positive"),
-            ({"base_limit_cpu": 0}, "cpu limits must be positive"),
-        ],
-    )
-    def test_reload_refuses_a_ledger_line_that_breaks_a_limit_rule(self, tmp_path, edit, message):
-        reg = Registry(tmp_path)
-        reg.archive_metrics("10.0.0.1", [[1, 2]])
-        reg.publish_image("vendor", "app", blob_from(b"data"), REQUEST, BASE)
-        ledger = tmp_path / "ledger.jsonl"
-        lines = ledger.read_text().splitlines()
-        lines[1] = json.dumps({**json.loads(lines[1]), **edit}, sort_keys=True)
-        ledger.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RegistryError, match=f"ledger.jsonl line 2: {message}"):
-            Registry(tmp_path)
+            Registry().archive_metrics([])
 
 
 class TestContentAddressingProperty:
