@@ -220,31 +220,20 @@ def copies(log: Iterable[dict]) -> Iterator[dict]:
 def message_lines(record: dict) -> list[str]:
     """The ``messages.jsonl`` lines of a publish record, one per copy: for
     each dict :func:`copies` expands it into, the bytes of
-    ``json.dumps(copy, sort_keys=True) + "\n"``. The fields every copy shares
-    are encoded once. Strings are quoted by the function ``json.dumps``
-    quotes them with, ints printed by ``int.__repr__`` as ``json`` does. A
-    record without exactly the keys of :data:`RECORD_KEYS` raises
+    ``json.dumps(copy, sort_keys=True) + "\n"``. Strings are quoted by the
+    function ``json.dumps`` quotes them with, ints printed by
+    ``int.__repr__`` as ``json`` does. A record without exactly the keys of :data:`RECORD_KEYS` raises
     ``ValueError`` (a missing or an extra key) or ``KeyError`` (a renamed
     one)."""
     if len(record) != len(RECORD_KEYS):
         raise ValueError(f"message record has keys {sorted(record)}, not {sorted(RECORD_KEYS)}")
-    logged = record["copies"]
     seq = record["seq"]
-    if len(logged) == 1:  # most publishes: one line, built in one step
-        ((device, topic, bridged_from),) = logged
-        return [
-            f'{{"action": {_json_str(record["action"])}, '
-            f'"bridged_from": {"null" if bridged_from is None else _json_str(bridged_from)}, '
-            f'"correlation_id": {_json_str(record["correlation_id"])}, "device": {_json_str(device)}, '
-            f'"msg_id": {_json_str(record["msg_id"])}, "origin": {_json_str(record["origin"])}, '
-            f'"seq": {int.__repr__(seq)}, "t": {int.__repr__(record["t"])}, "topic": {_json_str(topic)}}}\n'
-        ]
     head = f'{{"action": {_json_str(record["action"])}, "bridged_from": '
     before_device = f', "correlation_id": {_json_str(record["correlation_id"])}, "device": '
     before_seq = f', "msg_id": {_json_str(record["msg_id"])}, "origin": {_json_str(record["origin"])}, "seq": '
     before_topic = f', "t": {int.__repr__(record["t"])}, "topic": '
     lines = []
-    for device, topic, bridged_from in logged:
+    for device, topic, bridged_from in record["copies"]:
         lines.append(
             f'{head}{"null" if bridged_from is None else _json_str(bridged_from)}{before_device}{_json_str(device)}'
             f'{before_seq}{int.__repr__(seq)}{before_topic}{_json_str(topic)}}}\n'

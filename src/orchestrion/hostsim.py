@@ -43,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import sha256
-from itertools import repeat
+from itertools import chain, repeat
 
 from .model import ContractViolation, Limits, require_int
 
@@ -259,12 +259,20 @@ class SimEvent:
     detail: dict = field(default_factory=dict)
 
 
+# The keys of a sample row in a trace's column order. A row carries one more
+# key, "throttle_pct", the unrounded share of throttled seconds that the
+# metrics store keeps; "cpu_throttle" is that share rounded to 6 decimals.
+TRACE_COLUMNS = ("t", "container", "cpu_util", "cpu_limit", "cpu_throttle", "mem_util", "mem_limit", "status")
+
+
 @dataclass(frozen=True)
 class MetricsSample:
     """Snapshot over the window since the previous sample."""
 
     t: int
-    containers: dict  # cid -> {"cpu_util", "mem_util", "throttle_pct", "status", ...}
+    # cid -> its row: the TRACE_COLUMNS keys and "throttle_pct". The row is
+    # the container's monitoring result and its trace row at once.
+    containers: dict
     avail_cpu: int
     avail_mem: int
 
@@ -315,7 +323,7 @@ class HostSimulator:
         self._containers: dict[str, ContainerState] = {}  # every container ever run
         self._live: dict[str, ContainerState] = {}  # the running ones, in registration order
         self._counter = 0
-        self._pending_final: dict[str, dict] = {}  # dead containers awaiting one last sample row
+        self._dead: list[ContainerState] = []  # dead containers awaiting one last sample row
 
     # -- container lifecycle ---------------------------------------------------
 
@@ -374,14 +382,7 @@ class HostSimulator:
         del self._live[state.container_id]
         self._slack_cpu += state.limits.cpu
         self._slack_mem += state.limits.mem
-        self._pending_final[state.container_id] = {
-            "cpu_util": state.last_cpu_util,
-            "mem_util": 0,
-            "throttle_pct": state.last_throttle_pct,
-            "status": status,
-            "cpu_limit": state.limits.cpu,
-            "mem_limit": state.limits.mem,
-        }
+        self._dead.append(state)
 
     # -- simulation clock --------------------------------------------------------
 
@@ -486,35 +487,38 @@ class HostSimulator:
     # -- metrics -----------------------------------------------------------------
 
     def sample_metrics(self) -> MetricsSample:
-        """Utilization snapshot over the ticks since the last sample."""
+        """Utilization snapshot over the ticks since the last sample: one row
+        per live container, then one last row per container that died since,
+        with its terminal status, no memory and its last window's CPU."""
+        t = self.now
         containers: dict[str, dict] = {}
         used_cpu = 0
         used_mem = 0
-        for state in self._live.values():
-            ticks = max(state.window_ticks, 1)
-            cpu_util = int(round(state.window_granted / ticks))
-            throttle_pct = 100.0 * state.window_throttled / ticks
-            state.last_cpu_util = cpu_util
-            state.last_throttle_pct = throttle_pct
-            containers[state.container_id] = {
-                "cpu_util": cpu_util,
+        for state in chain(self._live.values(), self._dead):
+            if state.status == STATUS_RUNNING:
+                ticks = max(state.window_ticks, 1)
+                state.last_cpu_util = int(round(state.window_granted / ticks))
+                state.last_throttle_pct = 100.0 * state.window_throttled / ticks
+                used_cpu += state.last_cpu_util
+                used_mem += state.mem_usage
+                state.window_ticks = 0
+                state.window_granted = 0
+                state.window_throttled = 0
+            cid, limits, throttle_pct = state.container_id, state.limits, state.last_throttle_pct
+            containers[cid] = {
+                "t": t,
+                "container": cid,
+                "cpu_util": state.last_cpu_util,
+                "cpu_limit": limits.cpu,
+                "cpu_throttle": round(throttle_pct, 6),
                 "mem_util": state.mem_usage,
-                "throttle_pct": throttle_pct,
+                "mem_limit": limits.mem,
                 "status": state.status,
-                "cpu_limit": state.limits.cpu,
-                "mem_limit": state.limits.mem,
+                "throttle_pct": throttle_pct,
             }
-            used_cpu += cpu_util
-            used_mem += state.mem_usage
-            state.window_ticks = 0
-            state.window_granted = 0
-            state.window_throttled = 0
-        # Dead containers appear once more with their terminal status.
-        for cid, row in self._pending_final.items():
-            containers[cid] = row
-        self._pending_final.clear()
+        self._dead.clear()
         return MetricsSample(
-            t=self.now,
+            t=t,
             containers=containers,
             avail_cpu=self._usable_cpu - used_cpu,
             avail_mem=self._usable_mem - used_mem,

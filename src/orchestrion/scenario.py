@@ -31,16 +31,13 @@ from .bus import EventSpine, Message, MessageBus, TOPIC_MONITOR, bridge_all, cop
 from .deployer import Deployer
 from .expectations import check_expectation
 from .forecaster import ForecastConfig, Forecaster
-from .hostsim import HostConfig, HostSimulator, WorkloadSpec
+from .hostsim import TRACE_COLUMNS, HostConfig, HostSimulator, WorkloadSpec
 from .knowledge import Knowledge
 from .model import DeviceId, Limits, OptimizationPolicy, require_int
 from .monitor import Monitor, MonitorConfig
 from .registry import ImageBlob, Registry, RegistryError
 
 logger = logging.getLogger(__name__)
-
-TRACE_COLUMNS = ("t", "container", "cpu_util", "cpu_limit", "cpu_throttle", "mem_util", "mem_limit", "status")
-
 
 # keys every entry of a scenario's lists must carry
 ENTRY_KEYS = {
@@ -323,22 +320,12 @@ class SimulationRunner:
         self._pending_schedule = remaining
 
     def _record_trace(self, topic: str, msg: Message) -> None:
-        """One trace row per container of a device's monitoring result."""
+        """Each container row of a device's monitoring result, as its trace row."""
         payload = msg.payload
         device = payload["device"]
+        traces = self.report.traces
         for cid, row in payload["containers"].items():
-            self.report.traces.setdefault((device, cid), []).append(
-                {
-                    "t": payload["t"],
-                    "container": cid,
-                    "cpu_util": row["cpu_util"],
-                    "cpu_limit": row["cpu_limit"],
-                    "cpu_throttle": round(row["throttle_pct"], 6),
-                    "mem_util": row["mem_util"],
-                    "mem_limit": row["mem_limit"],
-                    "status": row["status"],
-                }
-            )
+            traces.setdefault((device, cid), []).append(row)
 
     def _capture_final_state(self) -> None:
         state: dict = {}
@@ -373,6 +360,8 @@ def validate_scenario(scenario: dict) -> dict:
     duration = scenario["duration_s"]
     if duration <= 0:
         raise ScenarioError("duration_s must be positive")
+    if not -(1 << 63) <= scenario.get("seed", 0) < 1 << 63:  # pattern 4's noise packs it in 8 bytes
+        raise ScenarioError(f"seed {scenario['seed']} outside the signed 64-bit range")
     if not isinstance(scenario.get("cluster", False), bool):
         raise ScenarioError(f"cluster must be true or false, got {scenario['cluster']!r}")
     for section, keys in ENTRY_KEYS.items():

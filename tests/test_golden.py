@@ -8,8 +8,10 @@ Adding ``--bench-seed 5`` also prints the digest of each benchmark workload's
 seed-5 round, which ``BENCH_GOLDEN`` pins.
 
 Each pinned run must also pass the benchmark's invariant checks in
-``perfbench/checks.py``, and each of its ``messages.jsonl`` lines must be the
-line ``json.dumps(copy, sort_keys=True)`` writes for the copy it records.
+``perfbench/checks.py``, each of its ``messages.jsonl`` lines must be the
+line ``json.dumps(copy, sort_keys=True)`` writes for the copy it records, and
+each of its trace rows must be a host sample row: the ``TRACE_COLUMNS`` keys
+and the unrounded ``throttle_pct`` that ``cpu_throttle`` rounds.
 
 The runner steps quiet hosts a span at a time. Its oracle is the same runner
 with every host quiet for no second, so that every second is a wake-up at
@@ -41,7 +43,7 @@ import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, CPU_PEAKS, MEM_PEAKS, builtin_scenario
 from orchestrion.bus import EventSpine, MessageBus, copies, message_lines
-from orchestrion.hostsim import HostSimulator, shared_table
+from orchestrion.hostsim import TRACE_COLUMNS, HostSimulator, shared_table
 from orchestrion.scenario import run_scenario
 from conftest import PERFBENCH, load_perfbench
 from reference_host import PerSecondHost
@@ -241,8 +243,8 @@ def tree_digest(root: Path) -> str:
 
 def assert_invariants_hold(report, scenario: dict) -> None:
     """Every check of the benchmark passes on ``report``, no deployment
-    fails, and every message is written as the line ``json.dumps`` would
-    write. ``expectations_pass`` is left out: the acceptance tests hold the
+    fails, every message is written as the line ``json.dumps`` would write,
+    and every trace row is a host sample row. ``expectations_pass`` is left out: the acceptance tests hold the
     built-ins to their expectations, and the expiring run's 600 s retention
     breaks its own on purpose."""
     failures = {name: check(report, scenario) for name, check in checks.CHECKS.items() if name != "expectations_pass"}
@@ -251,6 +253,10 @@ def assert_invariants_hold(report, scenario: dict) -> None:
     assert attempted and not failed
     for record in report.log:
         assert message_lines(record) == [json.dumps(copy, sort_keys=True) + "\n" for copy in copies([record])]
+    for rows in report.traces.values():
+        for row in rows:
+            assert row.keys() == {*TRACE_COLUMNS, "throttle_pct"}
+            assert row["cpu_throttle"] == round(row["throttle_pct"], 6)
 
 
 def test_golden_covers_every_builtin():

@@ -516,6 +516,25 @@ class TestLiveContainers:
         assert [row["cpu_util"] for row in sample.containers.values()] == [400, 200]
         assert host.container(middle).status == status
 
+        live = sample.containers[last]
+        assert live["throttle_pct"] == 100.0  # 400 wanted every second, 200 granted
+        host.update_limits(last, Limits(cpu=150, mem=10))  # below its flat 20 MB
+        assert [(e.kind, e.container_id) for e in host.tick()] == [("oom_kill", last)]
+        sample = host.sample_metrics()
+        assert list(sample.containers) == [first, last]
+        # the final row keeps its last live sample's CPU figures and the limits it died with
+        assert sample.containers[last] == {
+            "t": 7,
+            "container": last,
+            "cpu_util": live["cpu_util"],
+            "cpu_limit": 150,
+            "cpu_throttle": 100.0,
+            "mem_util": 0,
+            "mem_limit": 10,
+            "status": status,
+            "throttle_pct": live["throttle_pct"],
+        }
+
     def test_a_later_run_joins_after_the_survivors(self):
         host = HostSimulator(HostConfig())
         first, second, third = (host.run_container(cpu_spec(1), Limits(cpu=100, mem=64)) for _ in range(3))

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
-from orchestrion.bus import copies
+from orchestrion.bus import TOPIC_MONITOR, copies
 from orchestrion.cli import main
 from orchestrion.hostsim import HostSimulator
 from orchestrion.model import ContractViolation
@@ -125,6 +125,22 @@ class TestTraceEmission:
         report, _ = run_builtin("exp2_cpu")
         rows = [r for rows in report.traces.values() for r in rows]
         assert any(r["cpu_throttle"] == 100.0 for r in rows)
+
+    def test_trace_rows_are_the_monitoring_rows(self):
+        runner = SimulationRunner(builtin_scenario("cluster_3dev"))
+        published = {}
+
+        def capture(topic, msg):
+            payload = msg.payload
+            for cid, row in payload["containers"].items():
+                published[(payload["device"], cid, payload["t"])] = row
+
+        for stack in runner.devices.values():
+            stack.bus.subscribe(TOPIC_MONITOR, capture)
+        report = runner.run()
+        rows = [(device, cid, row) for (device, cid), trace in report.traces.items() for row in trace]
+        assert rows and len(rows) == len(published)
+        assert all(row is published[(device, cid, row["t"])] for device, cid, row in rows)
 
     def test_every_observed_action_topic_pair_is_allowed(self, run_builtin):
         from orchestrion.bus import ACTION_TOPIC, Action, base_topic
@@ -304,6 +320,16 @@ class TestCli:
     def test_unknown_builtin_reports_error(self, capsys):
         assert main(["run", "--builtin", "exp99"]) == 2
 
+    def test_seed_option_outside_64_bits_reports_error(self, capsys):
+        assert main(["run", "--builtin", "exp3_mem", "--seed", str(2**63)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed 9223372036854775808 outside the signed 64-bit range"]
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_seed_at_the_64_bit_bounds_runs(self, seed):
+        # exp3_mem deploys its pattern-4 image, whose noise packs the seed in 8 bytes
+        assert main(["run", "--builtin", "exp3_mem", "--seed", str(seed)]) == 0
+
     @pytest.mark.parametrize(
         "block",
         [
@@ -389,6 +415,8 @@ class TestCli:
                 {"images": exp1_mem_images_with_first(request={"cpu": 0}, base={"cpu": 0})},
                 "images[0]: cpu limits must be positive, got request 0 and base 0",
             ),
+            ({"seed": 2**63}, "seed 9223372036854775808 outside the signed 64-bit range"),
+            ({"seed": -(2**63) - 1}, "seed -9223372036854775809 outside the signed 64-bit range"),
         ],
     )
     def test_bad_entry_names_its_section_and_index(self, tmp_path, capsys, block, message):
