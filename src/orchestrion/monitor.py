@@ -1,7 +1,7 @@
 """Monitoring loop: scrapes host metrics, publishes monitoring results, keeps
-the short-term series store, archives expired series to the registry, restarts
-OOM-killed containers with escalated targets, and paces the optimization
-cycles for the host's running containers.
+the short-term series store, hashes expired series into a ``metrics_archived``
+event without keeping them, restarts OOM-killed containers with escalated
+targets, and paces the optimization cycles for the host's running containers.
 
 The monitor acts only on a scrape, on an optimization cycle falling due or on
 a host event; :meth:`Monitor.next_wake_up` tells the runner when the next of
@@ -275,7 +275,8 @@ class Monitor:
     # -- retention / archival --------------------------------------------------------
 
     def enforce_retention(self) -> str | None:
-        """Archive and truncate series older than the retention window."""
+        """Truncate series older than the retention window and record their
+        content hash in a ``metrics_archived`` event."""
         expired = self.metrics.expire(self.host.now)
         if not expired:
             return None

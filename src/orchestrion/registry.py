@@ -1,10 +1,10 @@
 """Decentralized application delivery: content-addressed store plus ownership ledger.
 
-Blobs are stored in memory under the SHA-256 of their framed bytes, which
-makes records tamper-evident: a fetch re-hashes and compares. The ledger binds
-``(owner, image name)`` to image metadata and only the recorded owner may
-update an entry. The same store doubles as the long-term archive for
-monitoring series.
+Image blobs are stored in memory under the SHA-256 of their framed bytes,
+which makes records tamper-evident: a fetch re-hashes and compares. The ledger
+binds ``(owner, image name)`` to image metadata and only the recorded owner
+may update an entry. Expired monitoring series are hashed, not kept: the
+store holds image blobs only.
 """
 from __future__ import annotations
 
@@ -96,7 +96,7 @@ def content_hash(raw: bytes) -> str:
 
 
 class Registry:
-    """Content store + ownership ledger + metrics archive."""
+    """Image content store + ownership ledger."""
 
     def __init__(self) -> None:
         self._store: dict[str, bytes] = {}
@@ -135,7 +135,7 @@ class Registry:
             request_limit_cpu=int(request_limits["cpu"]),
             owner=owner,
         )
-        self._put(raw)
+        self._store.setdefault(record.image_hash, raw)
         self._images[key] = record
         return record.image_hash
 
@@ -146,40 +146,18 @@ class Registry:
             raise NotFound(f"no image record for ({owner!r}, {name!r})") from None
 
     def fetch_blob(self, digest: str) -> ImageBlob:
-        raw = self._get(digest)
-        return ImageBlob.decode(raw)
-
-    # -- metrics archive -----------------------------------------------------
-
-    def archive_metrics(self, series: list | dict) -> str:
-        """Serialize a metrics series content-addressed; returns its hash."""
-        if not series:
-            raise RegistryError("refusing to archive an empty series")
-        raw = json.dumps(series, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        return self._put(raw)
-
-    def fetch_metrics(self, digest: str) -> list | dict:
-        return json.loads(self._get(digest).decode("utf-8"))
-
-    # -- store plumbing ------------------------------------------------------
-
-    def _put(self, raw: bytes) -> str:
-        digest = content_hash(raw)
-        if digest not in self._store:
-            self._store[digest] = raw
-        return digest
-
-    def _get(self, digest: str) -> bytes:
         try:
             raw = self._store[digest]
         except KeyError:
             raise NotFound(f"unknown content hash {digest[:12]}...") from None
         if content_hash(raw) != digest:
             raise TamperError(f"stored bytes for {digest[:12]}... fail verification")
-        return raw
+        return ImageBlob.decode(raw)
 
-    # test hook: deliberately corrupt a stored byte to exercise tamper detection
-    def _corrupt_for_test(self, digest: str, offset: int = 0) -> None:
-        raw = bytearray(self._store[digest])
-        raw[offset] ^= 0xFF
-        self._store[digest] = bytes(raw)
+    # -- metrics archive -----------------------------------------------------
+
+    def archive_metrics(self, series: list | dict) -> str:
+        """The content hash of a metrics series' canonical JSON; keeps nothing."""
+        if not series:
+            raise RegistryError("refusing to archive an empty series")
+        return content_hash(json.dumps(series, sort_keys=True, separators=(",", ":")).encode("utf-8"))

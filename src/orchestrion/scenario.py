@@ -46,6 +46,8 @@ ENTRY_KEYS = {
     "schedule": ("owner", "image"),
     "expectations": ("type",),
 }
+# the keys among those that name something, and so must be strings
+NAME_KEYS = {"devices": ("address",), "images": ("owner", "name"), "schedule": ("owner", "image")}
 
 
 class ScenarioError(ValueError):
@@ -351,6 +353,8 @@ class SimulationRunner:
 
 
 def validate_scenario(scenario: dict) -> dict:
+    if not isinstance(scenario, dict):
+        raise ScenarioError(f"scenario: must be an object, got {scenario!r}")
     for key in ("duration_s", "devices", "images"):
         if key not in scenario:
             raise ScenarioError(f"scenario missing required key {key!r}")
@@ -374,15 +378,16 @@ def validate_scenario(scenario: dict) -> dict:
             for key in keys:
                 if key not in entry:
                     raise ScenarioError(f"{section}[{index}]: missing key {key!r}")
+            for key in NAME_KEYS.get(section, ()):
+                if not isinstance(entry[key], str):
+                    raise ScenarioError(f"{section}[{index}]: {key} must be a string, got {entry[key]!r}")
     if not scenario["devices"]:
         raise ScenarioError("at least one device is required")
 
     addresses = [d["address"] for d in scenario["devices"]]
     bridged = scenario.get("cluster", False) and len(addresses) > 1
-    for index, address in enumerate(addresses):
-        if not isinstance(address, str):
-            raise ScenarioError(f"devices[{index}]: address must be a string, got {address!r}")
-        if bridged:  # elections break ties by numeric address order
+    if bridged:  # elections break ties by numeric address order
+        for index, address in enumerate(addresses):
             with _reading(f"devices[{index}]"):
                 DeviceId(address=address)
     if len(set(addresses)) != len(addresses):
@@ -411,5 +416,5 @@ def validate_scenario(scenario: dict) -> dict:
 
 def run_scenario(scenario: dict, seed: int | None = None) -> RunReport:
     if seed is not None:
-        scenario = {**scenario, "seed": seed}
+        scenario = {**validate_scenario(scenario), "seed": seed}
     return SimulationRunner(scenario).run()

@@ -29,6 +29,14 @@ def collect(bus, topic: str) -> list:
     return received
 
 
+def corrupt_stored(registry, digest: str, offset: int = 0) -> None:
+    """Flip every bit of one byte of the blob ``registry`` stores under
+    ``digest``, so that a fetch must detect the tampering."""
+    raw = bytearray(registry._store[digest])
+    raw[offset] ^= 0xFF
+    registry._store[digest] = bytes(raw)
+
+
 @pytest.fixture(scope="session")
 def run_builtin():
     """Run a built-in scenario once per test session; returns (report, wall_seconds)."""

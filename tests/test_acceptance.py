@@ -22,6 +22,8 @@ from orchestrion.model import Limits, OptimizationPolicy, clamp
 from orchestrion.registry import ImageBlob, Registry, OwnershipViolation, TamperError
 from orchestrion.scenario import run_scenario
 
+from conftest import corrupt_stored
+
 MEM_PEAKS = {"memory-1": 95, "memory-2": 95, "memory-3": 95, "memory-4": 80, "memory-5": 95}
 
 
@@ -326,7 +328,7 @@ def test_criterion_10_registry_properties():
     for i in range(100):
         payload = bytes(rng.randrange(256) for _ in range(rng.randint(4, 64)))
         digest = tamper_registry.publish_image("vendor", f"t-{i}", ImageBlob([payload]), request, base)
-        tamper_registry._corrupt_for_test(digest, offset=rng.randrange(len(payload)))
+        corrupt_stored(tamper_registry, digest, offset=rng.randrange(len(payload)))
         try:
             tamper_registry.fetch_blob(digest)
             failures.append(f"tamper {i} undetected")

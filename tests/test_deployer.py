@@ -12,7 +12,7 @@ from orchestrion.monitor import Monitor, MonitorConfig
 from orchestrion.registry import ImageBlob, Registry
 from orchestrion.scenario import run_scenario
 
-from conftest import collect
+from conftest import collect, corrupt_stored
 
 
 class TestSelectExecutor:
@@ -120,7 +120,7 @@ class TestIngressSurface:
 
     def test_image_lookup_rejections_name_their_attempt(self):
         spine, bus, host, knowledge, registry, deployer, events = build_device()
-        registry._corrupt_for_test(registry.get_image("vendor", "app").image_hash)
+        corrupt_stored(registry, registry.get_image("vendor", "app").image_hash)
         tampered = deployer.submit({"owner": "vendor", "image": "app"})["request_id"]
         missing = deployer.submit({"owner": "vendor", "image": "ghost"})["request_id"]
         spine.drain()
@@ -132,7 +132,7 @@ class TestIngressSurface:
 
     def test_image_lookup_rejections_count_their_attempt(self):
         spine, bus, host, knowledge, registry, deployer, events = build_device()
-        registry._corrupt_for_test(registry.get_image("vendor", "app").image_hash)
+        corrupt_stored(registry, registry.get_image("vendor", "app").image_hash)
         tampered = deployer.submit({"owner": "vendor", "image": "app"})["request_id"]
         missing = deployer.submit({"owner": "vendor", "image": "ghost"})["request_id"]
         spine.drain()

@@ -44,7 +44,7 @@ import pytest
 from orchestrion.builtins import BUILTIN_SCENARIOS, CPU_PEAKS, MEM_PEAKS, builtin_scenario
 from orchestrion.bus import EventSpine, MessageBus, copies, message_lines
 from orchestrion.hostsim import TRACE_COLUMNS, HostSimulator, shared_table
-from orchestrion.scenario import run_scenario
+from orchestrion.scenario import SimulationRunner, run_scenario
 from conftest import PERFBENCH, load_perfbench
 from reference_host import PerSecondHost
 from reference_spine import PerCopyBus, PerCopySpine
@@ -279,6 +279,18 @@ def test_expiring_run_artifacts_unchanged(tmp_path):
     assert report.events_of("metrics_archived"), "the run must expire rows to pin them"
     report.write(tmp_path)
     assert tree_digest(tmp_path) == EXPIRING_GOLDEN
+
+
+def test_expiring_run_keeps_only_the_image_blobs():
+    scenario = expiring_scenario()
+    runner = SimulationRunner(scenario)
+    report = runner.run()
+    assert report.events_of("metrics_archived"), "the run must expire rows"
+    registry = runner.registry
+    published = {registry.get_image(image["owner"], image["name"]).image_hash for image in scenario["images"]}
+    assert registry._store.keys() == published
+    for digest in published:
+        registry.fetch_blob(digest)
 
 
 def test_full_window_run_artifacts_unchanged(tmp_path):

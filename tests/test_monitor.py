@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -15,7 +16,7 @@ from orchestrion.monitor import (
     next_optimization_due,
     optimization_due,
 )
-from orchestrion.registry import Registry
+from orchestrion.registry import Registry, content_hash
 
 from conftest import collect
 
@@ -79,12 +80,12 @@ class TestRetention:
             monitor.metrics.append("c1", hour * 3600, {"cpu_util": hour, "mem_util": 1, "throttle_pct": 0.0})
         host.now = 25 * 3600
         digest = monitor.enforce_retention()
-        assert digest is not None
-        archived = registry.fetch_metrics(digest)
-        assert list(archived) == ["c1"]
-        assert len(archived["c1"]) == 1  # exactly the oldest hour fell out
-        assert archived["c1"][0][0] == 0
+        # exactly the oldest hour fell out
+        expired = {"c1": [[0, {"cpu_util": 0, "mem_util": 1, "throttle_pct": 0.0}]]}
+        assert digest == content_hash(json.dumps(expired, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        assert [t for t, _ in monitor.metrics.points("c1", "cpu_util")] == [hour * 3600 for hour in range(1, 25)]
         assert events == [{"type": "metrics_archived", "hash": digest, "containers": ["c1"]}]
+        assert registry._store == {}
 
     def test_young_data_is_noop(self):
         spine, bus, host, knowledge, registry, monitor, _ = build_stack()

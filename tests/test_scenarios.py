@@ -33,6 +33,13 @@ def exp1_mem_schedule_with_first(**fields):
     return schedule
 
 
+def exp1_mem_with_first(section, **fields):
+    """exp1_mem's ``section`` list, with ``fields`` replacing its first entry's."""
+    entries = builtin_scenario("exp1_mem")[section]
+    entries[0] = {**entries[0], **fields}
+    return entries
+
+
 class TestBuiltinCatalog:
     def test_all_eleven_present(self):
         assert set(BUILTIN_SCENARIOS) == {
@@ -372,6 +379,11 @@ class TestCli:
             {"policy": {"mem_max": 100.5}},
             {"forecast": {"bucket_s": 60.5}},
             {"forecast": {"min_points": 7.5}},
+            {"images": exp1_mem_with_first("images", owner=["a"])},
+            {"images": exp1_mem_with_first("images", name=5)},
+            {"schedule": exp1_mem_with_first("schedule", owner=["a"])},
+            {"schedule": exp1_mem_with_first("schedule", image=None)},
+            {"devices": [{"address": 5}]},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
@@ -417,6 +429,14 @@ class TestCli:
             ),
             ({"seed": 2**63}, "seed 9223372036854775808 outside the signed 64-bit range"),
             ({"seed": -(2**63) - 1}, "seed -9223372036854775809 outside the signed 64-bit range"),
+            ({"images": exp1_mem_with_first("images", owner=["a"])}, "images[0]: owner must be a string, got ['a']"),
+            ({"images": exp1_mem_with_first("images", name=5)}, "images[0]: name must be a string, got 5"),
+            (
+                {"schedule": exp1_mem_with_first("schedule", owner=["a"])},
+                "schedule[0]: owner must be a string, got ['a']",
+            ),
+            ({"schedule": exp1_mem_with_first("schedule", image=None)}, "schedule[0]: image must be a string, got None"),
+            ({"devices": [{"address": 5}]}, "devices[0]: address must be a string, got 5"),
         ],
     )
     def test_bad_entry_names_its_section_and_index(self, tmp_path, capsys, block, message):
@@ -424,6 +444,14 @@ class TestCli:
         scenario_path.write_text(json.dumps({**builtin_scenario("exp1_mem"), **block}))
         assert main(["run", str(scenario_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("content", ["[]", "5"])
+    @pytest.mark.parametrize("seed_option", [[], ["--seed", "3"]])
+    def test_scenario_file_that_is_no_object_reports_error(self, tmp_path, capsys, content, seed_option):
+        scenario_path = tmp_path / "bad.json"
+        scenario_path.write_text(content)
+        assert main(["run", str(scenario_path), *seed_option]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: scenario: must be an object, got {content}"]
 
     def test_entry_missing_a_key_names_it(self, tmp_path, capsys):
         scenario_path = tmp_path / "bad.json"
