@@ -10,6 +10,7 @@ an exactly linear history degenerates to constant drift.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .bus import Action, Message, MessageBus, TOPIC_FORECAST
 from .model import require_int
+from .monitor import METRICS
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +78,19 @@ def bucket_mean(values: list) -> float:
     return total / len(values)
 
 
+# Row i of the lagged design indexes the differences i + p - 1 down to i,
+# whatever the series length, so one index array serves every length by its
+# leading rows. It grows to the longest design asked for.
+_lag_index = np.empty((0, AR_ORDER), dtype=np.intp)
+
+
+def _lag_rows(rows: int) -> np.ndarray:
+    global _lag_index
+    if rows > len(_lag_index):
+        _lag_index = np.arange(rows)[:, None] + np.arange(AR_ORDER - 1, -1, -1)
+    return _lag_index[:rows]
+
+
 def ar_forecast(values: list[float], horizon: int, config: ForecastConfig | None = None) -> tuple[list[float], bool]:
     """Forecast ``horizon`` future points; returns (forecast, used_fallback).
 
@@ -90,32 +105,36 @@ def ar_forecast(values: list[float], horizon: int, config: ForecastConfig | None
     last = float(values[-1])
     if len(values) < config.min_points:
         return [last] * horizon, True
+    if values.count(values[0]) == len(values) and math.isfinite(last):
+        # every difference is +0.0 or -0.0, and no two consecutive ones are
+        # both -0.0, so the drift is +0.0
+        return [last + 0.0] * horizon, False
 
     z = [float(v) for v in values]
     z = [b - a for a, b in zip(z, z[1:])]
     if max(z) == min(z):
-        if z[0] == 0.0:
-            # no two consecutive differences are both -0.0, so the drift is +0.0
-            return [last + 0.0] * horizon, False
         step = float(np.mean(z))
         return [last + step * (k + 1) for k in range(horizon)], False
 
     p = AR_ORDER
+    diffs = np.array(z)
     # row i holds the p differences before z[i + p], most recent first
-    design = np.array([z[i:i + p][::-1] for i in range(len(z) - p)])
-    target = np.array(z[p:])
+    design = diffs[_lag_rows(len(z) - p)]
     # modest rcond keeps near-singular fits (short or low-variance histories)
     # from amplifying float noise into the iterated forecast
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=1e-8)
+    coeffs, *_ = np.linalg.lstsq(design, diffs[p:], rcond=1e-8)
 
-    history = z[-p:][::-1]  # most recent difference first
+    # most recent difference first; a contiguous copy, so that np.dot takes
+    # the same BLAS path as it does for a list
+    history = diffs[:-p - 1:-1].copy()
     level = last
     out: list[float] = []
     for _ in range(horizon):
         step = float(np.dot(coeffs, history))
         level += step
         out.append(level)
-        history = [step] + history[:-1]
+        history[1:] = history[:-1]
+        history[0] = step
     return out, False
 
 
@@ -163,8 +182,9 @@ class ForecastResult:
 class Forecaster:
     """Answers forecast requests on the forecast topic.
 
-    Each metric's points are pulled from the monitor's local store, aggregated
-    into buckets (:meth:`bucket_means`) and forecast. A forecast depends only
+    A container's three metrics are pulled from the monitor's local store,
+    aggregated into buckets in one pass over their shared time column
+    (:meth:`bucket_means`) and forecast one by one. A forecast depends only
     on the stored series, so results are kept per ``(container, horizon)`` for
     the store's current :attr:`~orchestrion.monitor.MetricsStore.version` and
     reused until the next write to the store (the next scrape or expiry);
@@ -210,53 +230,65 @@ class Forecaster:
     def _forecast(self, cid: str, horizon: int) -> ForecastResult:
         if cid not in self.store:
             return ForecastResult(error="unknown container")
-        result = ForecastResult()
-        for metric, (lo, hi) in (("cpu_util", (0.0, None)), ("mem_util", (0.0, None)), ("throttle_pct", (0.0, 100.0))):
-            forecast, fell_back = ar_forecast(self.bucket_means(cid, metric), horizon, self.config)
-            result.fallback = result.fallback or fell_back
-            setattr(result, metric, clip_series(forecast, lo, hi))
-        return result
+        cpu, mem, throttle = self.bucket_means(cid)
+        cpu, cpu_fell_back = ar_forecast(cpu, horizon, self.config)
+        mem, mem_fell_back = ar_forecast(mem, horizon, self.config)
+        throttle, throttle_fell_back = ar_forecast(throttle, horizon, self.config)
+        # clip_series(series, 0.0) and clip_series(series, 0.0, 100.0) inline:
+        # ``lo if lo > v else v`` is what max(v, lo) returns and ``hi if hi < v
+        # else v`` what min(v, hi) returns, -0.0, NaN and inf included
+        return ForecastResult(
+            cpu_util=[float(0.0 if 0.0 > v else v) for v in cpu],
+            mem_util=[float(0.0 if 0.0 > v else v) for v in mem],
+            throttle_pct=[float(0.0 if 0.0 > v else 100.0 if 100.0 < v else v) for v in throttle],
+            fallback=cpu_fell_back or mem_fell_back or throttle_fell_back,
+        )
 
-    def bucket_means(self, cid: str, metric: str) -> list[float]:
-        """``aggregate_buckets(store.points(cid, metric), bucket_s)`` for a
-        container with stored samples, bucketing only what may have changed.
+    def bucket_means(self, cid: str) -> list[list[float]]:
+        """``aggregate_buckets(store.points(cid, metric), bucket_s)`` for each
+        of ``cpu_util``, ``mem_util`` and ``throttle_pct``, for a container
+        with stored samples, bucketing only what may have changed.
 
         Buckets are anchored at the first stored sample ``t0``, so series
         whose anchors share the phase ``t0 % bucket_s`` share one grid of
         bucket starts. A bucket that starts at or after ``t0`` holds the same
         samples whatever the anchor: an expiry cuts only a prefix of the
         series, and an append, which the store keeps in time order, lands
-        only in the last (open) bucket or after it. So one ``[starts, means]``
-        list is kept per metric and phase in the store's
-        :meth:`~orchestrion.monitor.MetricsStore.derived` slot, which survives
-        an expiry. Each call drops the kept buckets that start before ``t0``
-        and sums again, with :func:`bucket_mean`, only the samples from the
-        open bucket's start on. A phase with no kept list, or whose list ends
-        before ``t0``, buckets the whole series in one :func:`aggregate_buckets`
-        call. The returned list is the kept one: callers must not modify it.
+        only in the last (open) bucket or after it. The metrics share the
+        store's time column, so they share the grid too: one record
+        ``[starts, cpu means, mem means, throttle means]`` is kept per phase
+        in the store's :meth:`~orchestrion.monitor.MetricsStore.derived`
+        slot, which survives an expiry. Each call drops the kept buckets that
+        start before ``t0`` and sums again, with :func:`bucket_mean` for each
+        metric, only the samples from the open bucket's start on; one bisect
+        per bucket serves all three metrics. A phase with no kept record, or
+        whose record ends before ``t0``, buckets the whole series with one
+        :func:`aggregate_buckets` call per metric. The returned lists are the
+        kept ones: callers must not modify them.
         """
         bucket_s = self.config.bucket_s
-        times, values = self.store.columns(cid, metric)
+        times, cpu, mem, throttle = self.store.columns(cid)
         t0 = times[0]
         slot = self.store.derived(cid)
-        key = (metric, t0 % bucket_s)
-        kept = slot.get(key)
+        kept = slot.get(t0 % bucket_s)
         if kept is None or kept[0][-1] < t0:
-            means = aggregate_buckets(self.store.points(cid, metric), bucket_s)
+            means = [aggregate_buckets(self.store.points(cid, metric), bucket_s) for metric in METRICS]
             starts = [t0 + k * bucket_s for k in dict.fromkeys((t - t0) // bucket_s for t in times)]
-            slot[key] = [starts, means]
+            slot[t0 % bucket_s] = [starts, *means]
             return means
-        starts, means = kept
+        starts, cpu_means, mem_means, throttle_means = kept
         head = bisect_left(starts, t0)
         if head:
-            del starts[:head], means[:head]
+            del starts[:head], cpu_means[:head], mem_means[:head], throttle_means[:head]
         start = bisect_left(times, starts.pop())
-        means.pop()
+        del cpu_means[-1], mem_means[-1], throttle_means[-1]
         end = len(times)
         while start < end:
             edge = t0 + (times[start] - t0) // bucket_s * bucket_s
             stop = bisect_left(times, edge + bucket_s, start)
             starts.append(edge)
-            means.append(bucket_mean(values[start:stop]))
+            cpu_means.append(bucket_mean(cpu[start:stop]))
+            mem_means.append(bucket_mean(mem[start:stop]))
+            throttle_means.append(bucket_mean(throttle[start:stop]))
             start = stop
-        return means
+        return [cpu_means, mem_means, throttle_means]

@@ -109,12 +109,11 @@ class MetricsStore:
         columns = self._series.get(cid)
         return list(zip(columns["t"], columns[metric])) if columns else []
 
-    def columns(self, cid: str, metric: str) -> tuple[list[int], list]:
-        """The stored timestamps and one metric's values, oldest first, as the
-        store's own lists: callers must not modify them. ``cid`` must have
-        stored samples."""
-        columns = self._series[cid]
-        return columns["t"], columns[metric]
+    def columns(self, cid: str) -> tuple[list, ...]:
+        """The stored timestamps, then each metric's values in :data:`METRICS`
+        order, oldest first, as the store's own lists: callers must not modify
+        them. ``cid`` must have stored samples."""
+        return tuple(self._series[cid].values())
 
     def __contains__(self, cid: str) -> bool:
         return cid in self._series

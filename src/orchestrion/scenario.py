@@ -368,6 +368,11 @@ def validate_scenario(scenario: dict) -> dict:
         raise ScenarioError(f"seed {scenario['seed']} outside the signed 64-bit range")
     if not isinstance(scenario.get("cluster", False), bool):
         raise ScenarioError(f"cluster must be true or false, got {scenario['cluster']!r}")
+    if not isinstance(scenario.get("name", ""), str):
+        raise ScenarioError(f"name must be a string, got {scenario['name']!r}")
+    for block in ("policy", "monitor", "forecast"):
+        if not isinstance(scenario.get(block, {}), dict):
+            raise ScenarioError(f"{block}: must be an object, got {scenario[block]!r}")
     for section, keys in ENTRY_KEYS.items():
         entries = scenario.get(section, [])
         if not isinstance(entries, list):

@@ -13,7 +13,7 @@ from orchestrion.forecaster import (
     ar_forecast,
     clip_series,
 )
-from orchestrion.monitor import MetricsStore
+from orchestrion.monitor import METRICS, MetricsStore
 
 from conftest import collect
 
@@ -150,6 +150,31 @@ class TestForecastService:
         result = service.forecast_container("c1", 2)
         assert result.fallback
 
+    def test_inline_clipping_is_clip_series(self, monkeypatch):
+        special = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), -5.0, 42.5, 100.0, 100.5, 150.0, 1e300]
+        spine, bus, store, service = build_service()
+        self.fill(store, "c1", [10.0] * 30)
+        monkeypatch.setattr(forecaster, "ar_forecast", lambda values, horizon, config: (list(special), False))
+        result = service.forecast_container("c1", len(special))
+        assert repr(result.cpu_util) == repr(clip_series(special, 0.0))
+        assert repr(result.mem_util) == repr(clip_series(special, 0.0))
+        assert repr(result.throttle_pct) == repr(clip_series(special, 0.0, 100.0))
+        assert result.fallback is False
+
+    @pytest.mark.parametrize("metric_that_falls_back", range(3))
+    def test_one_metric_falling_back_marks_the_result(self, monkeypatch, metric_that_falls_back):
+        spine, bus, store, service = build_service()
+        self.fill(store, "c1", [10.0] * 30)
+        calls = []
+
+        def fit(values, horizon, config):
+            calls.append(values)
+            return [1.0] * horizon, len(calls) - 1 == metric_that_falls_back
+
+        monkeypatch.setattr(forecaster, "ar_forecast", fit)
+        assert service.forecast_container("c1", 2).fallback is True
+        assert len(calls) == 3
+
 
 # -- equivalence with the numpy-first implementation ------------------------------
 
@@ -210,7 +235,8 @@ def reference_ar_forecast(values, horizon, config=None):
 
 
 SERIES_KINDS = (
-    "int", "float", "constant", "constant_int", "signed_zero", "drift", "drift_int", "accumulated", "ramp", "noisy"
+    "int", "float", "constant", "constant_int", "signed_zero", "drift", "drift_int", "accumulated", "ramp", "noisy",
+    "divergent",
 )
 
 
@@ -241,6 +267,17 @@ def random_series(rng, kind, n):
         slope = rng.uniform(0.1, 7.0)
         top = rng.randint(1, max(1, n))
         return [slope * (i if i < top else 2 * top - i) for i in range(n)]
+    if kind == "divergent":
+        # differences that sum four damped modes and one that grows 10 to 25
+        # times a step but is only 5 to 20 at the last difference: an exact
+        # AR(5) whose fit keeps the growing mode, so that a few hundred
+        # become forecasts of 1e8 and more
+        rates = [rng.uniform(-0.9, 0.9) for _ in range(4)] + [rng.uniform(10.0, 25.0)]
+        amplitudes = [rng.uniform(-20.0, 20.0) for _ in range(4)] + [rng.uniform(5.0, 20.0) / rates[4] ** (n - 2)]
+        values = [rng.uniform(50.0, 150.0)]
+        for k in range(n - 1):
+            values.append(values[-1] + sum(a * r**k for a, r in zip(amplitudes, rates)))
+        return values
     base = rng.uniform(20.0, 100.0)
     return [base + rng.gauss(0.0, 5.0) + 10.0 * (i % 3) for i in range(n)]
 
@@ -307,6 +344,18 @@ def test_flat_drift_is_the_numpy_mean(n, start, step):
     assert sum(differences) / len(differences) != float(np.mean(differences))
     for horizon in (1, 4):
         assert repr(ar_forecast(values, horizon)) == repr(reference_ar_forecast(values, horizon))
+
+
+def test_divergent_kind_reaches_1e8_from_a_few_hundred():
+    # the kind stands for fits like the one that forecast cpu_util
+    # [255, 0, 126320, 0, 113383358] from bucket means of a few hundred
+    rng = random.Random("ar:divergent")
+    peaks = []
+    for n in range(ForecastConfig().min_points, 41):
+        values = random_series(rng, "divergent", n)
+        assert max(map(abs, values)) < 1000
+        peaks.append(max(map(abs, ar_forecast(values, 6)[0])))
+    assert max(peaks) >= 1e8
 
 
 def test_ar_forecast_errors_match_reference():
@@ -376,9 +425,8 @@ class TestForecastMemo:
         self.store.append("c1", t, {"cpu_util": 60 + t % 7, "mem_util": 81, "throttle_pct": 0.1})
 
     def assert_means_are_the_whole_series_means(self):
-        for metric in ("cpu_util", "mem_util", "throttle_pct"):
-            whole = aggregate_buckets(self.store.points("c1", metric), self.service.config.bucket_s)
-            assert repr(self.service.bucket_means("c1", metric)) == repr(whole)
+        whole = [aggregate_buckets(self.store.points("c1", metric), self.service.config.bucket_s) for metric in METRICS]
+        assert repr(self.service.bucket_means("c1")) == repr(whole)
 
     def test_one_append_buckets_only_the_open_bucket(self, monkeypatch):
         calls = self.count_bucketing(monkeypatch)
@@ -391,15 +439,16 @@ class TestForecastMemo:
         self.append(410)
         self.service.forecast_container("c1", 3)
         assert calls[6:] == [3] * 3
-        # [390, 420) closed since the last forecast: one call for it, one for the open bucket
+        # [390, 420) closed since the last forecast: one call per metric for
+        # it, then one per metric for the open bucket
         self.append(420)
         self.service.forecast_container("c1", 3)
-        assert calls[9:] == [3, 1] * 3
+        assert calls[9:] == [3] * 3 + [1] * 3
         # a gap that skips whole buckets
         self.append(425)
         self.append(530)
         self.service.forecast_container("c1", 3)
-        assert calls[15:] == [2, 1] * 3
+        assert calls[15:] == [2] * 3 + [1] * 3
         self.assert_means_are_the_whole_series_means()
 
     def test_expiry_that_cuts_a_sample_buckets_the_whole_series_once(self, monkeypatch):
@@ -513,7 +562,7 @@ RANDOM_RUN = st.tuples(
 
 
 @st.composite
-def regular_run(draw):
+def regular_run(draw, retentions=(150, 300)):
     """A scrape every 7 or 10 s: one sample per container, then an expiry.
     Once the window is full the anchor moves at every scrape and comes back
     to each phase of the bucket grid, so the kept means of each phase are
@@ -525,7 +574,19 @@ def regular_run(draw):
         steps.append(("append", "c1", [(cadence, cpu, mem, throttle)]))
         steps.append(("append", "c2", [(0, mem, cpu, throttle)]))
         steps.append(("expire", 0))
-    return draw(st.sampled_from((60, 61))), draw(st.sampled_from((150, 300))), steps
+    return draw(st.sampled_from((60, 61))), draw(st.sampled_from(retentions)), steps
+
+
+def apply_step(store, step, now):
+    """Make one drawn write to the store; returns the clock after it."""
+    if step[0] == "append":
+        for gap, cpu, mem, throttle in step[2]:
+            now += gap
+            store.append(step[1], now, {"cpu_util": cpu, "mem_util": mem, "throttle_pct": throttle})
+    else:
+        now += step[1]
+        store.expire(now)
+    return now
 
 
 @settings(max_examples=150, deadline=2000)
@@ -538,24 +599,50 @@ def test_bucket_means_match_a_fresh_bucketing(run):
     phases = {"c1": set(), "c2": set()}  # anchor phases each container's means were asked at
     most_buckets = {"c1": 0, "c2": 0}  # the most buckets its stored series has held
     for step in steps:
-        if step[0] == "append":
-            for gap, cpu, mem, throttle in step[2]:
-                now += gap
-                store.append(step[1], now, {"cpu_util": cpu, "mem_util": mem, "throttle_pct": throttle})
-        else:
-            now += step[1]
-            store.expire(now)
+        now = apply_step(store, step, now)
         for cid in ("c1", "c2"):
-            for metric in ("cpu_util", "mem_util", "throttle_pct"):
-                points = store.points(cid, metric)
-                if points:
-                    want = aggregate_buckets(points, bucket_s)
-                    assert repr(service.bucket_means(cid, metric)) == repr(want), (cid, metric, step)
-                    phases[cid].add(points[0][0] % bucket_s)
-                    most_buckets[cid] = max(most_buckets[cid], len(want))
+            if cid in store:
+                want = [aggregate_buckets(store.points(cid, metric), bucket_s) for metric in METRICS]
+                assert repr(service.bucket_means(cid)) == repr(want), (cid, step)
+                phases[cid].add(store.points(cid, "cpu_util")[0][0] % bucket_s)
+                most_buckets[cid] = max(most_buckets[cid], len(want[0]))
         assert set(store._derived) <= set(store._series)
         for cid, slot in store._derived.items():
-            for metric in ("cpu_util", "mem_util", "throttle_pct"):
-                kept = [slot[key] for key in slot if key[0] == metric]
-                assert all(len(starts) == len(means) for starts, means in kept)
-                assert sum(len(starts) for starts, _ in kept) <= len(phases[cid]) * (most_buckets[cid] + 1)
+            # one record per phase: its starts, then each metric's means
+            assert all(len(record) == 1 + len(METRICS) for record in slot.values())
+            assert all(len(means) == len(record[0]) for record in slot.values() for means in record[1:])
+            assert sum(len(record[0]) for record in slot.values()) <= len(phases[cid]) * (most_buckets[cid] + 1)
+
+
+# -- whole forecasts equal a fresh forecast by the frozen references -------------
+
+
+def reference_forecast(store, cid, horizon, bucket_s):
+    """``ForecastResult.as_dict()`` of a forecast made afresh, metric by
+    metric, with the frozen bucketing and fit and with :func:`clip_series`."""
+    result = {}
+    fallback = False
+    for metric, hi in (("cpu_util", None), ("mem_util", None), ("throttle_pct", 100.0)):
+        means = reference_aggregate_buckets(store.points(cid, metric), bucket_s)
+        forecast, fell_back = reference_ar_forecast(means, horizon)
+        result[metric] = clip_series(forecast, 0.0, hi)
+        fallback = fallback or fell_back
+    return {**result, "fallback": fallback, "error": None}
+
+
+# a 600 s window holds the seven buckets a fit needs
+@settings(max_examples=100, deadline=None)
+@given(run=st.one_of(RANDOM_RUN, regular_run(retentions=(300, 600))), horizon=st.integers(1, 6))
+def test_forecast_container_matches_a_fresh_reference_forecast(run, horizon):
+    bucket_s, retention_s, steps = run
+    store = MetricsStore(retention_s=retention_s)
+    service = Forecaster(MessageBus("10.0.0.1", EventSpine()), store, ForecastConfig(bucket_s=bucket_s))
+    now = 0
+    for step in steps:
+        now = apply_step(store, step, now)
+        for cid in ("c1", "c2"):
+            got = service.forecast_container(cid, horizon).as_dict()
+            if cid in store:
+                assert repr(got) == repr(reference_forecast(store, cid, horizon, bucket_s)), (cid, step)
+            else:
+                assert got["error"] == "unknown container"

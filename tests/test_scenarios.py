@@ -384,6 +384,11 @@ class TestCli:
             {"schedule": exp1_mem_with_first("schedule", owner=["a"])},
             {"schedule": exp1_mem_with_first("schedule", image=None)},
             {"devices": [{"address": 5}]},
+            {"policy": []},
+            {"policy": None},
+            {"monitor": []},
+            {"forecast": [["bucket_s", 60]]},
+            {"name": ["x"]},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
@@ -437,6 +442,9 @@ class TestCli:
             ),
             ({"schedule": exp1_mem_with_first("schedule", image=None)}, "schedule[0]: image must be a string, got None"),
             ({"devices": [{"address": 5}]}, "devices[0]: address must be a string, got 5"),
+            ({"policy": []}, "policy: must be an object, got []"),
+            ({"forecast": [["bucket_s", 60]]}, "forecast: must be an object, got [['bucket_s', 60]]"),
+            ({"name": ["x"]}, "name must be a string, got ['x']"),
         ],
     )
     def test_bad_entry_names_its_section_and_index(self, tmp_path, capsys, block, message):
