@@ -188,9 +188,7 @@ class Analyzer:
             return
         _, finish, work = self._awaiting
         self._awaiting = None
-        results = {
-            cid: ForecastResult.from_dict(doc) for cid, doc in msg.payload["results"].items()
-        }
+        results = {cid: ForecastResult(**doc) for cid, doc in msg.payload["results"].items()}
         finish(work, results)
         self._pump()
 

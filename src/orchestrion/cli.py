@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             scenario = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
         report = run_scenario(scenario, seed=args.seed)
-    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .bus import Action, Message, MessageBus, TOPIC_FORECAST
 from .model import require_int
@@ -91,51 +92,81 @@ def _lag_rows(rows: int) -> np.ndarray:
     return _lag_index[:rows]
 
 
+def _raise_lstsq_error(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def ar_forecast_many(
+    series: list[list[float]], horizon: int, config: ForecastConfig | None = None
+) -> list[tuple[list[float], bool]]:
+    """:func:`ar_forecast` of each series, in order, bit for bit.
+
+    The series left to fit after the fallback and the drift cases are fit in
+    one stacked least-squares call per difference count, each problem by
+    its own gelsd as :func:`np.linalg.lstsq` does it, and stepped through
+    the horizon together, each row by its own ddot as :func:`np.dot` does it.
+    """
+    config = config or ForecastConfig()
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    out: list = [None] * len(series)
+    # difference count -> (index, differences, last value) of the series to fit
+    to_fit: dict[int, list[tuple[int, list[float], float]]] = {}
+    for i, values in enumerate(series):
+        if not values:
+            raise ValueError("cannot forecast from an empty series")
+        last = float(values[-1])
+        if len(values) < config.min_points:
+            out[i] = [last] * horizon, True
+            continue
+        if values.count(values[0]) == len(values) and math.isfinite(last):
+            # every difference is +0.0 or -0.0, and no two consecutive ones
+            # are both -0.0, so the drift is +0.0
+            out[i] = [last + 0.0] * horizon, False
+            continue
+        z = [float(v) for v in values]
+        z = [b - a for a, b in zip(z, z[1:])]
+        if max(z) == min(z):
+            step = float(np.mean(z))
+            out[i] = [last + step * (k + 1) for k in range(horizon)], False
+            continue
+        to_fit.setdefault(len(z), []).append((i, z, last))
+
+    p = AR_ORDER
+    for n, group in to_fit.items():
+        diffs = np.array([z for _, z, _ in group])
+        # row i of a design holds the p differences before z[i + p], most
+        # recent first; modest rcond keeps near-singular fits (short or
+        # low-variance histories) from amplifying float noise into the
+        # iterated forecast. np.linalg.lstsq calls this gufunc, under this
+        # errstate, for one problem at a time.
+        with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            coeffs = _umath_linalg.lstsq(
+                diffs.take(_lag_rows(n - p), axis=1), diffs[:, p:, None], 1e-8, signature="ddd->ddid"
+            )[0][..., 0]
+        # the last p differences, most recent first, at the right end; each
+        # step is written just left of the p values it was made from
+        window = np.empty((len(group), horizon + p))
+        window[:, horizon:] = diffs[:, :-p - 1:-1]
+        for s in range(horizon, 0, -1):
+            window[:, s - 1] = np.vecdot(coeffs, window[:, s:s + p])
+        for (i, _, last), steps in zip(group, window[:, horizon - 1::-1].tolist()):
+            level = last
+            levels = []
+            for step in steps:
+                level += step
+                levels.append(level)
+            out[i] = levels, False
+    return out
+
+
 def ar_forecast(values: list[float], horizon: int, config: ForecastConfig | None = None) -> tuple[list[float], bool]:
     """Forecast ``horizon`` future points; returns (forecast, used_fallback).
 
     Fallback (too little history) repeats the last observed value. A
     differenced series with zero variance yields a pure drift forecast.
     """
-    config = config or ForecastConfig()
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if not values:
-        raise ValueError("cannot forecast from an empty series")
-    last = float(values[-1])
-    if len(values) < config.min_points:
-        return [last] * horizon, True
-    if values.count(values[0]) == len(values) and math.isfinite(last):
-        # every difference is +0.0 or -0.0, and no two consecutive ones are
-        # both -0.0, so the drift is +0.0
-        return [last + 0.0] * horizon, False
-
-    z = [float(v) for v in values]
-    z = [b - a for a, b in zip(z, z[1:])]
-    if max(z) == min(z):
-        step = float(np.mean(z))
-        return [last + step * (k + 1) for k in range(horizon)], False
-
-    p = AR_ORDER
-    diffs = np.array(z)
-    # row i holds the p differences before z[i + p], most recent first
-    design = diffs[_lag_rows(len(z) - p)]
-    # modest rcond keeps near-singular fits (short or low-variance histories)
-    # from amplifying float noise into the iterated forecast
-    coeffs, *_ = np.linalg.lstsq(design, diffs[p:], rcond=1e-8)
-
-    # most recent difference first; a contiguous copy, so that np.dot takes
-    # the same BLAS path as it does for a list
-    history = diffs[:-p - 1:-1].copy()
-    level = last
-    out: list[float] = []
-    for _ in range(horizon):
-        step = float(np.dot(coeffs, history))
-        level += step
-        out.append(level)
-        history[1:] = history[:-1]
-        history[0] = step
-    return out, False
+    return ar_forecast_many([values], horizon, config)[0]
 
 
 def clip_series(values: list[float], lo: float | None = 0.0, hi: float | None = None) -> list[float]:
@@ -168,25 +199,18 @@ class ForecastResult:
             "error": self.error,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ForecastResult":
-        return cls(
-            cpu_util=list(data.get("cpu_util", [])),
-            mem_util=list(data.get("mem_util", [])),
-            throttle_pct=list(data.get("throttle_pct", [])),
-            fallback=bool(data.get("fallback", False)),
-            error=data.get("error"),
-        )
-
 
 class Forecaster:
     """Answers forecast requests on the forecast topic.
 
     A container's three metrics are pulled from the monitor's local store,
     aggregated into buckets in one pass over their shared time column
-    (:meth:`bucket_means`) and forecast one by one. A forecast depends only
-    on the stored series, so results are kept per ``(container, horizon)`` for
-    the store's current :attr:`~orchestrion.monitor.MetricsStore.version` and
+    (:meth:`bucket_means`). A request's containers with no kept forecast
+    are forecast together, by one :func:`ar_forecast_many` over all their
+    series, and then answered one by one through :meth:`forecast_container`.
+    A forecast depends only on the stored series, so results are kept per
+    ``(container, horizon)`` for the store's current
+    :attr:`~orchestrion.monitor.MetricsStore.version` and
     reused until the next write to the store (the next scrape or expiry);
     repeated requests get the same :class:`ForecastResult`, which callers must
     not modify. Containers with no stored samples get per-container error
@@ -205,9 +229,9 @@ class Forecaster:
         if msg.action is not Action.FORECAST_REQUEST:
             return
         horizon = msg.payload["horizon"]
-        results: dict[str, dict] = {}
-        for cid in msg.payload.get("containers", []):
-            results[cid] = self.forecast_container(cid, horizon).as_dict()
+        cids = msg.payload.get("containers", [])
+        self._forecast(cids, horizon)
+        results = {cid: self.forecast_container(cid, horizon).as_dict() for cid in cids}
         self.bus.publish(
             TOPIC_FORECAST,
             Message(
@@ -217,32 +241,50 @@ class Forecaster:
             ),
         )
 
-    def forecast_container(self, cid: str, horizon: int) -> ForecastResult:
+    def _current_memo(self) -> dict[tuple[str, int], ForecastResult]:
         if self._memo_version != self.store.version:
             self._memo.clear()
             self._memo_version = self.store.version
+        return self._memo
+
+    def forecast_container(self, cid: str, horizon: int) -> ForecastResult:
         key = (cid, horizon)
-        result = self._memo.get(key)
+        result = self._current_memo().get(key)
         if result is None:
-            result = self._memo[key] = self._forecast(cid, horizon)
+            self._forecast([cid], horizon)
+            result = self._memo[key]
         return result
 
-    def _forecast(self, cid: str, horizon: int) -> ForecastResult:
-        if cid not in self.store:
-            return ForecastResult(error="unknown container")
-        cpu, mem, throttle = self.bucket_means(cid)
-        cpu, cpu_fell_back = ar_forecast(cpu, horizon, self.config)
-        mem, mem_fell_back = ar_forecast(mem, horizon, self.config)
-        throttle, throttle_fell_back = ar_forecast(throttle, horizon, self.config)
-        # clip_series(series, 0.0) and clip_series(series, 0.0, 100.0) inline:
-        # ``lo if lo > v else v`` is what max(v, lo) returns and ``hi if hi < v
-        # else v`` what min(v, hi) returns, -0.0, NaN and inf included
-        return ForecastResult(
-            cpu_util=[float(0.0 if 0.0 > v else v) for v in cpu],
-            mem_util=[float(0.0 if 0.0 > v else v) for v in mem],
-            throttle_pct=[float(0.0 if 0.0 > v else 100.0 if 100.0 < v else v) for v in throttle],
-            fallback=cpu_fell_back or mem_fell_back or throttle_fell_back,
-        )
+    def _forecast(self, cids: list[str], horizon: int) -> None:
+        """Keep a forecast for each container of ``cids`` that has none: the
+        bucket means of each, then one :func:`ar_forecast_many` over all
+        their series."""
+        memo = self._current_memo()
+        fits: list[str] = []
+        series: list[list[float]] = []
+        for cid in cids:
+            if (cid, horizon) in memo:
+                continue
+            if cid not in self.store:
+                memo[cid, horizon] = ForecastResult(error="unknown container")
+                continue
+            fits.append(cid)
+            series.extend(self.bucket_means(cid))
+        if not fits:
+            return
+        forecasts = ar_forecast_many(series, horizon, self.config)
+        for k, cid in enumerate(fits):
+            (cpu, cpu_fell_back), (mem, mem_fell_back), (throttle, throttle_fell_back) = forecasts[3 * k:3 * k + 3]
+            # clip_series(series, 0.0) and clip_series(series, 0.0, 100.0)
+            # inline: ``lo if lo > v else v`` is what max(v, lo) returns and
+            # ``hi if hi < v else v`` what min(v, hi) returns, -0.0, NaN and
+            # inf included
+            memo[cid, horizon] = ForecastResult(
+                cpu_util=[float(0.0 if 0.0 > v else v) for v in cpu],
+                mem_util=[float(0.0 if 0.0 > v else v) for v in mem],
+                throttle_pct=[float(0.0 if 0.0 > v else 100.0 if 100.0 < v else v) for v in throttle],
+                fallback=cpu_fell_back or mem_fell_back or throttle_fell_back,
+            )
 
     def bucket_means(self, cid: str) -> list[list[float]]:
         """``aggregate_buckets(store.points(cid, metric), bucket_s)`` for each

@@ -9,8 +9,10 @@ from orchestrion.bus import Action, EventSpine, Message, MessageBus
 from orchestrion.forecaster import (
     ForecastConfig,
     Forecaster,
+    _lag_rows,
     aggregate_buckets,
     ar_forecast,
+    ar_forecast_many,
     clip_series,
 )
 from orchestrion.monitor import METRICS, MetricsStore
@@ -150,11 +152,35 @@ class TestForecastService:
         result = service.forecast_container("c1", 2)
         assert result.fallback
 
+    def test_response_equals_each_container_forecast_alone(self):
+        spine, bus, store, service = build_service()
+        rng = random.Random("request")
+        # equal and different bucket counts, a short history, a constant one
+        # and an unknown container, in one request
+        for cid, kind, n in (("c1", "noisy", 130), ("c2", "divergent", 130), ("c3", "float", 95),
+                             ("c4", "int", 40), ("c5", "constant", 130), ("c6", "ramp", 95)):
+            for i, value in enumerate(random_series(rng, kind, n)):
+                store.append(cid, i * 7, {"cpu_util": value, "mem_util": abs(value) * 0.5, "throttle_pct": value % 101})
+        cids = ["c3", "ghost", "c1", "c2", "c4", "c5", "c6"]
+        replies = collect(bus, "forecast")
+        bus.publish(
+            "forecast",
+            Message(action=Action.FORECAST_REQUEST, payload={"containers": cids, "horizon": 4}, correlation_id="fc"),
+        )
+        spine.drain()
+        [response] = [m for m in replies if m.action is Action.FORECAST_RESPONSE]
+        fresh = Forecaster(MessageBus("10.0.0.2", EventSpine()), store, service.config)
+        want = {cid: fresh.forecast_container(cid, 4).as_dict() for cid in cids}
+        assert repr(response.payload["results"]) == repr(want)
+        assert response.payload["results"]["ghost"]["error"] == "unknown container"
+
     def test_inline_clipping_is_clip_series(self, monkeypatch):
         special = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), -5.0, 42.5, 100.0, 100.5, 150.0, 1e300]
         spine, bus, store, service = build_service()
         self.fill(store, "c1", [10.0] * 30)
-        monkeypatch.setattr(forecaster, "ar_forecast", lambda values, horizon, config: (list(special), False))
+        monkeypatch.setattr(
+            forecaster, "ar_forecast_many", lambda series, horizon, config: [(list(special), False)] * len(series)
+        )
         result = service.forecast_container("c1", len(special))
         assert repr(result.cpu_util) == repr(clip_series(special, 0.0))
         assert repr(result.mem_util) == repr(clip_series(special, 0.0))
@@ -167,13 +193,13 @@ class TestForecastService:
         self.fill(store, "c1", [10.0] * 30)
         calls = []
 
-        def fit(values, horizon, config):
-            calls.append(values)
-            return [1.0] * horizon, len(calls) - 1 == metric_that_falls_back
+        def fit(series, horizon, config):
+            calls.append(series)
+            return [([1.0] * horizon, k == metric_that_falls_back) for k in range(len(series))]
 
-        monkeypatch.setattr(forecaster, "ar_forecast", fit)
+        monkeypatch.setattr(forecaster, "ar_forecast_many", fit)
         assert service.forecast_container("c1", 2).fallback is True
-        assert len(calls) == 3
+        assert [len(series) for series in calls] == [3]
 
 
 # -- equivalence with the numpy-first implementation ------------------------------
@@ -365,6 +391,85 @@ def test_ar_forecast_errors_match_reference():
         with pytest.raises(ValueError) as old:
             reference_ar_forecast(values, horizon)
         assert str(new.value) == str(old.value)
+
+
+# -- one batch equals the per-series forecasts -----------------------------------
+
+
+def outcome(fit, *args):
+    """What ``fit(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return repr(fit(*args))
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_many(series, horizon, config):
+    return [reference_ar_forecast(values, horizon, config) for values in series]
+
+
+SERIES = st.tuples(st.sampled_from(SERIES_KINDS), st.integers(1, 40), st.integers(0, 2**32))
+# an empty series; one whose first difference is NaN, which no drift check
+# takes and every fit refuses; or a horizon of 0
+BAD_INPUT = st.sampled_from((None, "empty", "nan", "horizon"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=st.lists(SERIES, min_size=1, max_size=12),
+    duplicates=st.lists(st.integers(0, 11), max_size=4),
+    horizon=st.integers(1, 6),
+    config=st.sampled_from(CONFIGS),
+    bad=BAD_INPUT,
+    bad_at=st.integers(0, 12),
+)
+def test_ar_forecast_many_matches_the_reference_per_series(drawn, duplicates, horizon, config, bad, bad_at):
+    series = [random_series(random.Random(seed), kind, n) for kind, n, seed in drawn]
+    series += [series[k % len(series)] for k in duplicates]
+    if bad == "empty":
+        series.insert(bad_at % (len(series) + 1), [])
+    elif bad == "nan":
+        series.insert(bad_at % (len(series) + 1), [float("nan")] + [float(v) for v in range(1, 12)])
+    elif bad == "horizon":
+        horizon = 0
+    want = outcome(reference_many, series, horizon, config)
+    assert outcome(ar_forecast_many, series, horizon, config) == want
+    if bad is None:
+        # each series alone, as ar_forecast fits it, is its slot of the batch
+        assert repr([ar_forecast(values, horizon, config) for values in series]) == want
+
+
+def random_stack(rng, k, rows):
+    """``k`` arrays of ``rows`` x 5 values, each of one magnitude between
+    1e-3 and 1e6 and of random signs."""
+    scales = 10.0 ** rng.uniform(-3.0, 6.0, size=(k, 1, 1))
+    return rng.standard_normal((k, rows, 5)) * scales
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 6, 13, 34])
+def test_stacked_lstsq_gufunc_is_np_linalg_lstsq_bit_for_bit(rows):
+    rng = np.random.default_rng(rows)
+    for k in (1, 2, 7, 30):
+        diffs = random_stack(rng, k, rows + 5)[:, :, 0]
+        design = diffs[:, _lag_rows(rows)]
+        with np.errstate(call=forecaster._raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            stacked = forecaster._umath_linalg.lstsq(design, diffs[:, 5:, None], 1e-8, signature="ddd->ddid")[0]
+        for j in range(k):
+            alone = np.linalg.lstsq(design[j], diffs[j, 5:], rcond=1e-8)[0]
+            assert stacked[j, :, 0].tobytes() == alone.tobytes()
+
+
+def test_vecdot_rows_are_np_dot_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for k in (1, 3, 64):
+        coeffs, window = random_stack(rng, 2, k)
+        # one coefficient row against a row of a wider window, as the horizon
+        # loop steps it
+        wide = np.empty((k, 11))
+        wide[:, 3:8] = window
+        dots = np.vecdot(coeffs, wide[:, 3:8])
+        for j in range(k):
+            assert dots[j].tobytes() == np.dot(coeffs[j].copy(), window[j].copy()).tobytes()
 
 
 # -- forecasts reused within one store version ------------------------------------

@@ -324,6 +324,13 @@ class TestCli:
         assert main(["run", "/nonexistent/scenario.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_scenario_file_that_is_not_utf8_reports_error(self, tmp_path, capsys):
+        scenario_path = tmp_path / "latin1.json"
+        scenario_path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        assert main(["run", str(scenario_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "utf-8" in err[0]
+
     def test_unknown_builtin_reports_error(self, capsys):
         assert main(["run", "--builtin", "exp99"]) == 2
 
