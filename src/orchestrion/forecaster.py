@@ -92,6 +92,12 @@ def _lag_rows(rows: int) -> np.ndarray:
     return _lag_index[:rows]
 
 
+# A NaN or an infinity among a series' values makes one of its differences,
+# and so their sum, NaN or infinite; finite values make the sum infinite
+# only where they span more than the float range.
+NON_FINITE_SERIES = "cannot forecast a series with a NaN, an infinity or a span beyond the float range"
+
+
 def _raise_lstsq_error(err: str, flag: int) -> None:
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
@@ -105,6 +111,8 @@ def ar_forecast_many(
     one stacked least-squares call per difference count, each problem by
     its own gelsd as :func:`np.linalg.lstsq` does it, and stepped through
     the horizon together, each row by its own ddot as :func:`np.dot` does it.
+    A series that reaches the drift or the fit with a NaN or an infinity
+    raises ``ValueError`` before any fit.
     """
     config = config or ForecastConfig()
     if horizon < 1:
@@ -126,6 +134,10 @@ def ar_forecast_many(
             continue
         z = [float(v) for v in values]
         z = [b - a for a, b in zip(z, z[1:])]
+        # every series is checked before the first fit: LAPACK refuses a NaN
+        # only after printing to stderr
+        if not math.isfinite(sum(z)):
+            raise ValueError(NON_FINITE_SERIES)
         if max(z) == min(z):
             step = float(np.mean(z))
             out[i] = [last + step * (k + 1) for k in range(horizon)], False

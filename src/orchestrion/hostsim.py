@@ -324,6 +324,12 @@ class HostSimulator:
         self._live: dict[str, ContainerState] = {}  # the running ones, in registration order
         self._counter = 0
         self._dead: list[ContainerState] = []  # dead containers awaiting one last sample row
+        # changes to the live set and to live limits: each run, limit update and retirement
+        self.live_version = 0
+        # the live containers that can be OOM-killed at all, in registration
+        # order, as of live version ``_risky_version``
+        self._risky: list[ContainerState] = []
+        self._risky_version = 0
 
     # -- container lifecycle ---------------------------------------------------
 
@@ -342,6 +348,7 @@ class HostSimulator:
             start_t=self.now,
             demand=table,
         )
+        self.live_version += 1
         logger.debug("run %s limits=%s", cid, limits.as_dict())
         return cid
 
@@ -349,6 +356,7 @@ class HostSimulator:
         state = self._running(cid)
         self._reserve(limits.cpu - state.limits.cpu, limits.mem - state.limits.mem)
         state.limits = limits
+        self.live_version += 1
 
     def _reserve(self, cpu: int, mem: int) -> None:
         """Take ``cpu`` and ``mem`` more of the usable capacity for live
@@ -383,6 +391,7 @@ class HostSimulator:
         self._slack_cpu += state.limits.cpu
         self._slack_mem += state.limits.mem
         self._dead.append(state)
+        self.live_version += 1
 
     # -- simulation clock --------------------------------------------------------
 
@@ -418,8 +427,20 @@ class HostSimulator:
         """The first second in ``(now, wake]`` at which :meth:`tick` can raise
         an event, or ``wake`` if none can: the first OOM kill. As the live
         limits fit in the usable capacity, no container's CPU or memory
-        depends on another's."""
-        for state in self._live.values():
+        depends on another's.
+
+        Only the live containers that can be OOM-killed at all are looked
+        at: a cpu-class one whose limit is below its flat memory demand, and
+        a mem-class one whose limit is below its peak. The host keeps their
+        list and builds it again when :attr:`live_version` has moved since."""
+        if self._risky_version != self.live_version:
+            self._risky = [
+                state
+                for state in self._live.values()
+                if state.limits.mem < (FLAT_MEM_MB if state.spec.workload_class == "cpu" else state.spec.peak)
+            ]
+            self._risky_version = self.live_version
+        for state in self._risky:
             oom = self._first_oom(state, wake)
             if oom is not None:
                 wake = oom

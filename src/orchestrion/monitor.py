@@ -182,6 +182,11 @@ class Monitor:
         self.emit = emit
         self.metrics = MetricsStore(config.retention_s)
         self._cycle_seq = 0
+        # the kept answer of _next_due: the second, the second it was found
+        # for and the host's live version then; none is kept at first
+        self._due: int | float = math.inf
+        self._due_from = 0
+        self._due_version = -1
 
     # -- per-tick driving --------------------------------------------------------
 
@@ -196,14 +201,34 @@ class Monitor:
     def next_wake_up(self, t: int) -> int:
         """The first second after ``t`` at which :meth:`on_tick` scrapes or
         starts an optimization cycle, given the containers active now. Until
-        then it has nothing to do unless the host raises an event."""
+        then it has nothing to do unless the host raises an event.
+
+        The next scrape is worked out; the next optimization-due second is
+        the kept one of :meth:`_next_due`, so no container is looked at
+        unless the host's live set or limits changed or that second passed."""
         scrape = self.config.scrape_interval_s
-        wake = (t // scrape + 1) * scrape
-        warmup = self.policy.warmup_delay_s
-        interval = self.policy.optimization_interval_s
-        for state in self.host.running_containers():
-            wake = min(wake, next_optimization_due(state.start_t, t, warmup, interval))
-        return wake
+        return min((t // scrape + 1) * scrape, self._next_due(t))
+
+    def _next_due(self, t: int) -> int | float:
+        """The first second after ``t`` at which a live container is
+        :func:`optimization_due`, or ``inf`` with none live.
+
+        The monitor keeps that second, found for some second ``t0`` and the
+        host's :attr:`~orchestrion.hostsim.HostSimulator.live_version`. While
+        that version holds, and ``t0 <= t`` and ``t`` is before the kept
+        second, no container is due in ``(t0, t]``, so the kept second is
+        the answer for ``t`` too; otherwise every live container is looked
+        at again."""
+        if self._due_version != self.host.live_version or not self._due_from <= t < self._due:
+            warmup = self.policy.warmup_delay_s
+            interval = self.policy.optimization_interval_s
+            self._due = min(
+                (next_optimization_due(state.start_t, t, warmup, interval) for state in self.host.running_containers()),
+                default=math.inf,
+            )
+            self._due_from = t
+            self._due_version = self.host.live_version
+        return self._due
 
     # -- premature exits -----------------------------------------------------------
 
@@ -286,6 +311,11 @@ class Monitor:
     # -- optimization cadence ----------------------------------------------------------
 
     def schedule_optimization(self, t: int) -> None:
+        """Start an optimization cycle at ``t`` for the live containers due
+        then, in registration order, if any is; none is looked at while
+        ``t`` is before the kept due second of :meth:`_next_due`."""
+        if self._next_due(t - 1) > t:
+            return
         warmup = self.policy.warmup_delay_s
         interval = self.policy.optimization_interval_s
         live = self.host.running_containers()

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from orchestrion import forecaster
 from orchestrion.bus import Action, EventSpine, Message, MessageBus
 from orchestrion.forecaster import (
+    NON_FINITE_SERIES,
     ForecastConfig,
     Forecaster,
     _lag_rows,
@@ -337,6 +339,30 @@ def test_aggregate_buckets_errors_match_reference():
         assert str(new.value) == str(old.value)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        # a NaN between equal finite differences, which max and min skip
+        [0.0, 1.0, float("nan"), 3.0, 4.0, 5.0, 6.0, 7.0],
+        [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, float("inf")],
+        # LAPACK refuses this one, after printing DLASCL lines to stderr
+        [float("nan")] + [float(v) for v in range(1, 12)],
+    ],
+)
+def test_non_finite_series_is_refused_before_any_fit(values, monkeypatch):
+    def lstsq(*args, **kwargs):
+        raise AssertionError("a least-squares fit ran")
+
+    monkeypatch.setattr(forecaster, "_umath_linalg", SimpleNamespace(lstsq=lstsq))
+    with pytest.raises(ValueError) as alone:
+        ar_forecast(values, 2)
+    # a series to fit ahead of it in the batch is not fit either
+    fit = random_series(random.Random("ar:before-non-finite"), "noisy", 20)
+    with pytest.raises(ValueError) as batched:
+        ar_forecast_many([fit, values], 2)
+    assert str(alone.value) == str(batched.value) == NON_FINITE_SERIES
+
+
 CONFIGS = (
     ForecastConfig(),
     ForecastConfig(min_points=9),
@@ -410,7 +436,8 @@ def reference_many(series, horizon, config):
 
 SERIES = st.tuples(st.sampled_from(SERIES_KINDS), st.integers(1, 40), st.integers(0, 2**32))
 # an empty series; one whose first difference is NaN, which no drift check
-# takes and every fit refuses; or a horizon of 0
+# takes, LAPACK refuses in the reference and the forecaster refuses before
+# any fit; or a horizon of 0
 BAD_INPUT = st.sampled_from((None, "empty", "nan", "horizon"))
 
 
@@ -433,6 +460,8 @@ def test_ar_forecast_many_matches_the_reference_per_series(drawn, duplicates, ho
     elif bad == "horizon":
         horizon = 0
     want = outcome(reference_many, series, horizon, config)
+    if want == (np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares"):
+        want = ValueError, NON_FINITE_SERIES
     assert outcome(ar_forecast_many, series, horizon, config) == want
     if bad is None:
         # each series alone, as ar_forecast fits it, is its slot of the batch

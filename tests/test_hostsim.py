@@ -931,3 +931,60 @@ class TestClockedTick:
         assert host.tick() == [] and host.now == 5
         with pytest.raises(ValueError):
             host.tick()
+
+
+# -- the OOM-risk list -------------------------------------------------------------
+
+
+def scanned_quiet_until(host, first_oom, wake):
+    """:meth:`HostSimulator.quiet_until` as a scan of every live container
+    with ``first_oom``: the oracle."""
+    for state in host.running_containers():
+        oom = first_oom(state, wake)
+        if oom is not None:
+            wake = oom
+    return wake
+
+
+class TestOomRisk:
+    @given(
+        seed=st.integers(0, 2**31),
+        steps=st.lists(CLOCK_STEP, min_size=1, max_size=16),
+        probes=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_quiet_until_equals_a_scan_of_every_live_container(self, seed, steps, probes):
+        # containers start, change limits and are killed at the wake-ups, as
+        # in a run; after each step quiet_until is asked about a few wakes
+        clock = [0]
+        host = HostSimulator(HostConfig(cpu_total=10**6, mem_total=10**6), seed=seed, clock=lambda: clock[0])
+        first_oom = host._first_oom
+        looked_at = []
+
+        def spy(state, last):
+            looked_at.append(state)
+            return first_oom(state, last)
+
+        host._first_oom = spy
+        for step in steps:
+            if step[0] == "start":
+                spec, _, (cpu, _), (mem, _) = step[1]
+                host.run_container(spec, Limits(cpu=cpu, mem=mem))
+            elif step[0] == "update":
+                live = host.running_containers()
+                if live:
+                    state = live[step[1] % len(live)]
+                    limits = Limits(cpu=near_limit(state.spec, "cpu", step[2]), mem=near_limit(state.spec, "mem", step[3]))
+                    host.update_limits(state.container_id, limits)
+            else:
+                clock[0] = host.quiet_until(host.now + step[1])
+                host.tick()
+            for offset in probes:
+                looked_at.clear()
+                wake = host.now + offset
+                assert host.quiet_until(wake) == scanned_quiet_until(host, first_oom, wake)
+                # only the live containers that can be OOM-killed at all
+                live = host.running_containers()
+                assert [state for state in live if state in looked_at] == looked_at
+                for state in looked_at:
+                    assert state.limits.mem < (FLAT_MEM_MB if state.spec.workload_class == "cpu" else state.spec.peak)

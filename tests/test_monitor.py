@@ -270,6 +270,31 @@ class TestOptimizationCadence:
         batch = [m.payload for m in received if m.action is Action.DEPLOYMENT_OPTIMIZATION_REQUEST]
         assert [(p["index"], p["count"]) for p in batch] == [(0, 2), (1, 2)]
 
+    def test_wake_up_asked_first_keeps_the_cycle_due_at_that_second(self):
+        # next_wake_up(50) keeps 80, the first due second after 50; the cycle
+        # due at 50 itself still starts at on_tick(50)
+        spine, bus, host, knowledge, registry, monitor, _ = build_stack()
+        received = collect(bus, "analyze")
+        cid = host.run_container(WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95), Limits(cpu=100, mem=150))
+        while host.now < 50:
+            host.tick()
+        assert monitor.next_wake_up(50) == 60
+        monitor.on_tick(50, [])
+        spine.drain()
+        assert [m.payload["container"] for m in received] == [cid]
+
+
+def scanned_wake_up(monitor, t):
+    """:meth:`Monitor.next_wake_up` as a scan of every live container: the
+    oracle."""
+    scrape = monitor.config.scrape_interval_s
+    warmup = monitor.policy.warmup_delay_s
+    interval = monitor.policy.optimization_interval_s
+    wake = (t // scrape + 1) * scrape
+    for state in monitor.host.running_containers():
+        wake = min(wake, next_optimization_due(state.start_t, t, warmup, interval))
+    return wake
+
 
 class TestWakeUps:
     @settings(max_examples=300, deadline=None)
@@ -285,35 +310,52 @@ class TestWakeUps:
         first = next(s for s in later if optimization_due(s - start_t, warmup, interval))
         assert due == first
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
         scrape=st.integers(1, 40),
         warmup=st.integers(0, 90),
         interval=st.integers(1, 90),
-        starts=st.lists(st.integers(0, 150), min_size=0, max_size=3),
+        pattern=st.sampled_from([1, 3]),
+        starts=st.lists(st.tuples(st.integers(0, 150), st.integers(20, 150)), min_size=1, max_size=4),
+        # the container, the seconds after its start and the new memory limit
+        updates=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 60), st.integers(20, 150)), max_size=4),
     )
-    def test_monitor_acts_only_at_its_wake_ups(self, scrape, warmup, interval, starts):
-        """Run second by second; the monitor publishes at exactly the chain
-        of seconds that next_wake_up names, starting from zero."""
+    def test_monitor_acts_only_at_its_wake_ups(self, scrape, warmup, interval, pattern, starts, updates):
+        """Run second by second while containers start, change limits and
+        are OOM-killed (a mem-class container with a limit below its peak
+        of 95). The monitor publishes at exactly the seconds that
+        next_wake_up named at the second before, or at which the host raised
+        an event; a cycle holds the live containers due then. At every
+        second, next_wake_up is what a scan of every live container gives."""
         spine, bus, host, knowledge, registry, monitor, _ = build_stack(
             policy=OptimizationPolicy(warmup_delay_s=warmup, optimization_interval_s=interval),
             config=MonitorConfig(scrape_interval_s=scrape, retention_s=7200, max_attempts=3),
         )
-        spec = WorkloadSpec(pattern=1, workload_class="mem", period_s=1800, peak=95)
-        acted, wake_ups, wake = [], [], monitor.next_wake_up(0)
-        for t in range(1, 301):
-            for index, start in enumerate(starts):
-                if start == t - 1:  # deployed in the drain of the second before
-                    cid = host.run_container(spec, Limits(cpu=100, mem=150))
-                    register(knowledge, cid, deployment=f"d{index}")
-                    wake = min(wake, monitor.next_wake_up(t - 1))
-            published = len(spine.log)
-            monitor.on_tick(t, host.tick())
-            spine.drain()
-            if len(spine.log) > published:
-                acted.append(t)
-            if t == wake:
-                wake_ups.append(t)
-                wake = monitor.next_wake_up(t)
+        cycles = collect(bus, "analyze")
+        spec = WorkloadSpec(pattern=pattern, workload_class="mem", period_s=120, peak=95)
+        cids, acted, wake_ups = [], [], []
+        for t in range(301):
+            if t:
+                events = host.tick()
+                due = [s.container_id for s in host.running_containers() if optimization_due(t - s.start_t, warmup, interval)]
+                published, cycled = len(spine.log), len(cycles)
+                monitor.on_tick(t, events)
+                spine.drain()
+                if len(spine.log) > published:
+                    acted.append(t)
+                if t == wake or events:
+                    wake_ups.append(t)
+                assert [m.payload["container"] for m in cycles[cycled:]] == due
+            # the drain of second t starts containers and changes limits
+            for index, (start, mem) in enumerate(starts):
+                if start == t:
+                    cids.append(host.run_container(spec, Limits(cpu=100, mem=mem)))
+                    register(knowledge, cids[-1], deployment=f"d{index}")
+            for which, after, mem in updates:
+                state = host.container(cids[which]) if which < len(cids) else None
+                if state and state.status == "running" and state.start_t + after == t:
+                    host.update_limits(state.container_id, Limits(cpu=100, mem=mem))
+            wake = monitor.next_wake_up(t)
+            assert wake == scanned_wake_up(monitor, t)
         assert acted == wake_ups
 
