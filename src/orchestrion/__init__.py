@@ -8,11 +8,10 @@ registry and a simulated container host. Scenarios are driven through
 
 __version__ = "0.1.0"
 
-from .model import Limits, OptimizationPolicy, clamp
+from .model import Limits, OptimizationPolicy
 
 __all__ = [
     "Limits",
     "OptimizationPolicy",
-    "clamp",
     "__version__",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .bus import Action, Message, MessageBus, TOPIC_ANALYZE, TOPIC_DEPLOY, TOPIC_FORECAST
 from .forecaster import ForecastResult
-from .hostsim import STATUS_RUNNING, HostSimulator
+from .hostsim import HostSimulator
 from .model import RESOURCES, Limits, OptimizationPolicy
 
 logger = logging.getLogger(__name__)
@@ -133,8 +133,8 @@ class Analyzer:
     ``(finish, work)`` pair; the one forecast in flight is held as
     ``(forecast_id, finish, work)`` until its response arrives.
 
-    ``capacity`` is the device's usable capacity: its totals less the host's
-    reserve. Availability starts from it and a CPU upscale is capped at it.
+    Availability starts from the host's usable capacity, its totals less its
+    reserve, and a CPU upscale is capped at it.
     """
 
     def __init__(
@@ -143,7 +143,6 @@ class Analyzer:
         host: HostSimulator,
         metrics_store,
         policy: OptimizationPolicy,
-        capacity: Limits,
         horizon: int,
         emit,
     ) -> None:
@@ -151,7 +150,6 @@ class Analyzer:
         self.host = host
         self.metrics = metrics_store
         self.policy = policy
-        self.capacity = capacity
         self.horizon = horizon
         self.emit = emit
         self._queue: deque[tuple] = deque()
@@ -215,7 +213,8 @@ class Analyzer:
         # A container lacks a usable forecast only when it has no stored
         # sample yet, so its current limit alone stands for it.
         currents = {state.container_id: state.limits for state in self.host.running_containers()}
-        return predict_availability(forecasts, currents, self.capacity)
+        config = self.host.config
+        return predict_availability(forecasts, currents, Limits(cpu=config.usable_cpu, mem=config.usable_mem))
 
     def _finish_admission(self, payload: dict, forecasts: dict[str, ForecastResult]) -> None:
         avail = self._availability(forecasts)
@@ -245,14 +244,11 @@ class Analyzer:
     def _finish_cycle(self, state: dict, forecasts: dict[str, ForecastResult]) -> None:
         avail = self._availability(forecasts)
         changes = 0
-        for cid in state["containers"]:
-            try:
-                container = self.host.container(cid)
-            except KeyError:
+        cycle_ids = set(state["containers"])
+        for container in self.host.running_containers():
+            if container.container_id not in cycle_ids:
                 continue
-            if container.status != STATUS_RUNNING:
-                continue
-            forecast = forecasts.get(cid)
+            forecast = forecasts.get(container.container_id)
             if forecast is None or forecast.error:
                 continue  # no usable forecast: leave the container alone
             changes += self._optimize_container(container, forecast, avail, state["cycle"])
@@ -275,7 +271,8 @@ class Analyzer:
         obs_cpu = self.metrics.observed_max(cid, "cpu_util")
         cpu_peak = max(fc_cpu_peak, obs_cpu)
         throttle_peak = max(forecast.throttle_pct) if forecast.throttle_pct else 0.0
-        cpu_target = optimize_cpu(container.limits.cpu, cpu_peak, throttle_peak, self.policy, self.capacity.cpu)
+        cpu_cap = self.host.config.usable_cpu
+        cpu_target = optimize_cpu(container.limits.cpu, cpu_peak, throttle_peak, self.policy, cpu_cap)
 
         deltas: dict[str, int] = {}
         targets: dict[str, int] = {}

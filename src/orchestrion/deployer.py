@@ -133,7 +133,9 @@ class Deployer:
             "state": record.state,
             "attempts": record.attempts,
             "decisions": list(record.decisions),
-            "containers": list(record.containers),
+            "containers": [
+                cid for cid, rec in self.knowledge.containers.items() if rec.deployment_id == deployment_id
+            ],
             "executor": record.executor,
             "detail": record.detail,
         }
@@ -316,16 +318,9 @@ class Deployer:
             self._reject(admission.deployment_id, admission.attempt, record, "failed", detail, "execution_failed")
             return
         self.knowledge.register_container(
-            ContainerRecord(
-                container_id=cid,
-                deployment_id=admission.deployment_id,
-                owner=record.owner,
-                image=record.image,
-                attempt=admission.attempt,
-            )
+            ContainerRecord(container_id=cid, deployment_id=admission.deployment_id, attempt=admission.attempt)
         )
         record.state = "running"
-        record.containers.append(cid)
         self.emit(
             {
                 "type": "deployed",

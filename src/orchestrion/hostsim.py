@@ -41,7 +41,7 @@ import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from hashlib import sha256
 from itertools import chain, repeat
 
@@ -219,11 +219,13 @@ class HostConfig:
         if not 0 <= self.reserved_mem <= self.mem_total:
             raise ValueError("reserved_mem out of range")
 
-    @property
+    # worked out on first read and then kept, since a config never changes:
+    # the host reads them at every scrape and the analyzer at every decision
+    @cached_property
     def usable_cpu(self) -> int:
         return self.cpu_total - self.reserved_cpu
 
-    @property
+    @cached_property
     def usable_mem(self) -> int:
         return self.mem_total - self.reserved_mem
 
@@ -315,11 +317,9 @@ class HostSimulator:
         self.now = 0
         # a zero-argument callable returning the simulated second a tick brings the host to
         self._clock = clock
-        self._usable_cpu = config.usable_cpu
-        self._usable_mem = config.usable_mem
         # usable capacity the live containers' limits leave over; never below zero
-        self._slack_cpu = self._usable_cpu
-        self._slack_mem = self._usable_mem
+        self._slack_cpu = config.usable_cpu
+        self._slack_mem = config.usable_mem
         self._containers: dict[str, ContainerState] = {}  # every container ever run
         self._live: dict[str, ContainerState] = {}  # the running ones, in registration order
         self._counter = 0
@@ -538,9 +538,10 @@ class HostSimulator:
                 "throttle_pct": throttle_pct,
             }
         self._dead.clear()
+        config = self.config
         return MetricsSample(
             t=t,
             containers=containers,
-            avail_cpu=self._usable_cpu - used_cpu,
-            avail_mem=self._usable_mem - used_mem,
+            avail_cpu=config.usable_cpu - used_cpu,
+            avail_mem=config.usable_mem - used_mem,
         )

@@ -1,7 +1,7 @@
 """Shared per-device state the control-loop components coordinate over: how
-each deployment has fared, and which deployment, owner, image and attempt
-each container serves. A container's limits, start and liveness are the
-host's to know (:class:`~orchestrion.hostsim.HostSimulator`).
+each deployment has fared, its owner and image, and which deployment and
+attempt each container serves. A container's limits, start and liveness are
+the host's to know (:class:`~orchestrion.hostsim.HostSimulator`).
 """
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 class ContainerRecord:
     container_id: str
     deployment_id: str
-    owner: str
-    image: str
     attempt: int
 
 
@@ -25,7 +23,6 @@ class DeploymentRecord:
     state: str = "pending"  # pending|analyzing|running|rejected|failed|delegated
     attempts: int = 0
     decisions: list = field(default_factory=list)
-    containers: list = field(default_factory=list)
     executor: str = ""
     detail: str = ""
 

@@ -43,13 +43,6 @@ class Limits:
         return cls(cpu=data["cpu"], mem=data["mem"])
 
 
-def clamp(value: int, lo: int, hi: int) -> int:
-    """Bound ``value`` into ``[lo, hi]``; requires ``lo <= hi``."""
-    if lo > hi:
-        raise ContractViolation(f"clamp bounds inverted: lo={lo} > hi={hi}")
-    return min(max(value, lo), hi)
-
-
 def require_int(name: str, value) -> None:
     """Durations and counts are whole numbers: the simulation clock ticks in
     integer seconds."""
@@ -116,19 +109,6 @@ class OptimizationPolicy:
                 raise ContractViolation("scale amounts must be > 0")
         if self.optimization_interval_s <= 0 or self.warmup_delay_s < 0:
             raise ContractViolation("intervals must be positive")
-
-    def as_dict(self) -> dict:
-        return {
-            "scale_up": self.scale_up.as_dict(),
-            "scale_down": self.scale_down.as_dict(),
-            "cpu_buffer": self.cpu_buffer,
-            "mem_margin": self.mem_margin,
-            "throttle_limit_pct": self.throttle_limit_pct,
-            "mem_min": self.mem_min,
-            "mem_max": self.mem_max,
-            "optimization_interval_s": self.optimization_interval_s,
-            "warmup_delay_s": self.warmup_delay_s,
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "OptimizationPolicy":

@@ -266,8 +266,8 @@ class Monitor:
                 action=Action.DEPLOYMENT_REQUEST,
                 payload={
                     "deployment_id": record.deployment_id,
-                    "owner": record.owner,
-                    "image": record.image,
+                    "owner": deployment.owner,
+                    "image": deployment.image,
                     "attempt": next_attempt,
                     "retry": True,
                     "pinned_device": self.bus.device,

@@ -171,24 +171,14 @@ class SimulationRunner:
     """Builds the per-device stacks and runs one scenario to completion."""
 
     def __init__(self, scenario: dict) -> None:
-        self.scenario = validate_scenario(scenario)
+        self._pending_schedule = validate_scenario(scenario)
+        self.scenario = scenario
         self.seed = scenario.get("seed", 0)
         self.duration = scenario["duration_s"]
         self.report = RunReport(scenario_name=scenario.get("name", "unnamed"), seed=self.seed)
         self.spine = EventSpine()
         self.registry = Registry()
         self.devices: dict[str, _DeviceStack] = {}
-        first_device = scenario["devices"][0]["address"]
-        self._pending_schedule = [
-            _ScheduledRequest(
-                device=entry.get("device") or first_device,
-                owner=entry["owner"],
-                image=entry["image"],
-                at_s=entry.get("at_s"),
-                stable_cycles=entry.get("after_stable_cycles"),
-            )
-            for entry in scenario.get("schedule", [])
-        ]
         self._stable_cycles: dict[str, int] = {}
         self._build()
 
@@ -234,15 +224,7 @@ class SimulationRunner:
             monitor = Monitor(bus, host, knowledge, self.registry, monitor_cfg, policy, emit)
             # the forecaster and the analyzer live on as the bus's handlers
             Forecaster(bus, monitor.metrics, forecast_cfg)
-            Analyzer(
-                bus,
-                host,
-                monitor.metrics,
-                policy,
-                capacity=Limits(cpu=host.config.usable_cpu, mem=host.config.usable_mem),
-                horizon=horizon,
-                emit=emit,
-            )
+            Analyzer(bus, host, monitor.metrics, policy, horizon=horizon, emit=emit)
             deployer = Deployer(bus, self.registry, host, knowledge, policy, emit, cluster_mode=cluster)
             bus.subscribe(TOPIC_MONITOR, self._record_trace)
             self.devices[address] = _DeviceStack(host, bus, knowledge, monitor, deployer)
@@ -336,7 +318,7 @@ class SimulationRunner:
             for rec in stack.knowledge.containers.values():
                 host_state = stack.host.container(rec.container_id)
                 containers[rec.container_id] = {
-                    "image": rec.image,
+                    "image": stack.knowledge.deployments[rec.deployment_id].image,
                     "status": host_state.status,
                     "limits": host_state.limits.as_dict(),
                     "backlog": host_state.backlog,
@@ -352,7 +334,11 @@ class SimulationRunner:
         self.report.final_state = state
 
 
-def validate_scenario(scenario: dict) -> dict:
+def validate_scenario(scenario: dict) -> list[_ScheduledRequest]:
+    """Check ``scenario`` and return its schedule, each entry read once, as
+    the requests a run queues; a fault is a ScenarioError that names where
+    it is. An entry is due at ``at_s`` or after ``after_stable_cycles``,
+    exactly one of the two, on its ``device``, else on the first device."""
     if not isinstance(scenario, dict):
         raise ScenarioError(f"scenario: must be an object, got {scenario!r}")
     for key in ("duration_s", "devices", "images"):
@@ -399,11 +385,13 @@ def validate_scenario(scenario: dict) -> dict:
         raise ScenarioError("device addresses must be unique")
 
     image_keys = {(i["owner"], i["name"]) for i in scenario["images"]}
+    requests = []
     for index, entry in enumerate(scenario.get("schedule", [])):
         where = f"schedule[{index}]"
-        due = "at_s" if "at_s" in entry else "after_stable_cycles"
-        if due not in entry:
-            raise ScenarioError(f"{where}: schedule entries need at_s or after_stable_cycles")
+        dues = [key for key in ("at_s", "after_stable_cycles") if key in entry]
+        if len(dues) != 1:
+            raise ScenarioError(f"{where}: schedule entries need exactly one of at_s and after_stable_cycles")
+        (due,) = dues
         with _reading(where):
             require_int(due, entry[due])
         upper = duration if due == "at_s" else math.inf
@@ -411,15 +399,20 @@ def validate_scenario(scenario: dict) -> dict:
             raise ScenarioError(f"{where}: {due} {entry[due]} outside [0, {upper}]")
         if (entry["owner"], entry["image"]) not in image_keys:
             raise ScenarioError(f"{where}: schedule references unknown image {entry['owner']}/{entry['image']}")
-        if entry.get("device") and entry["device"] not in addresses:
-            raise ScenarioError(f"{where}: schedule references unknown device {entry['device']}")
+        device = entry.get("device", addresses[0])
+        if device not in addresses:
+            raise ScenarioError(f"{where}: schedule references unknown device {device!r}")
+        requests.append(
+            _ScheduledRequest(device, entry["owner"], entry["image"], entry.get("at_s"), entry.get("after_stable_cycles"))
+        )
     for index, expectation in enumerate(scenario.get("expectations", [])):
         with _reading(f"expectations[{index}]"):
             check_expectation(expectation)
-    return scenario
+    return requests
 
 
 def run_scenario(scenario: dict, seed: int | None = None) -> RunReport:
     if seed is not None:
-        scenario = {**validate_scenario(scenario), "seed": seed}
+        validate_scenario(scenario)  # a scenario that is no object is reported before it is copied
+        scenario = {**scenario, "seed": seed}
     return SimulationRunner(scenario).run()

@@ -18,7 +18,7 @@ from orchestrion.analyzer import (
 )
 from orchestrion.builtins import builtin_scenario
 from orchestrion.forecaster import ForecastResult, ar_forecast, clip_series
-from orchestrion.model import Limits, OptimizationPolicy, clamp
+from orchestrion.model import Limits, OptimizationPolicy
 from orchestrion.registry import ImageBlob, Registry, OwnershipViolation, TamperError
 from orchestrion.scenario import run_scenario
 
@@ -202,10 +202,6 @@ def test_criterion_8_formula_unit_suite():
     conditions.append((optimize_memory(100, 98.0, policy) == 120, "mem upscale (107.8 > 100)"))
     guard_policy = OptimizationPolicy(scale_down=Limits(cpu=100, mem=50))
     conditions.append((optimize_memory(150, 95.0, guard_policy) == 150, "margin guard keeps 150 (100 < 104.5)"))
-    # clamp examples
-    conditions.append((clamp(50, 64, 512) == 64, "clamp below floor"))
-    conditions.append((clamp(600, 64, 512) == 512, "clamp above ceiling"))
-    conditions.append((clamp(128, 64, 512) == 128, "clamp identity"))
 
     # predicted-availability arithmetic
     empty = predict_availability({}, {}, capacity=Limits(cpu=1000, mem=400))

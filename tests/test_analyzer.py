@@ -11,8 +11,11 @@ from orchestrion.analyzer import (
     predict_availability,
 )
 from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
-from orchestrion.forecaster import ForecastResult
+from orchestrion.bus import Action, EventSpine, Message, MessageBus, TOPIC_ANALYZE
+from orchestrion.forecaster import ForecastConfig, ForecastResult, Forecaster
+from orchestrion.hostsim import HostConfig, HostSimulator
 from orchestrion.model import Limits, OptimizationPolicy
+from orchestrion.monitor import MetricsStore
 from orchestrion.scenario import run_scenario
 
 from test_golden import off_cadence_scenario
@@ -307,3 +310,35 @@ def test_containers_without_a_usable_forecast_have_no_samples(monkeypatch):
     for scenario in [builtin_scenario(name) for name in sorted(BUILTIN_SCENARIOS)] + [off_cadence_scenario()]:
         run_scenario(scenario)
     assert unforecast, "some decision must meet a container without a usable forecast"
+
+
+def test_admission_starts_from_the_hosts_usable_capacity():
+    """An analyzer on a host with a reserve admits against the host's usable
+    capacity, its totals less the reserve, and never against the totals."""
+    spine = EventSpine()
+    bus = MessageBus("10.0.0.1", spine)
+    config = HostConfig(cpu_total=1000, mem_total=1000, reserved_cpu=200, reserved_mem=850)
+    host = HostSimulator(config, device="10.0.0.1")
+    store = MetricsStore(retention_s=7200)
+    Forecaster(bus, store, ForecastConfig(bucket_s=60))
+    events = []
+    Analyzer(bus, host, store, POLICY, horizon=3, emit=events.append)
+    targets = [(100, 149), (100, 150), (100, 500), (799, 100), (800, 100)]
+    for index, (cpu, mem) in enumerate(targets):
+        bus.publish(
+            TOPIC_ANALYZE,
+            Message(
+                action=Action.DEPLOYMENT_ANALYSIS_REQUEST,
+                payload={
+                    "deployment_id": f"d{index}",
+                    "analysis_id": f"a{index}",
+                    "target": {"cpu": cpu, "mem": mem},
+                    "role": "request",
+                    "attempt": 1,
+                },
+                correlation_id=f"a{index}",
+            ),
+        )
+    spine.drain()
+    assert [e["verdict"] for e in events] == ["accept", "reject", "reject", "accept", "reject"]
+    assert all(e["avail"] == {"cpu": 800.0, "mem": 150.0} for e in events)

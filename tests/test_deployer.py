@@ -76,15 +76,7 @@ def build_device(reserved_mem=0, reserved_cpu=0, register_image=True, request=No
     policy = OptimizationPolicy(warmup_delay_s=300)
     monitor = Monitor(bus, host, knowledge, registry, MonitorConfig(), policy, events.append)
     Forecaster(bus, monitor.metrics, ForecastConfig(bucket_s=60))
-    Analyzer(
-        bus,
-        host,
-        monitor.metrics,
-        policy,
-        capacity=Limits(cpu=host.config.usable_cpu, mem=host.config.usable_mem),
-        horizon=3,
-        emit=events.append,
-    )
+    Analyzer(bus, host, monitor.metrics, policy, horizon=3, emit=events.append)
     deployer = Deployer(bus, registry, host, knowledge, policy, events.append, cluster_mode=cluster_mode)
     if register_image:
         blob = ImageBlob(

@@ -1,39 +1,6 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from orchestrion.model import (
-    ContractViolation,
-    DeviceId,
-    Limits,
-    OptimizationPolicy,
-    clamp,
-)
-
-
-class TestClamp:
-    def test_below_floor(self):
-        assert clamp(50, 64, 512) == 64
-
-    def test_above_ceiling(self):
-        assert clamp(600, 64, 512) == 512
-
-    def test_inside(self):
-        assert clamp(128, 64, 512) == 128
-
-    def test_inverted_bounds(self):
-        with pytest.raises(ContractViolation):
-            clamp(10, 100, 50)
-
-    @given(
-        value=st.integers(min_value=-1000, max_value=10_000),
-        lo=st.integers(min_value=0, max_value=5_000),
-        span=st.integers(min_value=0, max_value=5_000),
-    )
-    def test_idempotent_and_bounded(self, value, lo, span):
-        hi = lo + span
-        once = clamp(value, lo, hi)
-        assert lo <= once <= hi
-        assert clamp(once, lo, hi) == once
+from orchestrion.model import ContractViolation, DeviceId, Limits, OptimizationPolicy
 
 
 class TestLimits:
@@ -84,5 +51,26 @@ class TestOptimizationPolicy:
             OptimizationPolicy(**kwargs)
 
     def test_dict_round_trip(self):
-        policy = OptimizationPolicy(warmup_delay_s=1800)
-        assert OptimizationPolicy.from_dict(policy.as_dict()) == policy
+        data = {
+            "scale_up": {"cpu": 60, "mem": 30},
+            "scale_down": {"cpu": 120, "mem": 25},
+            "cpu_buffer": 1.2,
+            "mem_margin": 1.05,
+            "throttle_limit_pct": 30.0,
+            "mem_min": 40,
+            "mem_max": 400,
+            "optimization_interval_s": 600,
+            "warmup_delay_s": 1800,
+        }
+        assert OptimizationPolicy.from_dict(data) == OptimizationPolicy(
+            scale_up=Limits(cpu=60, mem=30),
+            scale_down=Limits(cpu=120, mem=25),
+            cpu_buffer=1.2,
+            mem_margin=1.05,
+            throttle_limit_pct=30.0,
+            mem_min=40,
+            mem_max=400,
+            optimization_interval_s=600,
+            warmup_delay_s=1800,
+        )
+        assert OptimizationPolicy.from_dict({"warmup_delay_s": 1800}) == OptimizationPolicy(warmup_delay_s=1800)

@@ -42,7 +42,7 @@ def build_stack(policy=None, config=None):
 
 def register(knowledge, cid, deployment="d1", attempt=1, image="memory-3"):
     knowledge.register_container(
-        ContainerRecord(container_id=cid, deployment_id=deployment, owner="vendor", image=image, attempt=attempt)
+        ContainerRecord(container_id=cid, deployment_id=deployment, attempt=attempt)
     )
     if deployment not in knowledge.deployments:
         knowledge.deployments[deployment] = DeploymentRecord(deployment, "vendor", image)
@@ -206,6 +206,19 @@ class TestPrematureExitRetries:
         assert retry[0].payload["attempt"] == 2
         assert retry[0].payload["retry"] is True
         assert retry[0].payload["pinned_device"] == "10.0.0.1"
+
+    def test_retry_request_names_the_deployments_owner_and_image(self):
+        spine, bus, host, knowledge, registry, monitor, events = build_stack()
+        requests = collect(bus, "deploy")
+        cid = self.run_until_kill(monitor, host)
+        knowledge.deployments["d7"] = DeploymentRecord("d7", "acme", "ledger")
+        knowledge.register_container(ContainerRecord(container_id=cid, deployment_id="d7", attempt=1))
+        for t in range(1, 4):
+            monitor.on_tick(t, host.tick())
+        spine.drain()
+        (retry,) = [m for m in requests if m.action is Action.DEPLOYMENT_REQUEST]
+        assert retry.payload["deployment_id"] == "d7"
+        assert (retry.payload["owner"], retry.payload["image"]) == ("acme", "ledger")
 
     def test_exhausted_attempts_give_up(self):
         spine, bus, host, knowledge, registry, monitor, events = build_stack()

@@ -102,6 +102,18 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             validate_scenario(scenario)
 
+    def test_schedule_is_read_once_into_the_queued_requests(self):
+        scenario = builtin_scenario("cluster_3dev")
+        owner = scenario["schedule"][0]["owner"]
+        scenario["schedule"] = [
+            {"at_s": 30, "owner": owner, "image": "memory-1", "device": "10.0.0.3"},
+            {"after_stable_cycles": 2, "owner": owner, "image": "memory-2"},
+        ]
+        assert [(r.device, r.image, r.at_s, r.stable_cycles) for r in validate_scenario(scenario)] == [
+            ("10.0.0.3", "memory-1", 30, None),
+            ("10.0.0.1", "memory-2", None, 2),
+        ]
+
     def test_unknown_expectation_type_is_a_failed_result(self, tmp_path, capsys):
         scenario = {**builtin_scenario("exp1_mem"), "duration_s": 60, "expectations": [{"type": "nonsense"}]}
         scenario_path = tmp_path / "unknown.json"
@@ -396,6 +408,13 @@ class TestCli:
             {"monitor": []},
             {"forecast": [["bucket_s", 60]]},
             {"name": ["x"]},
+            {"schedule": exp1_mem_with_first("schedule", after_stable_cycles="x")},
+            {"schedule": exp1_mem_with_first("schedule", after_stable_cycles=1)},
+            {"schedule": exp1_mem_with_first("schedule", device="")},
+            {"schedule": exp1_mem_with_first("schedule", device=[])},
+            {"schedule": exp1_mem_with_first("schedule", device=0)},
+            {"schedule": exp1_mem_with_first("schedule", device=None)},
+            {"schedule": exp1_mem_with_first("schedule", device="10.0.0.9")},
         ],
     )
     def test_invalid_config_block_reports_error(self, tmp_path, capsys, block):
@@ -452,6 +471,29 @@ class TestCli:
             ({"policy": []}, "policy: must be an object, got []"),
             ({"forecast": [["bucket_s", 60]]}, "forecast: must be an object, got [['bucket_s', 60]]"),
             ({"name": ["x"]}, "name must be a string, got ['x']"),
+            (
+                {"schedule": exp1_mem_with_first("schedule", after_stable_cycles="x")},
+                "schedule[0]: schedule entries need exactly one of at_s and after_stable_cycles",
+            ),
+            (
+                {"schedule": exp1_mem_with_first("schedule", after_stable_cycles=1)},
+                "schedule[0]: schedule entries need exactly one of at_s and after_stable_cycles",
+            ),
+            (
+                {"schedule": exp1_mem_schedule_with_first()},
+                "schedule[0]: schedule entries need exactly one of at_s and after_stable_cycles",
+            ),
+            ({"schedule": exp1_mem_with_first("schedule", device="")}, "schedule[0]: schedule references unknown device ''"),
+            ({"schedule": exp1_mem_with_first("schedule", device=[])}, "schedule[0]: schedule references unknown device []"),
+            ({"schedule": exp1_mem_with_first("schedule", device=0)}, "schedule[0]: schedule references unknown device 0"),
+            (
+                {"schedule": exp1_mem_with_first("schedule", device=None)},
+                "schedule[0]: schedule references unknown device None",
+            ),
+            (
+                {"schedule": exp1_mem_with_first("schedule", device="10.0.0.9")},
+                "schedule[0]: schedule references unknown device '10.0.0.9'",
+            ),
         ],
     )
     def test_bad_entry_names_its_section_and_index(self, tmp_path, capsys, block, message):
