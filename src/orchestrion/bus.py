@@ -217,14 +217,22 @@ def copies(log: Iterable[dict]) -> Iterator[dict]:
             seq += 1
 
 
-def message_lines(record: dict) -> list[str]:
+def message_lines(record: dict, pieces: dict | None = None) -> list[str]:
     """The ``messages.jsonl`` lines of a publish record, one per copy: for
     each dict :func:`copies` expands it into, the bytes of
     ``json.dumps(copy, sort_keys=True) + "\n"``. Strings are quoted by the
     function ``json.dumps`` quotes them with, ints printed by
-    ``int.__repr__`` as ``json`` does. A record without exactly the keys of :data:`RECORD_KEYS` raises
-    ``ValueError`` (a missing or an extra key) or ``KeyError`` (a renamed
-    one)."""
+    ``int.__repr__`` as ``json`` does. A record without exactly the keys of
+    :data:`RECORD_KEYS` raises ``ValueError`` (a missing or an extra key) or
+    ``KeyError`` (a renamed one).
+
+    A line is the record's four shared heads with its copy's ``seq`` and its
+    copy's quoted ``bridged_from``, ``device`` and ``topic``. ``pieces``
+    keeps the quoted copies of each ``copies`` object it meets, keyed by the
+    object's id; it holds the object too, so no id is reused while it lives.
+    A writer passes one dict for every record of a write, so the records of
+    one route, which share the route's tuple, quote its copies once; no
+    record's copies may change while the dict lives."""
     if len(record) != len(RECORD_KEYS):
         raise ValueError(f"message record has keys {sorted(record)}, not {sorted(RECORD_KEYS)}")
     seq = record["seq"]
@@ -232,14 +240,26 @@ def message_lines(record: dict) -> list[str]:
     before_device = f', "correlation_id": {_json_str(record["correlation_id"])}, "device": '
     before_seq = f', "msg_id": {_json_str(record["msg_id"])}, "origin": {_json_str(record["origin"])}, "seq": '
     before_topic = f', "t": {int.__repr__(record["t"])}, "topic": '
+    logged = record["copies"]
+    if pieces is None:
+        pieces = {}
+    kept = pieces.get(id(logged))
+    if kept is None:
+        pieces[id(logged)] = kept = (logged, _quoted_copies(logged))
     lines = []
-    for device, topic, bridged_from in record["copies"]:
-        lines.append(
-            f'{head}{"null" if bridged_from is None else _json_str(bridged_from)}{before_device}{_json_str(device)}'
-            f'{before_seq}{int.__repr__(seq)}{before_topic}{_json_str(topic)}}}\n'
-        )
+    for bridged_from, device, topic in kept[1]:
+        lines.append(f"{head}{bridged_from}{before_device}{device}{before_seq}{seq}{before_topic}{topic}")
         seq += 1
     return lines
+
+
+def _quoted_copies(logged: Iterable[LoggedCopy]) -> list[tuple[str, str, str]]:
+    """Each logged copy's JSON ``bridged_from`` and ``device``, and its JSON
+    ``topic`` with the line's close."""
+    return [
+        ("null" if bridged_from is None else _json_str(bridged_from), _json_str(device), f"{_json_str(topic)}}}\n")
+        for device, topic, bridged_from in logged
+    ]
 
 
 class MessageBus:

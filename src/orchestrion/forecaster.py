@@ -181,17 +181,6 @@ def ar_forecast(values: list[float], horizon: int, config: ForecastConfig | None
     return ar_forecast_many([values], horizon, config)[0]
 
 
-def clip_series(values: list[float], lo: float | None = 0.0, hi: float | None = None) -> list[float]:
-    out = []
-    for v in values:
-        if lo is not None:
-            v = max(v, lo)
-        if hi is not None:
-            v = min(v, hi)
-        out.append(float(v))
-    return out
-
-
 @dataclass
 class ForecastResult:
     """Per-container forecast slice: predicted utilization and throttling."""
@@ -287,10 +276,10 @@ class Forecaster:
         forecasts = ar_forecast_many(series, horizon, self.config)
         for k, cid in enumerate(fits):
             (cpu, cpu_fell_back), (mem, mem_fell_back), (throttle, throttle_fell_back) = forecasts[3 * k:3 * k + 3]
-            # clip_series(series, 0.0) and clip_series(series, 0.0, 100.0)
-            # inline: ``lo if lo > v else v`` is what max(v, lo) returns and
-            # ``hi if hi < v else v`` what min(v, hi) returns, -0.0, NaN and
-            # inf included
+            # utilizations clipped to at least 0.0 and throttling to [0.0,
+            # 100.0], as floats: ``lo if lo > v else v`` is what max(v, lo)
+            # returns and ``hi if hi < v else v`` what min(v, hi) returns,
+            # -0.0, NaN and inf included
             memo[cid, horizon] = ForecastResult(
                 cpu_util=[float(0.0 if 0.0 > v else v) for v in cpu],
                 mem_util=[float(0.0 if 0.0 > v else v) for v in mem],

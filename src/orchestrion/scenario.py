@@ -16,14 +16,14 @@ spine's clock and ticks to that second in one span.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
 from pathlib import Path
 
 from .analyzer import Analyzer
@@ -114,20 +114,30 @@ class RunReport:
             fh.writelines(encode_event(event) + "\n" for event in self.events)
         paths["events"] = str(events_path)
 
+        # the routes' quoted copies, each worked out once for this write
+        pieces: dict = {}
         messages_path = out / "messages.jsonl"
         with messages_path.open("w", encoding="utf-8") as fh:
-            fh.writelines(chain.from_iterable(map(message_lines, self.log)))
+            fh.writelines(chain.from_iterable(map(message_lines, self.log, repeat(pieces))))
         paths["messages"] = str(messages_path)
 
+        # A trace line is the bytes csv.writer writes for the row's
+        # TRACE_COLUMNS: the numbers as str() prints them (repr() for a float,
+        # the same text), never quoted, and the container and the status as
+        # csv.writer quotes them, once per distinct string.
+        csv_field = _CsvField()
+        header = ",".join(map(csv_field.__getitem__, TRACE_COLUMNS)) + "\r\n"
         trace_dir = out / "traces"
         trace_dir.mkdir(exist_ok=True)
-        trace_row = itemgetter(*TRACE_COLUMNS)
         for (device, cid), rows in sorted(self.traces.items()):
             path = trace_dir / f"{device}_{cid.replace('@', '_at_')}.csv"
             with path.open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(TRACE_COLUMNS)
-                writer.writerows(map(trace_row, rows))
+                fh.write(header)
+                fh.writelines(
+                    f'{row["t"]},{csv_field[row["container"]]},{row["cpu_util"]},{row["cpu_limit"]},'
+                    f'{row["cpu_throttle"]},{row["mem_util"]},{row["mem_limit"]},{csv_field[row["status"]]}\r\n'
+                    for row in rows
+                )
             paths[f"trace:{device}/{cid}"] = str(path)
 
         summary_path = out / "summary.json"
@@ -144,6 +154,17 @@ class RunReport:
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         paths["summary"] = str(summary_path)
         return paths
+
+
+class _CsvField(dict):
+    """A string's field in a row of csv.writer's default dialect, worked out
+    by csv.writer once per string."""
+
+    def __missing__(self, value: str) -> str:
+        line = io.StringIO()
+        csv.writer(line).writerow((value, None))  # the field, a comma, "\r\n"
+        self[value] = text = line.getvalue()[:-3]
+        return text
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,6 +397,9 @@ def validate_scenario(scenario: dict) -> list[_ScheduledRequest]:
         raise ScenarioError("at least one device is required")
 
     addresses = [d["address"] for d in scenario["devices"]]
+    for index, address in enumerate(addresses):
+        if "/" in address or "\0" in address:  # an address begins its trace files' names
+            raise ScenarioError(f"devices[{index}]: address {address!r} must not contain '/' or NUL")
     bridged = scenario.get("cluster", False) and len(addresses) > 1
     if bridged:  # elections break ties by numeric address order
         for index, address in enumerate(addresses):

@@ -29,6 +29,19 @@ def collect(bus, topic: str) -> list:
     return received
 
 
+def clip_series(values: list[float], lo: float | None = 0.0, hi: float | None = None) -> list[float]:
+    """The oracle of the forecaster's clipping: each value raised to ``lo``
+    by ``max`` and lowered to ``hi`` by ``min``, as a float."""
+    out = []
+    for v in values:
+        if lo is not None:
+            v = max(v, lo)
+        if hi is not None:
+            v = min(v, hi)
+        out.append(float(v))
+    return out
+
+
 def corrupt_stored(registry, digest: str, offset: int = 0) -> None:
     """Flip every bit of one byte of the blob ``registry`` stores under
     ``digest``, so that a fetch must detect the tampering."""

@@ -17,12 +17,14 @@ from orchestrion.analyzer import (
     predict_availability,
 )
 from orchestrion.builtins import builtin_scenario
-from orchestrion.forecaster import ForecastResult, ar_forecast, clip_series
+from orchestrion.bus import EventSpine, MessageBus
+from orchestrion.forecaster import ForecastConfig, Forecaster, ForecastResult, ar_forecast
 from orchestrion.model import Limits, OptimizationPolicy
+from orchestrion.monitor import MetricsStore
 from orchestrion.registry import ImageBlob, Registry, OwnershipViolation, TamperError
 from orchestrion.scenario import run_scenario
 
-from conftest import corrupt_stored
+from conftest import clip_series, corrupt_stored
 
 MEM_PEAKS = {"memory-1": 95, "memory-2": 95, "memory-3": 95, "memory-4": 80, "memory-5": 95}
 
@@ -264,15 +266,25 @@ def test_criterion_9_forecaster_properties():
         if any(abs(v - (series[-1] + (k + 1) * step)) > 1e-6 for k, v in enumerate(out)):
             failures.append(f"progression start={start} step={step}")
 
-    for _ in range(250):  # horizon length, clipping, finiteness
+    for _ in range(250):  # horizon length, the forecaster's clipping, finiteness
         n, horizon = rng.randint(1, 40), rng.randint(1, 6)
         series = [rng.uniform(0, 200) for _ in range(n)]
         out, _ = ar_forecast(series, horizon)
-        clipped = clip_series(out, 0.0, 100.0)
+        # one sample a second in one-second buckets: the forecaster fits the
+        # series itself, then clips each metric
+        store = MetricsStore(retention_s=100_000)
+        for t, v in enumerate(series):
+            store.append("c", t, {"cpu_util": v, "mem_util": v, "throttle_pct": v})
+        config = ForecastConfig(bucket_s=1)
+        result = Forecaster(MessageBus("10.0.0.1", EventSpine()), store, config).forecast_container("c", horizon)
         cases += 1
         if len(out) != horizon or any(not math.isfinite(v) for v in out):
             failures.append("horizon/finite")
-        if any(v < 0 or v > 100 for v in clipped):
+        if repr(result.cpu_util) != repr(clip_series(out, 0.0)):
+            failures.append("clipping to 0")
+        if repr(result.throttle_pct) != repr(clip_series(out, 0.0, 100.0)):
+            failures.append("clipping to [0, 100]")
+        if any(v < 0 or v > 100 for v in result.throttle_pct):
             failures.append("clipping")
 
     # shift invariance is exact in real arithmetic; in floats the shifted

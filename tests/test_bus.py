@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -418,6 +420,49 @@ class TestMessageLog:
         record = {**strings, "seq": seq, "t": t, "copies": tuple(logged)}
         assert message_lines(record) == [json_line(copy) for copy in copies([record])]
         assert len(message_lines(record)) == len(logged)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        names=st.lists(tricky_text, min_size=1, max_size=3, unique=True),
+        program=st.lists(
+            st.one_of(
+                st.tuples(st.just("publish"), devices, publish_topics, tricky_text),
+                st.tuples(st.just("subscribe"), devices, st.sampled_from(KNOWN_TOPICS)),
+                st.tuples(st.just("bridge"), devices, devices),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        extra=st.lists(st.tuples(st.integers(min_value=0), st.booleans(), tricky_text), max_size=4),
+    )
+    def test_written_lines_are_what_json_dumps_writes(self, names, program, extra):
+        """A write's lines across routes that bridge() and subscribe()
+        rebuild after a publish, records that share one copies tuple and
+        records whose copies is a list."""
+        spine = EventSpine()
+        buses = [MessageBus(name, spine) for name in names]
+        for op, index, *args in program:
+            bus = buses[index % len(buses)]
+            if op == "publish":
+                topic, correlation = args
+                spine.now += 1
+                bus.publish(topic, msg(TOPIC_ACTION[bus_module.base_topic(topic)], correlation=correlation))
+            elif op == "subscribe":
+                bus.subscribe(args[0], lambda topic, m: None)
+            elif bus is not buses[args[0] % len(buses)]:
+                peer = buses[args[0] % len(buses)]
+                bus.bridge({peer.device: peer})
+        log = list(spine.log)
+        # test-built records: another record's copies, the same tuple or a
+        # list of it, under a new msg_id
+        for index, as_list, msg_id in extra:
+            if log:
+                record = log[index % len(log)]
+                logged = list(record["copies"]) if as_list else record["copies"]
+                log.append({**record, "msg_id": msg_id, "copies": logged})
+        with tempfile.TemporaryDirectory() as out:
+            written = Path(RunReport("s", 0, log=log).write(out)["messages"]).read_bytes()
+        assert written == "".join(json_line(copy) for copy in copies(log)).encode("utf-8")
 
     @pytest.mark.parametrize(
         "malform, error",

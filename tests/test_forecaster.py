@@ -15,11 +15,10 @@ from orchestrion.forecaster import (
     aggregate_buckets,
     ar_forecast,
     ar_forecast_many,
-    clip_series,
 )
 from orchestrion.monitor import METRICS, MetricsStore
 
-from conftest import collect
+from conftest import clip_series, collect
 
 
 class TestAggregation:

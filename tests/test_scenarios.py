@@ -1,15 +1,20 @@
+import csv
+import io
 import json
+import tempfile
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orchestrion.builtins import BUILTIN_SCENARIOS, builtin_scenario
 from orchestrion.bus import TOPIC_MONITOR, copies
 from orchestrion.cli import main
-from orchestrion.hostsim import HostSimulator
+from orchestrion.hostsim import TRACE_COLUMNS, HostSimulator
 from orchestrion.model import ContractViolation
-from orchestrion.scenario import ScenarioError, SimulationRunner, run_scenario, validate_scenario
+from orchestrion.scenario import RunReport, ScenarioError, SimulationRunner, run_scenario, validate_scenario
 
 from conftest import load_perfbench
 
@@ -121,6 +126,22 @@ class TestValidation:
         assert main(["run", str(scenario_path)]) == 2
         assert "[FAIL] nonsense: unknown expectation type 'nonsense'" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cluster", [False, True])
+    def test_address_that_cannot_name_a_file_is_refused_before_the_run(self, cluster):
+        scenario = {**builtin_scenario("cluster_3dev"), "cluster": cluster}
+        scenario["devices"][1]["address"] = "10.0.0/2"
+        with pytest.raises(ScenarioError, match=r"^devices\[1\]: address '10.0.0/2'"):
+            SimulationRunner(scenario)
+
+    def test_an_address_that_is_no_ip_names_its_trace_files(self, tmp_path):
+        scenario = {**builtin_scenario("exp1_mem"), "duration_s": 60, "devices": [{"address": "edge-1"}]}
+        for entry in scenario["schedule"]:
+            entry.pop("device", None)  # the first device, by default
+        paths = run_scenario(scenario).write(tmp_path)
+        traces = sorted(path for key, path in paths.items() if key.startswith("trace:"))
+        assert traces and all(Path(path).parent == tmp_path / "traces" for path in traces)
+        assert all(Path(path).name.startswith("edge-1_") for path in traces)
+
     def test_duplicate_devices(self):
         scenario = builtin_scenario("cluster_3dev")
         scenario["devices"][1]["address"] = scenario["devices"][0]["address"]
@@ -189,6 +210,47 @@ class TestTraceEmission:
             return [r for (_, cid), rows in report.traces.items() if cid in cids for r in rows]
 
         assert rows_for(base, "cpu-4") != rows_for(other, "cpu-4")
+
+
+def csv_trace(rows: list[dict]) -> bytes:
+    """The oracle for a trace file: what csv.writer writes for the header
+    and each row's TRACE_COLUMNS, as UTF-8."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows(map(itemgetter(*TRACE_COLUMNS), rows))
+    return text.getvalue().encode("utf-8")
+
+
+# text csv quotes (delimiters, quotes, line ends), non-ASCII and empty text,
+# then any text at all
+csv_text = st.text(alphabet=',"\r\n \xe9\u2028\U0001f600a') | st.text()
+# numbers as str()/repr() print them: huge ints, NaN, infinities, -0.0, 1e-07
+csv_number = (
+    st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-07])
+)
+trace_rows = st.lists(
+    st.fixed_dictionaries(
+        {column: csv_text if column in ("container", "status") else csv_number for column in TRACE_COLUMNS}
+    ),
+    max_size=6,
+)
+
+
+class TestTraceBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(traces=st.lists(trace_rows, min_size=1, max_size=3))
+    def test_trace_file_is_what_csv_writer_writes(self, traces):
+        device = "10.0.0.1"
+        report = RunReport("s", 0, traces={(device, f"c{i:03d}@{device}"): rows for i, rows in enumerate(traces)})
+        with tempfile.TemporaryDirectory() as out:
+            paths = report.write(out)
+            for i, rows in enumerate(traces):
+                assert Path(paths[f"trace:{device}/c{i:03d}@{device}"]).read_bytes() == csv_trace(rows)
 
 
 def tree_bytes(root: Path) -> dict:
@@ -494,6 +556,8 @@ class TestCli:
                 {"schedule": exp1_mem_with_first("schedule", device="10.0.0.9")},
                 "schedule[0]: schedule references unknown device '10.0.0.9'",
             ),
+            ({"devices": [{"address": "edge/1"}]}, "devices[0]: address 'edge/1' must not contain '/' or NUL"),
+            ({"devices": [{"address": "edge\0"}]}, "devices[0]: address 'edge\\x00' must not contain '/' or NUL"),
         ],
     )
     def test_bad_entry_names_its_section_and_index(self, tmp_path, capsys, block, message):
