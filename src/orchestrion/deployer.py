@@ -9,19 +9,19 @@ ends, and ``_reject`` is the one place a deployment is rejected, whether its
 image lookup, its analyses or its start failed. With cluster bridging enabled
 it also tracks every device's availability and runs the deterministic
 executor election: all deployers rank the same table the same way, and only
-the winner proceeds.
+the winner proceeds. The deployer keeps the record of each deployment; a
+container's deployment and attempt are labels on the host's container.
 """
 from __future__ import annotations
 
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bus import Action, CLUSTER_PREFIX, Message, MessageBus, TOPIC_DEPLOY, TOPIC_ANALYZE, TOPIC_MONITOR
 from .hostsim import HostSimulator, WorkloadSpec
-from .knowledge import ContainerRecord, DeploymentRecord, Knowledge
 from .model import DeviceId, Limits, OptimizationPolicy
 from .registry import ImageRecord, NotFound, Registry, RegistryError, TamperError
 
@@ -57,6 +57,20 @@ def select_executor(table: dict[str, dict], dominant: str, fallback: str) -> str
 
 
 @dataclass
+class DeploymentRecord:
+    """How one deployment has fared on this device, with its owner and image."""
+
+    deployment_id: str
+    owner: str
+    image: str
+    state: str = "pending"  # pending|analyzing|running|rejected|failed|delegated
+    attempts: int = 0
+    decisions: list = field(default_factory=list)
+    executor: str = ""
+    detail: str = ""
+
+
+@dataclass
 class _Admission:
     deployment_id: str
     attempt: int
@@ -75,7 +89,6 @@ class Deployer:
         bus: MessageBus,
         registry: Registry,
         host: HostSimulator,
-        knowledge: Knowledge,
         policy: OptimizationPolicy,
         emit,
         cluster_mode: bool = False,
@@ -83,7 +96,7 @@ class Deployer:
         self.bus = bus
         self.registry = registry
         self.host = host
-        self.knowledge = knowledge
+        self.deployments: dict[str, DeploymentRecord] = {}
         self.policy = policy
         self.emit = emit
         self.cluster_mode = cluster_mode
@@ -108,24 +121,33 @@ class Deployer:
         image = request["image"]
         self._request_seq += 1
         deployment_id = f"d{self._request_seq:03d}@{self.bus.device}"
-        self.knowledge.deployments[deployment_id] = DeploymentRecord(
+        self.deployments[deployment_id] = DeploymentRecord(
             deployment_id=deployment_id,
             owner=owner,
             image=image,
         )
+        payload = {"deployment_id": deployment_id, "owner": owner, "image": image, "attempt": 1}
+        if self.cluster_mode:
+            # every peer ranks on the resource this device's totals give, so
+            # all of them elect the same winner whatever their own totals
+            config = self.host.config
+            try:
+                found = self.registry.get_image(owner, image)
+            except RegistryError:  # the admission rejects it; either resource will do
+                payload["dominant"] = "mem"
+            else:
+                payload["dominant"] = dominant_resource(
+                    found.request_limit_cpu, found.request_limit_memory, config.cpu_total, config.mem_total
+                )
         self.bus.publish(
             TOPIC_DEPLOY,
-            Message(
-                action=Action.DEPLOYMENT_REQUEST,
-                payload={"deployment_id": deployment_id, "owner": owner, "image": image, "attempt": 1},
-                correlation_id=deployment_id,
-            ),
+            Message(action=Action.DEPLOYMENT_REQUEST, payload=payload, correlation_id=deployment_id),
         )
         return {"request_id": deployment_id}
 
     def deployment_status(self, deployment_id: str) -> dict:
         """GET /deployments/<id> equivalent."""
-        record = self.knowledge.deployments.get(deployment_id)
+        record = self.deployments.get(deployment_id)
         if record is None:
             return {"request_id": deployment_id, "state": "unknown"}
         return {
@@ -134,7 +156,7 @@ class Deployer:
             "attempts": record.attempts,
             "decisions": list(record.decisions),
             "containers": [
-                cid for cid, rec in self.knowledge.containers.items() if rec.deployment_id == deployment_id
+                state.container_id for state in self.host.containers() if state.deployment_id == deployment_id
             ],
             "executor": record.executor,
             "detail": record.detail,
@@ -170,18 +192,7 @@ class Deployer:
             if pinned != self.bus.device:
                 return
         elif self.cluster_mode:
-            try:
-                record = self.registry.get_image(payload["owner"], payload["image"])
-            except RegistryError:
-                record = None
-            dominant = "mem"
-            if record is not None:
-                dominant = dominant_resource(
-                    record.request_limit_cpu,
-                    record.request_limit_memory,
-                    self.host.config.cpu_total,
-                    self.host.config.mem_total,
-                )
+            dominant = payload["dominant"]
             # before the first scrape the table is empty; every peer then
             # elects the device the request came from
             winner = select_executor(self.table, dominant, msg.origin)
@@ -195,13 +206,13 @@ class Deployer:
                 }
             )
             if winner != self.bus.device:
-                local = self.knowledge.deployments.get(deployment_id)
+                local = self.deployments.get(deployment_id)
                 if local is not None:
                     local.state = "delegated"
                     local.executor = winner
                 return
-        if deployment_id not in self.knowledge.deployments:
-            self.knowledge.deployments[deployment_id] = DeploymentRecord(
+        if deployment_id not in self.deployments:
+            self.deployments[deployment_id] = DeploymentRecord(
                 deployment_id=deployment_id,
                 owner=payload["owner"],
                 image=payload["image"],
@@ -214,7 +225,7 @@ class Deployer:
             self._start_admission(*self._queue.popleft())
 
     def _start_admission(self, deployment_id: str, attempt: int) -> None:
-        record = self.knowledge.deployments[deployment_id]
+        record = self.deployments[deployment_id]
         record.executor = self.bus.device
         record.attempts = max(record.attempts, attempt)
         try:
@@ -277,7 +288,7 @@ class Deployer:
         admission = self._active
         if admission is None or admission.analysis_id != msg.payload.get("analysis_id", ""):
             return  # stale or duplicate verdict: analysis ids are never reused
-        record = self.knowledge.deployments[admission.deployment_id]
+        record = self.deployments[admission.deployment_id]
         accepted = msg.action is Action.DEPLOYMENT_ACCEPT
         record.decisions.append(
             {
@@ -311,15 +322,14 @@ class Deployer:
 
     def _execute(self, admission: _Admission, record: DeploymentRecord) -> None:
         try:
-            cid = self.host.run_container(admission.spec, admission.target)
+            cid = self.host.run_container(
+                admission.spec, admission.target, deployment_id=admission.deployment_id, attempt=admission.attempt
+            )
         except ValueError as exc:
             logger.warning("execution failed for %s: %s", admission.deployment_id, exc)
             detail = f"execution failed: {exc}"
             self._reject(admission.deployment_id, admission.attempt, record, "failed", detail, "execution_failed")
             return
-        self.knowledge.register_container(
-            ContainerRecord(container_id=cid, deployment_id=admission.deployment_id, attempt=admission.attempt)
-        )
         record.state = "running"
         self.emit(
             {

@@ -4,7 +4,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .hostsim import WorkloadSpec, workload_demand
-from .model import ContractViolation, OptimizationPolicy, require_int
+from .model import ContractViolation, OptimizationPolicy, is_finite_number, require_int
 from .monitor import MonitorConfig
 
 
@@ -342,20 +342,16 @@ def _must(what: str, test):
     return check
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2
 
 
 _TEXT = _must("a string", lambda v: isinstance(v, str))
-_NUMBER = _must("a number", _is_number)
+_NUMBER = _must("a finite number", is_finite_number)
 _TEXTS = _must("a list of strings", lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v))
 _BANDS = _must(
     "a map of image to [low, high]",
-    lambda v: isinstance(v, dict) and all(_is_pair(b) and all(map(_is_number, b)) for b in v.values()),
+    lambda v: isinstance(v, dict) and all(_is_pair(b) and all(map(is_finite_number, b)) for b in v.values()),
 )
 
 # parameter -> (check, required) for each type whose evaluator reads parameters

@@ -232,13 +232,17 @@ class HostConfig:
 
 @dataclass(slots=True)
 class ContainerState:
-    """Runtime state of one container on the simulated host."""
+    """Runtime state of one container on the simulated host, with the
+    labels its deployer set when it ran it: the deployment it serves and the
+    attempt it is ("" and 0 for a container run outside any deployment)."""
 
     container_id: str
     spec: WorkloadSpec
     limits: Limits
     start_t: int
     demand: list[array] = field(repr=False)  # dominant-resource demand by phase, in chunks
+    deployment_id: str = ""
+    attempt: int = 0
     status: str = STATUS_RUNNING
     backlog: int = 0  # deferred CPU work in mCPU-ticks
     mem_usage: int = 0
@@ -333,7 +337,7 @@ class HostSimulator:
 
     # -- container lifecycle ---------------------------------------------------
 
-    def run_container(self, spec: WorkloadSpec, limits: Limits) -> str:
+    def run_container(self, spec: WorkloadSpec, limits: Limits, deployment_id: str = "", attempt: int = 0) -> str:
         if limits.cpu <= 0 or limits.mem <= 0:
             raise ValueError("containers need non-zero cpu and mem limits")
         self._reserve(limits.cpu, limits.mem)
@@ -347,6 +351,8 @@ class HostSimulator:
             limits=limits,
             start_t=self.now,
             demand=table,
+            deployment_id=deployment_id,
+            attempt=attempt,
         )
         self.live_version += 1
         logger.debug("run %s limits=%s", cid, limits.as_dict())
@@ -374,6 +380,10 @@ class HostSimulator:
             return self._containers[cid]
         except KeyError:
             raise KeyError(f"unknown container {cid}") from None
+
+    def containers(self) -> list[ContainerState]:
+        """Every container ever run, in registration order."""
+        return list(self._containers.values())
 
     def running_containers(self) -> list[ContainerState]:
         return list(self._live.values())

@@ -6,6 +6,7 @@ the availability arithmetic exact across components.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -48,6 +49,17 @@ def require_int(name: str, value) -> None:
     integer seconds."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ContractViolation(f"{name} must be an integer, got {value!r}")
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or a float, not a bool, and a finite float
+    holds it: no NaN, no infinity and no int beyond a float's range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True, order=True)
@@ -94,6 +106,9 @@ class OptimizationPolicy:
     warmup_delay_s: int = 300
 
     def __post_init__(self) -> None:
+        for name in ("cpu_buffer", "mem_margin", "throttle_limit_pct"):
+            if not is_finite_number(getattr(self, name)):
+                raise ContractViolation(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.cpu_buffer <= 1.0:
             raise ContractViolation(f"cpu_buffer must be > 1, got {self.cpu_buffer}")
         if self.mem_margin < 1.0:

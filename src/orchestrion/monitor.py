@@ -2,6 +2,8 @@
 the short-term series store, hashes expired series into a ``metrics_archived``
 event without keeping them, restarts OOM-killed containers with escalated
 targets, and paces the optimization cycles for the host's running containers.
+A killed container's deployment and attempt are the labels its host carries;
+the deployment's owner and image are the deployer's record.
 
 The monitor acts only on a scrape, on an optimization cycle falling due or on
 a host event; :meth:`Monitor.next_wake_up` tells the runner when the next of
@@ -14,8 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .bus import Action, Message, MessageBus, TOPIC_ANALYZE, TOPIC_DEPLOY, TOPIC_MONITOR
+from .deployer import DeploymentRecord
 from .hostsim import HostSimulator, SimEvent
-from .knowledge import Knowledge
 from .model import OptimizationPolicy, require_int
 from .registry import Registry
 
@@ -167,7 +169,7 @@ class Monitor:
         self,
         bus: MessageBus,
         host: HostSimulator,
-        knowledge: Knowledge,
+        deployments: dict[str, DeploymentRecord],
         registry: Registry,
         config: MonitorConfig,
         policy: OptimizationPolicy,
@@ -175,7 +177,7 @@ class Monitor:
     ) -> None:
         self.bus = bus
         self.host = host
-        self.knowledge = knowledge
+        self.deployments = deployments  # the deployer's records, by deployment id
         self.registry = registry
         self.config = config
         self.policy = policy
@@ -233,30 +235,28 @@ class Monitor:
     # -- premature exits -----------------------------------------------------------
 
     def _handle_event(self, event: SimEvent) -> None:
-        record = self.knowledge.containers.get(event.container_id)
-        if record is None:
-            return
-        deployment = self.knowledge.deployments.get(record.deployment_id)
+        state = self.host.container(event.container_id)
+        deployment = self.deployments.get(state.deployment_id)
         if deployment is None:
-            return
+            return  # a container run outside any deployment
         self.emit(
             {
                 "type": "oom_kill",
                 "container": event.container_id,
-                "deployment": record.deployment_id,
-                "attempt": record.attempt,
+                "deployment": state.deployment_id,
+                "attempt": state.attempt,
                 "t": event.t,
                 **event.detail,
             }
         )
-        next_attempt = record.attempt + 1
+        next_attempt = state.attempt + 1
         if next_attempt > self.config.max_attempts:
             deployment.state = "failed"
             self.emit(
                 {
                     "type": "retry_exhausted",
-                    "deployment": record.deployment_id,
-                    "attempts": record.attempt,
+                    "deployment": state.deployment_id,
+                    "attempts": state.attempt,
                 }
             )
             return
@@ -265,14 +265,14 @@ class Monitor:
             Message(
                 action=Action.DEPLOYMENT_REQUEST,
                 payload={
-                    "deployment_id": record.deployment_id,
+                    "deployment_id": state.deployment_id,
                     "owner": deployment.owner,
                     "image": deployment.image,
                     "attempt": next_attempt,
                     "retry": True,
                     "pinned_device": self.bus.device,
                 },
-                correlation_id=record.deployment_id,
+                correlation_id=state.deployment_id,
             ),
         )
 

@@ -32,7 +32,6 @@ from .deployer import Deployer
 from .expectations import check_expectation
 from .forecaster import ForecastConfig, Forecaster
 from .hostsim import TRACE_COLUMNS, HostConfig, HostSimulator, WorkloadSpec
-from .knowledge import Knowledge
 from .model import DeviceId, Limits, OptimizationPolicy, require_int
 from .monitor import Monitor, MonitorConfig
 from .registry import ImageBlob, Registry, RegistryError
@@ -183,7 +182,6 @@ class _ScheduledRequest:
 class _DeviceStack:
     host: HostSimulator
     bus: MessageBus
-    knowledge: Knowledge
     monitor: Monitor
     deployer: Deployer
 
@@ -240,15 +238,17 @@ class SimulationRunner:
             address = dev["address"]
             host = HostSimulator(host_config, seed=self.seed, device=address, clock=lambda: self.spine.now)
             bus = MessageBus(address, self.spine)
-            knowledge = Knowledge()
             emit = self._emitter(address)
-            monitor = Monitor(bus, host, knowledge, self.registry, monitor_cfg, policy, emit)
+            # the deployer comes first since it owns the deployment records
+            # the monitor reads; the monitor subscribes to nothing, so no
+            # topic's handler order depends on which of the two is built first
+            deployer = Deployer(bus, self.registry, host, policy, emit, cluster_mode=cluster)
+            monitor = Monitor(bus, host, deployer.deployments, self.registry, monitor_cfg, policy, emit)
             # the forecaster and the analyzer live on as the bus's handlers
             Forecaster(bus, monitor.metrics, forecast_cfg)
             Analyzer(bus, host, monitor.metrics, policy, horizon=horizon, emit=emit)
-            deployer = Deployer(bus, self.registry, host, knowledge, policy, emit, cluster_mode=cluster)
             bus.subscribe(TOPIC_MONITOR, self._record_trace)
-            self.devices[address] = _DeviceStack(host, bus, knowledge, monitor, deployer)
+            self.devices[address] = _DeviceStack(host, bus, monitor, deployer)
             self._stable_cycles[address] = 0
         if cluster:
             bridge_all({addr: stack.bus for addr, stack in self.devices.items()})
@@ -335,21 +335,22 @@ class SimulationRunner:
     def _capture_final_state(self) -> None:
         state: dict = {}
         for addr, stack in self.devices.items():
-            containers = {}
-            for rec in stack.knowledge.containers.values():
-                host_state = stack.host.container(rec.container_id)
-                containers[rec.container_id] = {
-                    "image": stack.knowledge.deployments[rec.deployment_id].image,
+            records = stack.deployer.deployments
+            containers = {
+                host_state.container_id: {
+                    "image": records[host_state.deployment_id].image,
                     "status": host_state.status,
                     "limits": host_state.limits.as_dict(),
                     "backlog": host_state.backlog,
-                    "attempt": rec.attempt,
+                    "attempt": host_state.attempt,
                     "total_demanded": host_state.total_demanded,
                     "total_granted": host_state.total_granted,
                 }
+                for host_state in stack.host.containers()
+            }
             deployments = {
                 dep_id: {"state": rec.state, "attempts": rec.attempts, "image": rec.image}
-                for dep_id, rec in stack.knowledge.deployments.items()
+                for dep_id, rec in records.items()
             }
             state[addr] = {"containers": containers, "deployments": deployments}
         self.report.final_state = state
@@ -408,6 +409,10 @@ def validate_scenario(scenario: dict) -> list[_ScheduledRequest]:
     if len(set(addresses)) != len(addresses):
         raise ScenarioError("device addresses must be unique")
 
+    names = [i["name"] for i in scenario["images"]]
+    for index, name in enumerate(names):
+        if name in names[:index]:  # events, traces and expectations name an image by its name alone
+            raise ScenarioError(f"images[{index}]: image name {name!r} is already used by an earlier image")
     image_keys = {(i["owner"], i["name"]) for i in scenario["images"]}
     requests = []
     for index, entry in enumerate(scenario.get("schedule", [])):

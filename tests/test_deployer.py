@@ -6,13 +6,12 @@ from orchestrion.bus import Action, EventSpine, Message, MessageBus
 from orchestrion.deployer import Deployer, dominant_resource, select_executor
 from orchestrion.forecaster import ForecastConfig, Forecaster
 from orchestrion.hostsim import HostConfig, HostSimulator
-from orchestrion.knowledge import Knowledge
 from orchestrion.model import Limits, OptimizationPolicy
 from orchestrion.monitor import Monitor, MonitorConfig
 from orchestrion.registry import ImageBlob, Registry
-from orchestrion.scenario import run_scenario
+from orchestrion.scenario import SimulationRunner, run_scenario
 
-from conftest import collect, corrupt_stored
+from conftest import collect, corrupt_stored, load_perfbench
 
 
 class TestSelectExecutor:
@@ -70,14 +69,13 @@ def build_device(reserved_mem=0, reserved_cpu=0, register_image=True, request=No
     host = HostSimulator(
         HostConfig(reserved_mem=reserved_mem, reserved_cpu=reserved_cpu), device="10.0.0.1"
     )
-    knowledge = Knowledge()
     registry = Registry()
     events = []
     policy = OptimizationPolicy(warmup_delay_s=300)
-    monitor = Monitor(bus, host, knowledge, registry, MonitorConfig(), policy, events.append)
+    deployer = Deployer(bus, registry, host, policy, events.append, cluster_mode=cluster_mode)
+    monitor = Monitor(bus, host, deployer.deployments, registry, MonitorConfig(), policy, events.append)
     Forecaster(bus, monitor.metrics, ForecastConfig(bucket_s=60))
     Analyzer(bus, host, monitor.metrics, policy, horizon=3, emit=events.append)
-    deployer = Deployer(bus, registry, host, knowledge, policy, events.append, cluster_mode=cluster_mode)
     if register_image:
         blob = ImageBlob(
             [json.dumps({"workload": {"pattern": 3, "workload_class": "mem", "period_s": 1800, "peak": 95}}).encode()]
@@ -85,12 +83,12 @@ def build_device(reserved_mem=0, reserved_cpu=0, register_image=True, request=No
         registry.publish_image(
             "vendor", "app", blob, request or {"cpu": 100, "mem": 150}, base or {"cpu": 50, "mem": 100}
         )
-    return spine, bus, host, knowledge, registry, deployer, events
+    return spine, bus, host, registry, deployer, events
 
 
 class TestIngressSurface:
     def test_submit_returns_request_id_and_status_shape(self):
-        spine, bus, host, knowledge, registry, deployer, _ = build_device()
+        spine, bus, host, registry, deployer, _ = build_device()
         response = deployer.submit({"owner": "vendor", "image": "app", "requester": "user-1"})
         assert set(response) == {"request_id"}
         spine.drain()
@@ -103,7 +101,7 @@ class TestIngressSurface:
         assert status["executor"] == "10.0.0.1"
 
     def test_unknown_image_immediate_rejection(self):
-        spine, bus, host, knowledge, registry, deployer, events = build_device(register_image=False)
+        spine, bus, host, registry, deployer, events = build_device(register_image=False)
         response = deployer.submit({"owner": "vendor", "image": "ghost"})
         spine.drain()
         status = deployer.deployment_status(response["request_id"])
@@ -111,7 +109,7 @@ class TestIngressSurface:
         assert "not found" in status["detail"]
 
     def test_image_lookup_rejections_name_their_attempt(self):
-        spine, bus, host, knowledge, registry, deployer, events = build_device()
+        spine, bus, host, registry, deployer, events = build_device()
         corrupt_stored(registry, registry.get_image("vendor", "app").image_hash)
         tampered = deployer.submit({"owner": "vendor", "image": "app"})["request_id"]
         missing = deployer.submit({"owner": "vendor", "image": "ghost"})["request_id"]
@@ -123,7 +121,7 @@ class TestIngressSurface:
         assert deployer.deployment_status(tampered)["state"] == "rejected"
 
     def test_image_lookup_rejections_count_their_attempt(self):
-        spine, bus, host, knowledge, registry, deployer, events = build_device()
+        spine, bus, host, registry, deployer, events = build_device()
         corrupt_stored(registry, registry.get_image("vendor", "app").image_hash)
         tampered = deployer.submit({"owner": "vendor", "image": "app"})["request_id"]
         missing = deployer.submit({"owner": "vendor", "image": "ghost"})["request_id"]
@@ -133,14 +131,32 @@ class TestIngressSurface:
             assert (status["state"], status["attempts"]) == ("rejected", 1)
 
     def test_unknown_request_id_status(self):
-        _, _, _, _, _, deployer, _ = build_device()
+        _, _, _, _, deployer, _ = build_device()
         assert deployer.deployment_status("nope")["state"] == "unknown"
+
+    def test_status_lists_a_deployments_retries_in_host_order(self):
+        # exp2_mem OOM-kills and retries each of its five deployments several
+        # times, so their containers interleave on the host
+        runner = SimulationRunner(builtin_scenario("exp2_mem"))
+        report = runner.run()
+        stack = runner.devices["10.0.0.1"]
+        deployed = {}
+        for event in report.events_of("deployed"):
+            deployed.setdefault(event["deployment"], []).append((event["container"], event["attempt"]))
+        assert len(deployed) == 5 and all(len(runs) > 1 for runs in deployed.values())
+        host_order = [state.container_id for state in stack.host.containers()]
+        for deployment_id, runs in deployed.items():
+            containers = stack.deployer.deployment_status(deployment_id)["containers"]
+            assert containers == [cid for cid, _ in runs]
+            assert containers == sorted(containers, key=host_order.index)
+            labels = [(stack.host.container(cid).deployment_id, stack.host.container(cid).attempt) for cid in containers]
+            assert labels == [(deployment_id, attempt) for _, attempt in runs]
 
 
 class TestFallbackDiscipline:
     def test_request_then_base_then_reject(self):
         # 120MB free: request (150) fails, base (100) fails at equality-free margin
-        spine, bus, host, knowledge, registry, deployer, events = build_device(
+        spine, bus, host, registry, deployer, events = build_device(
             reserved_mem=900, request={"cpu": 100, "mem": 150}, base={"cpu": 50, "mem": 100}
         )
         response = deployer.submit({"owner": "vendor", "image": "app"})
@@ -152,7 +168,7 @@ class TestFallbackDiscipline:
 
     def test_base_fallback_accepts(self):
         # 120MB free admits the 100MB base limits
-        spine, bus, host, knowledge, registry, deployer, _ = build_device(
+        spine, bus, host, registry, deployer, _ = build_device(
             reserved_mem=880, request={"cpu": 100, "mem": 150}, base={"cpu": 50, "mem": 100}
         )
         response = deployer.submit({"owner": "vendor", "image": "app"})
@@ -165,7 +181,7 @@ class TestFallbackDiscipline:
         ]
 
     def test_escalated_attempt_analyzed_exactly_once(self):
-        spine, bus, host, knowledge, registry, deployer, _ = build_device(reserved_mem=990)
+        spine, bus, host, registry, deployer, _ = build_device(reserved_mem=990)
         # attempt 3 target mem = base 100 + 20, against 10MB free -> one rejection only
         bus.publish(
             "deploy",
@@ -183,7 +199,7 @@ class TestFallbackDiscipline:
 
 class TestRetryTargets:
     def test_formula(self):
-        _, _, _, _, registry, deployer, _ = build_device()
+        _, _, _, registry, deployer, _ = build_device()
         image = registry.get_image("vendor", "app")
         role1, target1 = deployer._target_for_attempt(image, 1)
         role2, target2 = deployer._target_for_attempt(image, 2)
@@ -193,14 +209,14 @@ class TestRetryTargets:
         assert (role5, target5) == ("escalated", Limits(cpu=50, mem=100 + 3 * 20))
 
     def test_escalation_monotone_and_clamped(self):
-        _, _, _, _, registry, deployer, _ = build_device()
+        _, _, _, registry, deployer, _ = build_device()
         image = registry.get_image("vendor", "app")
         targets = [deployer._target_for_attempt(image, k)[1].mem for k in range(2, 40)]
         assert targets == sorted(targets)
         assert max(targets) == deployer.policy.mem_max
 
     def test_cpu_not_escalated(self):
-        _, _, _, _, registry, deployer, _ = build_device()
+        _, _, _, registry, deployer, _ = build_device()
         image = registry.get_image("vendor", "app")
         for attempt in range(2, 10):
             assert deployer._target_for_attempt(image, attempt)[1].cpu == image.base_limit_cpu
@@ -208,7 +224,7 @@ class TestRetryTargets:
 
 class TestVerdictHandling:
     def test_duplicate_accept_ignored(self):
-        spine, bus, host, knowledge, registry, deployer, _ = build_device()
+        spine, bus, host, registry, deployer, _ = build_device()
         response = deployer.submit({"owner": "vendor", "image": "app"})
         spine.drain()
         assert len(host.running_containers()) == 1
@@ -234,7 +250,7 @@ class TestVerdictHandling:
             [json.dumps({"workload": {"pattern": 3, "workload_class": "mem", "period_s": 1800, "peak": 95}}).encode()]
         )
         registry.publish_image("vendor", "app", blob, {"cpu": 100, "mem": 150}, {"cpu": 50, "mem": 100})
-        deployer = Deployer(bus, registry, host, Knowledge(), OptimizationPolicy(), lambda event: None)
+        deployer = Deployer(bus, registry, host, OptimizationPolicy(), lambda event: None)
         analyses = collect(bus, "analyze")
 
         def verdict(action, analysis_id):
@@ -260,7 +276,7 @@ class TestVerdictHandling:
         assert len(host.running_containers()) == 1
 
     def test_update_applies_without_restart(self):
-        spine, bus, host, knowledge, registry, deployer, events = build_device()
+        spine, bus, host, registry, deployer, events = build_device()
         deployer.submit({"owner": "vendor", "image": "app"})
         spine.drain()
         (container,) = host.running_containers()
@@ -281,7 +297,7 @@ class TestVerdictHandling:
 
 class TestAdmissionCycleOrdering:
     def test_admission_queues_behind_inflight_cycle(self):
-        spine, bus, host, knowledge, registry, deployer, events = build_device()
+        spine, bus, host, registry, deployer, events = build_device()
         deployer.submit({"owner": "vendor", "image": "app"})
         spine.drain()
         (container,) = host.running_containers()
@@ -332,7 +348,7 @@ class TestAnalyzerInFlightSlot:
         return Message(action=Action.DEPLOYMENT_ANALYSIS_REQUEST, payload=payload, correlation_id=analysis_id)
 
     def test_only_the_inflight_forecast_response_is_taken(self):
-        spine, bus, host, knowledge, registry, deployer, events = build_device()
+        spine, bus, host, registry, deployer, events = build_device()
         deployer.submit({"owner": "vendor", "image": "app"})
         spine.drain()
         (container,) = host.running_containers()
@@ -391,14 +407,14 @@ class TestAvailabilityTable:
         )
 
     def test_self_and_peer_updates(self):
-        spine, bus, host, knowledge, registry, deployer, _ = build_device(cluster_mode=True)
+        spine, bus, host, registry, deployer, _ = build_device(cluster_mode=True)
         bus.publish("monitor", self.monitoring("10.0.0.1", 10, 900, 800))
         spine.drain()
         assert deployer.table == {"10.0.0.1": {"cpu": 900, "mem": 800}}
         assert deployer._table_t == {"10.0.0.1": 10}
 
     def test_stale_result_ignored(self):
-        spine, bus, host, knowledge, registry, deployer, _ = build_device(cluster_mode=True)
+        spine, bus, host, registry, deployer, _ = build_device(cluster_mode=True)
         bus.publish("monitor", self.monitoring("10.0.0.1", 20, 900, 800))
         bus.publish("monitor", self.monitoring("10.0.0.1", 10, 100, 100))
         spine.drain()
@@ -419,3 +435,38 @@ class TestElectionBeforeFirstScrape:
         assert {e["winner"] for e in selects} == {"10.0.0.1"}
         deployed = report.events_of("deployed")
         assert [(e["device"], e["deployment"]) for e in deployed] == [("10.0.0.1", "d001@10.0.0.1")]
+
+
+class TestElectionOnUnequalHosts:
+    def test_peers_rank_on_the_origins_dominant_resource(self):
+        # 300 mCPU / 150 MB leans on cpu against 10.0.0.1's 1000/1000 but on
+        # mem against 10.0.0.2's 4000/1000: every election must still rank
+        # on the resource the submitting device works out
+        scenario = {
+            "name": "unequal_hosts",
+            "duration_s": 60,
+            "cluster": True,
+            "devices": [
+                {"address": "10.0.0.1"},
+                {"address": "10.0.0.2", "cpu_total": 4000, "mem_total": 1000, "reserved_mem": 500},
+            ],
+            "images": [
+                {
+                    "owner": "vendor",
+                    "name": "app",
+                    "workload": {"pattern": 3, "workload_class": "mem", "period_s": 1800, "peak": 95},
+                    "request": {"cpu": 300, "mem": 150},
+                    "base": {"cpu": 200, "mem": 100},
+                }
+            ],
+            "schedule": [{"owner": "vendor", "image": "app", "at_s": 15}],
+        }
+        report = run_scenario(scenario)
+        selects = report.events_of("cluster_select")
+        assert [(e["device"], e["winner"], e["dominant"]) for e in selects] == [
+            ("10.0.0.1", "10.0.0.2", "cpu"),
+            ("10.0.0.2", "10.0.0.2", "cpu"),
+        ]
+        deployed = report.events_of("deployed")
+        assert [(e["device"], e["deployment"]) for e in deployed] == [("10.0.0.2", "d001@10.0.0.1")]
+        assert load_perfbench("checks").single_executor(report, scenario) == []

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from orchestrion.model import ContractViolation, DeviceId, Limits, OptimizationPolicy
@@ -44,6 +46,15 @@ class TestOptimizationPolicy:
             {"throttle_limit_pct": 101},
             {"mem_min": 600, "mem_max": 500},
             {"scale_up": Limits(cpu=0, mem=20)},
+            {"cpu_buffer": math.inf},
+            {"cpu_buffer": math.nan},
+            {"cpu_buffer": "1.5"},
+            {"mem_margin": math.nan},
+            {"mem_margin": math.inf},
+            {"mem_margin": True},
+            {"throttle_limit_pct": math.nan},
+            {"throttle_limit_pct": True},
+            {"mem_margin": 10**400},
         ],
     )
     def test_invariants_enforced(self, kwargs):

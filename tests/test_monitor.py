@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orchestrion.bus import Action, EventSpine, MessageBus
+from orchestrion.deployer import DeploymentRecord
 from orchestrion.hostsim import HostConfig, HostSimulator, WorkloadSpec
-from orchestrion.knowledge import ContainerRecord, DeploymentRecord, Knowledge
 from orchestrion.model import Limits, OptimizationPolicy
 from orchestrion.monitor import (
     METRICS,
@@ -25,35 +25,34 @@ def build_stack(policy=None, config=None):
     spine = EventSpine()
     bus = MessageBus("10.0.0.1", spine)
     host = HostSimulator(HostConfig(), device="10.0.0.1")
-    knowledge = Knowledge()
+    deployments = {}
     registry = Registry()
     events = []
     monitor = Monitor(
         bus,
         host,
-        knowledge,
+        deployments,
         registry,
         config or MonitorConfig(scrape_interval_s=10, retention_s=7200, max_attempts=3),
         policy or OptimizationPolicy(warmup_delay_s=50, optimization_interval_s=30),
         events.append,
     )
-    return spine, bus, host, knowledge, registry, monitor, events
+    return spine, bus, host, deployments, registry, monitor, events
 
 
-def register(knowledge, cid, deployment="d1", attempt=1, image="memory-3"):
-    knowledge.register_container(
-        ContainerRecord(container_id=cid, deployment_id=deployment, attempt=attempt)
-    )
-    if deployment not in knowledge.deployments:
-        knowledge.deployments[deployment] = DeploymentRecord(deployment, "vendor", image)
+def run_deployed(host, deployments, spec, limits, deployment="d1", attempt=1, image="memory-3"):
+    """Run a container labelled as ``attempt`` of ``deployment``, recording
+    the deployment first if it is new, as a deployer would."""
+    if deployment not in deployments:
+        deployments[deployment] = DeploymentRecord(deployment, "vendor", image)
+    return host.run_container(spec, limits, deployment_id=deployment, attempt=attempt)
 
 
 class TestScraping:
     def test_series_length_matches_scrape_count(self):
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack()
+        spine, bus, host, deployments, registry, monitor, _ = build_stack()
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
-        cid = host.run_container(spec, Limits(cpu=100, mem=150))
-        register(knowledge, cid)
+        cid = run_deployed(host, deployments, spec, Limits(cpu=100, mem=150))
         for t in range(1, 51):
             events = host.tick()
             monitor.on_tick(t, events)
@@ -61,7 +60,7 @@ class TestScraping:
         assert [t for t, _ in monitor.metrics.points(cid, "mem_util")] == [10, 20, 30, 40, 50]
 
     def test_empty_host_result_carries_full_availability(self):
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack()
+        spine, bus, host, deployments, registry, monitor, _ = build_stack()
         results = collect(bus, "monitor")
         for t in range(1, 11):
             monitor.on_tick(t, host.tick())
@@ -73,7 +72,7 @@ class TestScraping:
 
 class TestRetention:
     def test_expired_chunk_archived_and_round_trips(self):
-        spine, bus, host, knowledge, registry, monitor, events = build_stack(
+        spine, bus, host, deployments, registry, monitor, events = build_stack(
             config=MonitorConfig(scrape_interval_s=10, retention_s=24 * 3600, max_attempts=3)
         )
         for hour in range(25):  # 25h of hourly points
@@ -88,13 +87,13 @@ class TestRetention:
         assert registry._store == {}
 
     def test_young_data_is_noop(self):
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack()
+        spine, bus, host, deployments, registry, monitor, _ = build_stack()
         monitor.metrics.append("c1", 100, {"cpu_util": 1, "mem_util": 1, "throttle_pct": 0.0})
         host.now = 200
         assert monitor.enforce_retention() is None
 
     def test_second_enforcement_without_new_data_is_noop(self):
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack(
+        spine, bus, host, deployments, registry, monitor, _ = build_stack(
             config=MonitorConfig(scrape_interval_s=10, retention_s=100, max_attempts=3)
         )
         monitor.metrics.append("c1", 0, {"cpu_util": 1, "mem_util": 1, "throttle_pct": 0.0})
@@ -127,7 +126,7 @@ class TestRetention:
             store.derived("c")
 
     def test_killed_container_entry_dropped_after_retention(self):
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack(
+        spine, bus, host, deployments, registry, monitor, _ = build_stack(
             config=MonitorConfig(scrape_interval_s=10, retention_s=100, max_attempts=3)
         )
         spec = WorkloadSpec(pattern=1, workload_class="mem", period_s=600, peak=95)
@@ -188,16 +187,13 @@ def test_expire_equals_a_brute_force_scan(retention, steps):
 
 
 class TestPrematureExitRetries:
-    def run_until_kill(self, monitor, host, limit_mem=10):
-        spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
-        cid = host.run_container(spec, Limits(cpu=100, mem=limit_mem))
-        return cid
+    SPEC = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
+    DOOMED = Limits(cpu=100, mem=10)  # below the workload's demand from its first second
 
     def test_oom_triggers_retry_request(self):
-        spine, bus, host, knowledge, registry, monitor, events = build_stack()
+        spine, bus, host, deployments, registry, monitor, events = build_stack()
         requests = collect(bus, "deploy")
-        cid = self.run_until_kill(monitor, host)
-        register(knowledge, cid, attempt=1)
+        run_deployed(host, deployments, self.SPEC, self.DOOMED, attempt=1)
         for t in range(1, 4):
             monitor.on_tick(t, host.tick())
         spine.drain()
@@ -208,11 +204,10 @@ class TestPrematureExitRetries:
         assert retry[0].payload["pinned_device"] == "10.0.0.1"
 
     def test_retry_request_names_the_deployments_owner_and_image(self):
-        spine, bus, host, knowledge, registry, monitor, events = build_stack()
+        spine, bus, host, deployments, registry, monitor, events = build_stack()
         requests = collect(bus, "deploy")
-        cid = self.run_until_kill(monitor, host)
-        knowledge.deployments["d7"] = DeploymentRecord("d7", "acme", "ledger")
-        knowledge.register_container(ContainerRecord(container_id=cid, deployment_id="d7", attempt=1))
+        deployments["d7"] = DeploymentRecord("d7", "acme", "ledger")
+        run_deployed(host, deployments, self.SPEC, self.DOOMED, deployment="d7", attempt=1)
         for t in range(1, 4):
             monitor.on_tick(t, host.tick())
         spine.drain()
@@ -221,27 +216,40 @@ class TestPrematureExitRetries:
         assert (retry.payload["owner"], retry.payload["image"]) == ("acme", "ledger")
 
     def test_exhausted_attempts_give_up(self):
-        spine, bus, host, knowledge, registry, monitor, events = build_stack()
+        spine, bus, host, deployments, registry, monitor, events = build_stack()
         requests = collect(bus, "deploy")
-        cid = self.run_until_kill(monitor, host)
-        register(knowledge, cid, attempt=3)  # max_attempts=3 in the stack
+        run_deployed(host, deployments, self.SPEC, self.DOOMED, attempt=3)  # max_attempts=3 in the stack
         for t in range(1, 4):
             monitor.on_tick(t, host.tick())
         spine.drain()
         assert [m for m in requests if m.action is Action.DEPLOYMENT_REQUEST] == []
         assert any(e["type"] == "retry_exhausted" for e in events)
-        assert knowledge.deployments["d1"].state == "failed"
+        assert deployments["d1"].state == "failed"
+
+    def test_container_of_no_deployment_is_killed_without_event_or_retry(self):
+        spine, bus, host, deployments, registry, monitor, events = build_stack()
+        requests = collect(bus, "deploy")
+        cid = host.run_container(self.SPEC, self.DOOMED)
+        kills = []
+        for t in range(1, 4):
+            tick_events = host.tick()
+            kills += tick_events
+            monitor.on_tick(t, tick_events)
+        spine.drain()
+        assert [(e.kind, e.container_id) for e in kills] == [("oom_kill", cid)]
+        assert (host.container(cid).deployment_id, host.container(cid).attempt) == ("", 0)
+        assert events == []
+        assert requests == []
 
 
 class TestOptimizationCadence:
     def collect_requests(self, ticks, warmup=50, interval=30):
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack(
+        spine, bus, host, deployments, registry, monitor, _ = build_stack(
             policy=OptimizationPolicy(warmup_delay_s=warmup, optimization_interval_s=interval)
         )
         received = collect(bus, "analyze")
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
-        cid = host.run_container(spec, Limits(cpu=100, mem=150))
-        register(knowledge, cid)
+        cid = run_deployed(host, deployments, spec, Limits(cpu=100, mem=150))
         sent = []
         for t in range(1, ticks + 1):
             monitor.on_tick(t, host.tick())
@@ -261,7 +269,7 @@ class TestOptimizationCadence:
         assert [p["cycle"] for _, p in sent] == [1, 2, 3, 4]
 
     def test_no_active_containers_no_requests(self):
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack()
+        spine, bus, host, deployments, registry, monitor, _ = build_stack()
         received = collect(bus, "analyze")
         for t in range(1, 200):
             monitor.on_tick(t, host.tick())
@@ -269,14 +277,13 @@ class TestOptimizationCadence:
         assert received == []
 
     def test_batch_carries_index_and_count(self):
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack(
+        spine, bus, host, deployments, registry, monitor, _ = build_stack(
             policy=OptimizationPolicy(warmup_delay_s=10, optimization_interval_s=30)
         )
         received = collect(bus, "analyze")
         spec = WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95)
         for i in range(2):
-            cid = host.run_container(spec, Limits(cpu=100, mem=150))
-            register(knowledge, cid, deployment=f"d{i}")
+            run_deployed(host, deployments, spec, Limits(cpu=100, mem=150), deployment=f"d{i}")
         for t in range(1, 11):
             monitor.on_tick(t, host.tick())
         spine.drain()
@@ -286,7 +293,7 @@ class TestOptimizationCadence:
     def test_wake_up_asked_first_keeps_the_cycle_due_at_that_second(self):
         # next_wake_up(50) keeps 80, the first due second after 50; the cycle
         # due at 50 itself still starts at on_tick(50)
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack()
+        spine, bus, host, deployments, registry, monitor, _ = build_stack()
         received = collect(bus, "analyze")
         cid = host.run_container(WorkloadSpec(pattern=3, workload_class="mem", period_s=1800, peak=95), Limits(cpu=100, mem=150))
         while host.now < 50:
@@ -340,7 +347,7 @@ class TestWakeUps:
         next_wake_up named at the second before, or at which the host raised
         an event; a cycle holds the live containers due then. At every
         second, next_wake_up is what a scan of every live container gives."""
-        spine, bus, host, knowledge, registry, monitor, _ = build_stack(
+        spine, bus, host, deployments, registry, monitor, _ = build_stack(
             policy=OptimizationPolicy(warmup_delay_s=warmup, optimization_interval_s=interval),
             config=MonitorConfig(scrape_interval_s=scrape, retention_s=7200, max_attempts=3),
         )
@@ -362,8 +369,7 @@ class TestWakeUps:
             # the drain of second t starts containers and changes limits
             for index, (start, mem) in enumerate(starts):
                 if start == t:
-                    cids.append(host.run_container(spec, Limits(cpu=100, mem=mem)))
-                    register(knowledge, cids[-1], deployment=f"d{index}")
+                    cids.append(run_deployed(host, deployments, spec, Limits(cpu=100, mem=mem), deployment=f"d{index}"))
             for which, after, mem in updates:
                 state = host.container(cids[which]) if which < len(cids) else None
                 if state and state.status == "running" and state.start_t + after == t:

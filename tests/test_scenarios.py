@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import tempfile
 from collections import Counter
 from operator import itemgetter
@@ -319,11 +320,11 @@ class TestFailedStart:
         run_container = HostSimulator.run_container
         refused = []
 
-        def refuse_first_start(host, spec, limits):
+        def refuse_first_start(host, spec, limits, **labels):
             if not refused:
                 refused.append(limits)
                 raise ContractViolation("limits need more than is left")
-            return run_container(host, spec, limits)
+            return run_container(host, spec, limits, **labels)
 
         monkeypatch.setattr(HostSimulator, "run_container", refuse_first_start)
         report = run_scenario(builtin_scenario("exp4_mem_400"))
@@ -558,6 +559,26 @@ class TestCli:
             ),
             ({"devices": [{"address": "edge/1"}]}, "devices[0]: address 'edge/1' must not contain '/' or NUL"),
             ({"devices": [{"address": "edge\0"}]}, "devices[0]: address 'edge\\x00' must not contain '/' or NUL"),
+            ({"policy": {"cpu_buffer": math.inf}}, "policy: cpu_buffer must be a finite number, got inf"),
+            ({"policy": {"mem_margin": math.nan}}, "policy: mem_margin must be a finite number, got nan"),
+            ({"policy": {"mem_margin": True}}, "policy: mem_margin must be a finite number, got True"),
+            ({"policy": {"throttle_limit_pct": math.nan}}, "policy: throttle_limit_pct must be a finite number, got nan"),
+            (
+                {"duration_s": 60, "expectations": [{"type": "throttle_recovered", "from_s": 0, "max_pct": math.nan}]},
+                "expectations[0]: max_pct must be a finite number, got nan",
+            ),
+            (
+                {"duration_s": 60, "expectations": [{"type": "final_throttle_below", "max_pct": -math.inf}]},
+                "expectations[0]: max_pct must be a finite number, got -inf",
+            ),
+            (
+                {"duration_s": 60, "expectations": [{"type": "newcomer_mem_band", "bands": {"memory-1": [0, math.inf]}}]},
+                "expectations[0]: bands must be a map of image to [low, high], got {'memory-1': [0, inf]}",
+            ),
+            (
+                {"images": [*builtin_scenario("exp1_mem")["images"], exp1_mem_with_first("images", owner="vendor-b")[0]]},
+                "images[5]: image name 'memory-1' is already used by an earlier image",
+            ),
         ],
     )
     def test_bad_entry_names_its_section_and_index(self, tmp_path, capsys, block, message):
