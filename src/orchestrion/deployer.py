@@ -19,10 +19,11 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from ipaddress import IPv4Address
 
 from .bus import Action, CLUSTER_PREFIX, Message, MessageBus, TOPIC_DEPLOY, TOPIC_ANALYZE, TOPIC_MONITOR
 from .hostsim import HostSimulator, WorkloadSpec
-from .model import DeviceId, Limits, OptimizationPolicy
+from .model import Limits, OptimizationPolicy
 from .registry import ImageRecord, NotFound, Registry, RegistryError, TamperError
 
 logger = logging.getLogger(__name__)
@@ -38,9 +39,9 @@ def dominant_resource(request_cpu: int, request_mem: int, host_cpu: int, host_me
 
 
 @lru_cache(maxsize=1024)  # bounded: a long-lived process may meet many addresses
-def _address_order(address: str) -> tuple[int, int, int, int]:
+def _address_order(address: str) -> int:
     """Numeric order of a device address, worked out once per address."""
-    return DeviceId(address=address).sort_key
+    return int(IPv4Address(address))
 
 
 def select_executor(table: dict[str, dict], dominant: str, fallback: str) -> str:
@@ -72,7 +73,7 @@ class DeploymentRecord:
 
 @dataclass
 class _Admission:
-    deployment_id: str
+    record: DeploymentRecord
     attempt: int
     role: str
     target: Limits
@@ -102,7 +103,7 @@ class Deployer:
         self.cluster_mode = cluster_mode
         self.table: dict[str, dict] = {}  # device -> its last {"cpu", "mem"} availability
         self._table_t: dict[str, int] = {}  # device -> the time of that result
-        self._queue: deque[tuple[str, int]] = deque()
+        self._queue: deque[tuple[DeploymentRecord, int]] = deque()
         self._active: _Admission | None = None
         self._request_seq = 0
         self._analysis_seq = 0
@@ -137,7 +138,7 @@ class Deployer:
                 payload["dominant"] = "mem"
             else:
                 payload["dominant"] = dominant_resource(
-                    found.request_limit_cpu, found.request_limit_memory, config.cpu_total, config.mem_total
+                    found.request.cpu, found.request.mem, config.cpu_total, config.mem_total
                 )
         self.bus.publish(
             TOPIC_DEPLOY,
@@ -211,50 +212,46 @@ class Deployer:
                     local.state = "delegated"
                     local.executor = winner
                 return
-        if deployment_id not in self.deployments:
-            self.deployments[deployment_id] = DeploymentRecord(
+        record = self.deployments.get(deployment_id)
+        if record is None:
+            record = self.deployments[deployment_id] = DeploymentRecord(
                 deployment_id=deployment_id,
                 owner=payload["owner"],
                 image=payload["image"],
             )
-        self._queue.append((deployment_id, attempt))
+        self._queue.append((record, attempt))
         self._pump()
 
     def _pump(self) -> None:
         while self._active is None and self._queue:
             self._start_admission(*self._queue.popleft())
 
-    def _start_admission(self, deployment_id: str, attempt: int) -> None:
-        record = self.deployments[deployment_id]
+    def _start_admission(self, record: DeploymentRecord, attempt: int) -> None:
         record.executor = self.bus.device
         record.attempts = max(record.attempts, attempt)
         try:
             image = self.registry.get_image(record.owner, record.image)
             blob = self.registry.fetch_blob(image.image_hash)
         except NotFound as exc:
-            self._reject(deployment_id, attempt, record, "rejected", f"image not found: {exc}", "image_not_found")
+            self._reject(record, attempt, "rejected", f"image not found: {exc}", "image_not_found")
             return
         except TamperError as exc:
             detail = f"image verification failed: {exc}"
-            self._reject(deployment_id, attempt, record, "rejected", detail, "image_tampered")
+            self._reject(record, attempt, "rejected", detail, "image_tampered")
             return
         spec = WorkloadSpec.from_dict(json.loads(blob.layers[0].decode("utf-8"))["workload"])
         role, target = self._target_for_attempt(image, attempt)
         record.state = "analyzing"
-        self._active = _Admission(
-            deployment_id=deployment_id, attempt=attempt, role=role, target=target, spec=spec, image=image
-        )
+        self._active = _Admission(record=record, attempt=attempt, role=role, target=target, spec=spec, image=image)
         self._publish_analysis()
 
     def _target_for_attempt(self, image: ImageRecord, attempt: int) -> tuple[str, Limits]:
-        request = Limits(cpu=image.request_limit_cpu, mem=image.request_limit_memory)
-        base = Limits(cpu=image.base_limit_cpu, mem=image.base_limit_memory)
         if attempt <= 1:
-            return ROLE_REQUEST, request
+            return ROLE_REQUEST, image.request
         if attempt == 2:
-            return ROLE_BASE, base
-        escalated_mem = min(base.mem + (attempt - 2) * self.policy.scale_up.mem, self.policy.mem_max)
-        return ROLE_ESCALATED, Limits(cpu=base.cpu, mem=escalated_mem)
+            return ROLE_BASE, image.base
+        escalated_mem = min(image.base.mem + (attempt - 2) * self.policy.scale_up.mem, self.policy.mem_max)
+        return ROLE_ESCALATED, Limits(cpu=image.base.cpu, mem=escalated_mem)
 
     def _publish_analysis(self) -> None:
         assert self._active is not None
@@ -266,7 +263,7 @@ class Deployer:
             Message(
                 action=Action.DEPLOYMENT_ANALYSIS_REQUEST,
                 payload={
-                    "deployment_id": admission.deployment_id,
+                    "deployment_id": admission.record.deployment_id,
                     "analysis_id": admission.analysis_id,
                     "target": admission.target.as_dict(),
                     "role": admission.role,
@@ -288,7 +285,7 @@ class Deployer:
         admission = self._active
         if admission is None or admission.analysis_id != msg.payload.get("analysis_id", ""):
             return  # stale or duplicate verdict: analysis ids are never reused
-        record = self.deployments[admission.deployment_id]
+        record = admission.record
         accepted = msg.action is Action.DEPLOYMENT_ACCEPT
         record.decisions.append(
             {
@@ -304,37 +301,37 @@ class Deployer:
             self._publish_analysis()
             return
         if accepted:
-            self._execute(admission, record)
+            self._execute(admission)
         else:
             state = "failed" if admission.attempt > 1 else "rejected"
             detail = "no acceptable resource limits"
-            self._reject(admission.deployment_id, admission.attempt, record, state, detail, "analysis_cancelled")
+            self._reject(record, admission.attempt, state, detail, "analysis_cancelled")
         self._active = None
         self._pump()
 
-    def _reject(
-        self, deployment_id: str, attempt: int, record: DeploymentRecord, state: str, detail: str, reason: str
-    ) -> None:
+    def _reject(self, record: DeploymentRecord, attempt: int, state: str, detail: str, reason: str) -> None:
         """End an admission without a container, with ``reason`` in the event."""
         record.state = state
         record.detail = detail
-        self.emit({"type": "deployment_rejected", "deployment": deployment_id, "attempt": attempt, "reason": reason})
+        self.emit(
+            {"type": "deployment_rejected", "deployment": record.deployment_id, "attempt": attempt, "reason": reason}
+        )
 
-    def _execute(self, admission: _Admission, record: DeploymentRecord) -> None:
+    def _execute(self, admission: _Admission) -> None:
+        record = admission.record
         try:
             cid = self.host.run_container(
-                admission.spec, admission.target, deployment_id=admission.deployment_id, attempt=admission.attempt
+                admission.spec, admission.target, deployment_id=record.deployment_id, attempt=admission.attempt
             )
         except ValueError as exc:
-            logger.warning("execution failed for %s: %s", admission.deployment_id, exc)
-            detail = f"execution failed: {exc}"
-            self._reject(admission.deployment_id, admission.attempt, record, "failed", detail, "execution_failed")
+            logger.warning("execution failed for %s: %s", record.deployment_id, exc)
+            self._reject(record, admission.attempt, "failed", f"execution failed: {exc}", "execution_failed")
             return
         record.state = "running"
         self.emit(
             {
                 "type": "deployed",
-                "deployment": admission.deployment_id,
+                "deployment": record.deployment_id,
                 "container": cid,
                 "image": record.image,
                 "attempt": admission.attempt,

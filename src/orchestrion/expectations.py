@@ -117,16 +117,11 @@ def _newcomer_mem_band(report, scenario, params, policy, monitor):
 def _escalation_exact(report, scenario, params, policy, monitor):
     step = policy.scale_up.mem
     mem_max = policy.mem_max
-    images = {(i["owner"], i["name"]): i for i in scenario["images"]}
+    images = {i["name"]: i for i in scenario["images"]}
     admissions_by_deployment: dict[str, list[dict]] = defaultdict(list)
     for event in report.admissions():
         admissions_by_deployment[event["deployment"]].append(event)
-    deployment_image: dict[str, tuple[str, str]] = {}
-    for event in report.events_of("request_submitted"):
-        dep = event["deployment"]
-        for (owner, name) in images:
-            if name == event["image"]:
-                deployment_image[dep] = (owner, name)
+    deployment_image = {event["deployment"]: event["image"] for event in report.events_of("request_submitted")}
     failures = []
     for dep, events in admissions_by_deployment.items():
         image = images[deployment_image[dep]]

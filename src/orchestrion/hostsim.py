@@ -111,6 +111,8 @@ class WorkloadSpec:
             raise ValueError(f"workload_class must be 'cpu' or 'mem', got {self.workload_class!r}")
         if self.period_s <= 0 or self.peak <= 0:
             raise ValueError("period and peak must be positive")
+        if self.peak >= 1 << 63:  # demand, capped at the peak, fills the host's signed 64-bit tables
+            raise ValueError(f"peak {self.peak} must be below 2**63")
 
     def as_dict(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Shared domain vocabulary: resources, limits, scaling policies, identities.
+"""Shared domain vocabulary: resources, limits and scaling policies.
 
 All resource amounts are non-negative integers: milli-CPU units for CPU
 (1000 mCPU = one core) and megabytes for memory. Integer accounting keeps
@@ -60,29 +60,6 @@ def is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-@dataclass(frozen=True, order=True)
-class DeviceId:
-    """IPv4-style device address, totally ordered by numeric octet value."""
-
-    sort_key: tuple[int, int, int, int] = field(init=False, repr=False)
-    address: str = "127.0.0.1"
-
-    def __post_init__(self) -> None:
-        parts = self.address.split(".")
-        if len(parts) != 4:
-            raise ContractViolation(f"not a dotted-quad address: {self.address!r}")
-        try:
-            octets = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ContractViolation(f"not a dotted-quad address: {self.address!r}") from exc
-        if any(o < 0 or o > 255 for o in octets):
-            raise ContractViolation(f"octet out of range in {self.address!r}")
-        object.__setattr__(self, "sort_key", octets)
-
-    def __str__(self) -> str:
-        return self.address
 
 
 @dataclass

@@ -14,6 +14,8 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from .model import RESOURCES, Limits
+
 HASH_ALGORITHM = "sha256"
 
 
@@ -42,17 +44,13 @@ class ImageRecord:
 
     image_hash: str
     image_name: str
-    base_limit_memory: int
-    request_limit_memory: int
-    base_limit_cpu: int
-    request_limit_cpu: int
+    request: Limits
+    base: Limits
     owner: str
 
     def __post_init__(self) -> None:
-        for res, request, base in (
-            ("cpu", self.request_limit_cpu, self.base_limit_cpu),
-            ("mem", self.request_limit_memory, self.base_limit_memory),
-        ):
+        for res in RESOURCES:
+            request, base = getattr(self.request, res), getattr(self.base, res)
             if request <= 0 or base <= 0:
                 raise RegistryError(f"{res} limits must be positive, got request {request} and base {base}")
             if base > request:
@@ -115,8 +113,9 @@ class Registry:
     ) -> str:
         """Store the blob and create/update the ledger entry; returns the hash.
 
-        Only the recorded owner can deliver updates; every limit must be
-        positive, and base limits must not exceed their paired request limits.
+        Only the recorded owner can deliver updates; every limit must be a
+        positive integer, and base limits must not exceed their paired
+        request limits.
         """
         caller = caller if caller is not None else owner
         key = (owner, name)
@@ -129,10 +128,8 @@ class Registry:
         record = ImageRecord(
             image_hash=content_hash(raw),
             image_name=name,
-            base_limit_memory=int(base_limits["mem"]),
-            request_limit_memory=int(request_limits["mem"]),
-            base_limit_cpu=int(base_limits["cpu"]),
-            request_limit_cpu=int(request_limits["cpu"]),
+            request=Limits.from_dict(request_limits),
+            base=Limits.from_dict(base_limits),
             owner=owner,
         )
         self._store.setdefault(record.image_hash, raw)

@@ -23,6 +23,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from ipaddress import IPv4Address
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .deployer import Deployer
 from .expectations import check_expectation
 from .forecaster import ForecastConfig, Forecaster
 from .hostsim import TRACE_COLUMNS, HostConfig, HostSimulator, WorkloadSpec
-from .model import DeviceId, Limits, OptimizationPolicy, require_int
+from .model import OptimizationPolicy, require_int
 from .monitor import Monitor, MonitorConfig
 from .registry import ImageBlob, Registry, RegistryError
 
@@ -222,8 +223,8 @@ class SimulationRunner:
                     owner=image["owner"],
                     name=image["name"],
                     blob=blob,
-                    request_limits=Limits.from_dict(image["request"]).as_dict(),
-                    base_limits=Limits.from_dict(image["base"]).as_dict(),
+                    request_limits=image["request"],
+                    base_limits=image["base"],
                 )
 
         cluster = scn.get("cluster", False) and len(scn["devices"]) > 1
@@ -405,7 +406,7 @@ def validate_scenario(scenario: dict) -> list[_ScheduledRequest]:
     if bridged:  # elections break ties by numeric address order
         for index, address in enumerate(addresses):
             with _reading(f"devices[{index}]"):
-                DeviceId(address=address)
+                IPv4Address(address)
     if len(set(addresses)) != len(addresses):
         raise ScenarioError("device addresses must be unique")
 

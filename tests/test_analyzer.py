@@ -342,3 +342,32 @@ def test_admission_starts_from_the_hosts_usable_capacity():
     spine.drain()
     assert [e["verdict"] for e in events] == ["accept", "reject", "reject", "accept", "reject"]
     assert all(e["avail"] == {"cpu": 800.0, "mem": 150.0} for e in events)
+
+
+def test_rising_memory_peak_is_scaled_up_end_to_end():
+    """The paper's memory upscale, reached through a whole run: a pattern-1
+    image ramps to its peak of 95 MB over 900 s. The first optimization cycle,
+    at t=871 after a warm-up of 870 s, sees a peak within the last 10 % below
+    the 100 MB limit and scales it up one step, before demand can cross it."""
+    scenario = {
+        "name": "mem_upscale",
+        "duration_s": 1200,
+        "devices": [{"address": "10.0.0.1"}],
+        "images": [
+            {
+                "owner": "vendor",
+                "name": "climber",
+                "workload": {"pattern": 1, "workload_class": "mem", "period_s": 1800, "peak": 95},
+                "request": {"cpu": 100, "mem": 100},
+                "base": {"cpu": 50, "mem": 100},
+            }
+        ],
+        "schedule": [{"at_s": 0, "owner": "vendor", "image": "climber"}],
+        "policy": {"warmup_delay_s": 870},
+    }
+    report = run_scenario(scenario)
+    (optimization,) = report.events_of("optimization")
+    assert optimization["t"] == 871
+    assert optimization["deltas"]["mem"] == POLICY.scale_up.mem == 20
+    assert (optimization["previous"]["mem"], optimization["target"]["mem"]) == (100, 120)
+    assert report.events_of("oom_kill") == []

@@ -219,7 +219,7 @@ class TestRetryTargets:
         _, _, _, registry, deployer, _ = build_device()
         image = registry.get_image("vendor", "app")
         for attempt in range(2, 10):
-            assert deployer._target_for_attempt(image, attempt)[1].cpu == image.base_limit_cpu
+            assert deployer._target_for_attempt(image, attempt)[1].cpu == image.base.cpu
 
 
 class TestVerdictHandling:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from orchestrion.model import ContractViolation, DeviceId, Limits, OptimizationPolicy
+from orchestrion.model import ContractViolation, Limits, OptimizationPolicy
 
 
 class TestLimits:
@@ -17,17 +17,6 @@ class TestLimits:
     def test_round_trip(self):
         limits = Limits(cpu=300, mem=150)
         assert Limits.from_dict(limits.as_dict()) == limits
-
-
-class TestDeviceId:
-    def test_numeric_order(self):
-        assert DeviceId(address="10.0.0.2") < DeviceId(address="10.0.0.10")
-        assert DeviceId(address="9.255.255.255") < DeviceId(address="10.0.0.1")
-
-    def test_invalid_addresses(self):
-        for bad in ("10.0.0", "a.b.c.d", "1.2.3.500"):
-            with pytest.raises(ContractViolation):
-                DeviceId(address=bad)
 
 
 class TestOptimizationPolicy:

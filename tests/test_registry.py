@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from orchestrion.model import ContractViolation, Limits
 from orchestrion.registry import (
     ImageBlob,
     NotFound,
@@ -28,10 +29,8 @@ class TestPublishAndGet:
         digest = reg.publish_image("vendor", "app", blob_from(b"layer"), REQUEST, BASE)
         record = reg.get_image("vendor", "app")
         assert record.image_hash == digest
-        assert record.request_limit_memory == 150
-        assert record.base_limit_memory == 100
-        assert record.request_limit_cpu == 100
-        assert record.base_limit_cpu == 50
+        assert record.request == Limits(cpu=100, mem=150)
+        assert record.base == Limits(cpu=50, mem=100)
         assert record.owner == "vendor"
 
     def test_update_by_different_caller_rejected(self):
@@ -75,6 +74,19 @@ class TestPublishAndGet:
         reg = Registry()
         with pytest.raises(RegistryError, match="limits must be positive"):
             reg.publish_image("vendor", "app", blob_from(b"x"), request_limits, base_limits)
+        with pytest.raises(NotFound):
+            reg.get_image("vendor", "app")
+        with pytest.raises(NotFound):
+            reg.fetch_blob(content_hash(blob_from(b"x").encode()))
+
+    @pytest.mark.parametrize("bad", [100.7, 100.0, True, "100", None])
+    @pytest.mark.parametrize("role", ["request", "base"])
+    def test_non_integer_limit_rejected_before_anything_is_stored(self, role, bad):
+        limits = {"request": REQUEST, "base": BASE}
+        limits[role] = {**limits[role], "cpu": bad}
+        reg = Registry()
+        with pytest.raises(ContractViolation, match=f"cpu amount must be an integer, got {bad!r}"):
+            reg.publish_image("vendor", "app", blob_from(b"x"), limits["request"], limits["base"])
         with pytest.raises(NotFound):
             reg.get_image("vendor", "app")
         with pytest.raises(NotFound):

@@ -46,6 +46,11 @@ def exp1_mem_with_first(section, **fields):
     return entries
 
 
+def bridged_pair(second):
+    """Two bridged devices, 10.0.0.1 and ``second``."""
+    return {"cluster": True, "devices": [{"address": "10.0.0.1"}, {"address": second}]}
+
+
 class TestBuiltinCatalog:
     def test_all_eleven_present(self):
         assert set(BUILTIN_SCENARIOS) == {
@@ -391,6 +396,14 @@ class TestCli:
         assert main(["run", str(scenario_path)]) == 2
         assert "[FAIL]" in capsys.readouterr().out
 
+    def test_readme_scenario_example_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Scenario format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        scenario_path = tmp_path / "example.json"
+        scenario_path.write_text(example)
+        assert main(["run", str(scenario_path)]) == 0
+        assert capsys.readouterr().out == "(scenario defines no expectations)\n"
+
     def test_run_needs_exactly_one_source(self, capsys):
         assert main(["run"]) == 2
         assert main(["run", "x.json", "--builtin", "exp1_mem"]) == 2
@@ -418,6 +431,12 @@ class TestCli:
     def test_seed_at_the_64_bit_bounds_runs(self, seed):
         # exp3_mem deploys its pattern-4 image, whose noise packs the seed in 8 bytes
         assert main(["run", "--builtin", "exp3_mem", "--seed", str(seed)]) == 0
+
+    def test_peak_just_below_2_63_runs(self):
+        # the host keeps demand, capped at the peak, in signed 64-bit tables
+        images = exp1_mem_images_with_first(workload={"peak": 2**63 - 1})
+        report = run_scenario({**builtin_scenario("exp1_mem"), "duration_s": 120, "images": images})
+        assert report.events_of("oom_kill")
 
     @pytest.mark.parametrize(
         "block",
@@ -578,6 +597,19 @@ class TestCli:
             (
                 {"images": [*builtin_scenario("exp1_mem")["images"], exp1_mem_with_first("images", owner="vendor-b")[0]]},
                 "images[5]: image name 'memory-1' is already used by an earlier image",
+            ),
+            (
+                {"images": exp1_mem_images_with_first(workload={"peak": 2**63})},
+                "images[0]: peak 9223372036854775808 must be below 2**63",
+            ),
+            # a bridged address is a dotted quad as IPv4Address reads it, in one spelling only
+            (bridged_pair("10.0.0.01"), "devices[1]: Leading zeros are not permitted in '01' in '10.0.0.01'"),
+            (bridged_pair("1_0.0.0.1"), "devices[1]: Only decimal digits permitted in '1_0' in '1_0.0.0.1'"),
+            (bridged_pair("+10.0.0.1"), "devices[1]: Only decimal digits permitted in '+10' in '+10.0.0.1'"),
+            (bridged_pair(" 10.0.0.1"), "devices[1]: Only decimal digits permitted in ' 10' in ' 10.0.0.1'"),
+            (
+                bridged_pair("\u0661\u0660.0.0.1"),
+                "devices[1]: Only decimal digits permitted in '\u0661\u0660' in '\u0661\u0660.0.0.1'",
             ),
         ],
     )
